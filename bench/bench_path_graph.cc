@@ -68,44 +68,10 @@ void Run() {
   }
   table.Print();
 
-  // Ablation: the Appendix-A branching knob (hub spacing ratio V^{1/k}).
-  // Fewer levels lower the release sensitivity but each query must sum
-  // more (b-1 per level) segments; the paper's k = log V (b = 2) is near
-  // the sweet spot.
-  Table ablation("E3b: Appendix-A hub branching ablation (V=4096, eps=1)",
-                 {"branching b", "levels", "noise scale", "mean|err|",
-                  "max|err|"});
-  int n = 4096;
-  Graph g = OrDie(MakePathGraph(n));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
-  std::vector<double> prefix(static_cast<size_t>(n), 0.0);
-  for (int i = 1; i < n; ++i) {
-    prefix[static_cast<size_t>(i)] =
-        prefix[static_cast<size_t>(i - 1)] + w[static_cast<size_t>(i - 1)];
-  }
-  auto pairs = SamplePairs(n, 3000, &rng);
-  for (int b : {2, 4, 8, 16, 64}) {
-    auto oracle = OrDie(PathGraphOracle::Build(g, w, pure, &rng, b));
-    std::vector<double> errors;
-    errors.reserve(pairs.size());
-    for (const auto& [u, v] : pairs) {
-      double truth = std::fabs(prefix[static_cast<size_t>(v)] -
-                               prefix[static_cast<size_t>(u)]);
-      errors.push_back(std::fabs(OrDie(oracle->Distance(u, v)) - truth));
-    }
-    ablation.Row()
-        .Add(b)
-        .Add(oracle->num_levels())
-        .Add(oracle->noise_scale(), 4)
-        .Add(Mean(errors), 4)
-        .Add(MaxAbs(errors), 4);
-  }
-  ablation.Print();
   std::puts(
       "\nShape check: path-hierarchy and tree-recursive agree to within "
       "constants\n(polylog V), while per-pair-laplace(approx) error scales "
-      "linearly with V.\nAblation: moderate branching factors trade levels "
-      "vs segments; extremes lose.");
+      "linearly with V.");
 }
 
 }  // namespace

@@ -13,29 +13,17 @@
 // UpdateWeights frame — serving throughput under live incremental
 // re-releases, plus the epoch rate the single-ledger update path sustains.
 //
-// A third phase (S3) measures the replicated read tier: a coordinator
-// ships one release to four replicas, then the client fleet is spread
-// across 1, 2, and 4 replica endpoints. Each replica enforces a fixed
-// per-node admission ceiling (max_query_pairs_per_sec) well under the
-// mechanism's compute rate, so aggregate throughput is capacity x
-// endpoint count and the scale-out curve is deterministic on any
-// runner, single-core CI included — the "replica" series in the JSON
-// is that curve.
-//
 // Usage: bench_server_loadgen [out.json]
 //   out.json  machine-readable per-mechanism numbers (ops/sec over the
 //             wire and direct) — BENCH_server.json, the CI perf artifact.
 
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "cluster/coordinator.h"
-#include "cluster/replica.h"
 #include "common/statistics.h"
 #include "graph/generators.h"
 #include "net/client.h"
@@ -116,17 +104,8 @@ struct MixedRow {
   double charged_eps_per_epoch = 0.0;
 };
 
-/// One S3 series point: the fleet spread over `replicas` read nodes.
-struct ReplicaRow {
-  int replicas = 0;
-  double ops_per_sec = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
 void WriteJson(const char* path, const std::vector<LoadgenRow>& rows,
-               const MixedRow& mixed,
-               const std::vector<ReplicaRow>& replica_rows) {
+               const MixedRow& mixed) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "could not write JSON to %s\n", path);
@@ -160,16 +139,7 @@ void WriteJson(const char* path, const std::vector<LoadgenRow>& rows,
                static_cast<unsigned long long>(mixed.update_epochs),
                mixed.update_epochs_per_sec, mixed.deltas_per_epoch,
                mixed.charged_eps_per_epoch);
-  std::fprintf(f, "  ,\"replica\": [\n");
-  for (size_t i = 0; i < replica_rows.size(); ++i) {
-    const ReplicaRow& r = replica_rows[i];
-    std::fprintf(f,
-                 "    {\"replicas\": %d, \"ops_per_sec\": %.0f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
-                 r.replicas, r.ops_per_sec, r.p50_ms, r.p99_ms,
-                 i + 1 < replica_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nJSON written to %s\n", path);
 }
@@ -366,104 +336,6 @@ void Run(const char* json_path) {
         mixed.charged_eps_per_epoch);
   }
 
-  // S3: the replicated read tier. A coordinator attached to the serving
-  // node ships a fresh release to four ledger-less replicas, then the
-  // same client fleet is spread across 1, 2, and 4 replica endpoints
-  // (client c hits replica c % N). Every replica gets the same per-node
-  // admission ceiling, set well below tree-hld's compute rate: per-node
-  // capacity is then the configured pacer, not the runner's core count,
-  // and the aggregate scales with the endpoint count even on a
-  // single-core CI box. The executor is also capped at two threads so a
-  // replica never monopolizes a big machine.
-  constexpr double kReplicaPairsPerSec = 400e3;
-  std::vector<ReplicaRow> replica_rows;
-  {
-    cluster::Coordinator coordinator(cluster::CoordinatorOptions{},
-                                     &server);
-    OrDie(coordinator.Start());
-
-    struct ReplicaNode {
-      std::unique_ptr<net::QueryServer> server;
-      std::unique_ptr<cluster::Replica> replica;
-    };
-    constexpr int kReplicaNodes = 4;
-    std::vector<ReplicaNode> nodes;
-    for (int i = 0; i < kReplicaNodes; ++i) {
-      net::QueryServerOptions ropts;
-      ropts.max_inflight_queries = kClients;
-      ropts.max_query_pairs_per_sec = kReplicaPairsPerSec;
-      ropts.executor.max_threads = 2;
-      ReplicaNode& node = nodes.emplace_back();
-      node.server = std::make_unique<net::QueryServer>(ropts);
-      OrDie(node.server->AddWorkload("path", g, w));
-      OrDie(node.server->Start());
-      cluster::ReplicaOptions roptions;
-      roptions.coordinator_port = coordinator.replication_port();
-      roptions.name = "bench-r" + std::to_string(i);
-      node.replica =
-          std::make_unique<cluster::Replica>(roptions, node.server.get());
-      OrDie(node.replica->Start());
-    }
-
-    // The coordinator only ships images it witnessed: release AFTER the
-    // attach so the snapshot fans out to the subscribed fleet.
-    net::ReleaseInfo info =
-        OrDie(admin.Release("path", "tree-hld", "replica-tree-hld"));
-    for (ReplicaNode& node : nodes) {
-      OrDie(node.replica->WaitForLsn(server.last_epoch_lsn(), 60000));
-    }
-
-    Table s3("S3: read-tier scale-out (tree-hld, " +
-                 std::to_string(static_cast<int>(kReplicaPairsPerSec / 1e3)) +
-                 "k pairs/s per node, " + std::to_string(kClients) +
-                 " clients)",
-             {"replicas", "net Mops/s", "p50 ms", "p99 ms", "vs x1"});
-    for (int n : {1, 2, 4}) {
-      std::vector<std::string> errors(kClients);
-      std::vector<std::vector<double>> latencies(kClients);
-      std::vector<std::thread> clients;
-      clients.reserve(kClients);
-      WallTimer timer;
-      for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&, c, n] {
-          RunClient(nodes[static_cast<size_t>(c % n)].server->port(),
-                    info.handle_id, pairs, kBatchesPerClient,
-                    &errors[static_cast<size_t>(c)],
-                    &latencies[static_cast<size_t>(c)]);
-        });
-      }
-      for (std::thread& t : clients) t.join();
-      double wall_s = timer.Ms() * 1e-3;
-      for (const std::string& error : errors) {
-        if (!error.empty()) {
-          std::fprintf(stderr, "replica loadgen client failed: %s\n",
-                       error.c_str());
-          std::exit(1);
-        }
-      }
-      double total_pairs =
-          static_cast<double>(kClients) *
-          (kBatchesPerClient + kWarmupBatchesPerClient) * kPairsPerBatch;
-      ReplicaRow& row = replica_rows.emplace_back();
-      row.replicas = n;
-      row.ops_per_sec = total_pairs / wall_s;
-      FillLatencyPercentiles(latencies, &row.p50_ms, &row.p99_ms);
-      s3.Row()
-          .Add(n)
-          .Add(row.ops_per_sec / 1e6, 3)
-          .Add(row.p50_ms, 3)
-          .Add(row.p99_ms, 3)
-          .Add(row.ops_per_sec / replica_rows.front().ops_per_sec, 3);
-    }
-    s3.Print();
-
-    for (ReplicaNode& node : nodes) {
-      node.replica->Stop();
-      node.server->Stop();
-    }
-    coordinator.Stop();
-  }
-
   net::ServerStats stats = OrDie(admin.Stats());
   std::printf("\nserver counters: %llu queries, %llu pairs, %llu releases, "
               "%llu overload-rejected\n",
@@ -480,7 +352,7 @@ void Run(const char* json_path) {
   }
 
   if (json_path != nullptr) {
-    WriteJson(json_path, rows, mixed, replica_rows);
+    WriteJson(json_path, rows, mixed);
   }
   server.Stop();
 

@@ -52,8 +52,11 @@ void Coordinator::Stop() {
   server_->SetReplicationObserver(nullptr);
   server_->SetClusterStatsProvider(nullptr);
   stopping_.store(true);
-  listener_.Close();
+  // Join before closing: the accept loop polls and accepts on the
+  // listener's fd, and closing it under that thread could accept on a
+  // reused fd. The loop sees stopping_ at its next poll timeout.
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   DropAllSessions();
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   for (std::unique_ptr<Session>& session : sessions_) {

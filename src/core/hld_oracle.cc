@@ -5,11 +5,10 @@
 #include <map>
 #include <utility>
 
-#include "common/cpu.h"
 #include "common/table.h"
 #include "core/released_state.h"
-#include "core/simd_kernels.h"
 #include "dp/laplace_mechanism.h"
+#include "graph/tree.h"
 
 namespace dpsp {
 
@@ -23,6 +22,7 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
 
   auto oracle = std::unique_ptr<HldTreeOracle>(new HldTreeOracle());
   int n = tree.num_vertices();
+  oracle->num_vertices_ = n;
   oracle->chain_of_.assign(static_cast<size_t>(n), -1);
   oracle->pos_in_chain_.assign(static_cast<size_t>(n), 0);
 
@@ -47,6 +47,7 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
           static_cast<int>(members.size());
       oracle->pos_in_chain_[static_cast<size_t>(v)] = 0;
       oracle->chain_head_.push_back(v);
+      oracle->head_depth_.push_back(tree.depth(v));
       members.emplace_back(1, v);
     } else {
       int c = oracle->chain_of_[static_cast<size_t>(p)];
@@ -102,14 +103,11 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     }
   }
 
-  oracle->tree_ = std::make_unique<RootedTree>(std::move(tree));
-  oracle->lca_ = std::make_unique<EulerTourLca>(*oracle->tree_);
-
   // Update-path indexes: dirty edge -> child endpoint, and flat chain
   // membership (for recomputing ascent caches of dirty chains).
   oracle->edge_child_.assign(static_cast<size_t>(graph.num_edges()), -1);
   for (VertexId v = 0; v < n; ++v) {
-    EdgeId e = oracle->tree_->parent_edge(v);
+    EdgeId e = tree.parent_edge(v);
     if (e != -1) oracle->edge_child_[static_cast<size_t>(e)] = v;
   }
   oracle->chain_member_offset_.assign(members.size() + 1, 0);
@@ -129,7 +127,7 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
   // the light edge above the head, and lands on the head's parent.
   oracle->head_parent_.resize(members.size());
   for (size_t c = 0; c < members.size(); ++c) {
-    oracle->head_parent_[c] = oracle->tree_->parent(oracle->chain_head_[c]);
+    oracle->head_parent_[c] = tree.parent(oracle->chain_head_[c]);
   }
   oracle->ascent_cost_.assign(static_cast<size_t>(n), 0.0);
   for (size_t c = 0; c < members.size(); ++c) {
@@ -154,7 +152,7 @@ Status HldTreeOracle::ApplyWeightUpdates(
     std::span<const EdgeWeightDelta> deltas, ReleaseContext& ctx) {
   update_stats_ = UpdateStats{};
   if (deltas.empty()) return Status::Ok();
-  const int num_edges = tree_->num_vertices() - 1;
+  const int num_edges = num_vertices_ - 1;
 
   // Final weight per dirty edge (last delta wins), then grouped by chain
   // in ascending (chain, position) order so the redraw walk — and with it
@@ -242,94 +240,64 @@ Status HldTreeOracle::ApplyWeightUpdates(
 void HldTreeOracle::RecomputeAscentCosts(int c) {
   const uint32_t begin = chain_member_offset_[static_cast<size_t>(c)];
   const uint32_t end = chain_member_offset_[static_cast<size_t>(c) + 1];
-  const int m = static_cast<int>(end - begin);
-  if (m == 0) return;
-  // Chain member p sits at position p, so the whole chain's ascent
-  // prefixes are the batched prefix sums over 0..m-1 — one call into the
-  // (SIMD-dispatched, bit-identical) vector walk instead of m scalar
-  // walks.
-  std::vector<int> prefixes(static_cast<size_t>(m));
-  for (int p = 0; p < m; ++p) prefixes[static_cast<size_t>(p)] = p;
-  std::vector<double> sums(static_cast<size_t>(m));
-  chains_[static_cast<size_t>(c)].PrefixSumsUnchecked(prefixes, sums.data());
+  const NoisyDyadicRangeSums& chain = chains_[static_cast<size_t>(c)];
   const double light = light_noisy_[static_cast<size_t>(c)];
-  for (int p = 0; p < m; ++p) {
-    VertexId v = chain_member_list_[begin + static_cast<uint32_t>(p)];
+  // Chain member p sits at position p: climbing off the top from it costs
+  // the chain prefix [0, p) plus the light edge above the head.
+  for (uint32_t i = begin; i < end; ++i) {
+    VertexId v = chain_member_list_[i];
     ascent_cost_[static_cast<size_t>(v)] =
-        sums[static_cast<size_t>(p)] + light;
+        chain.PrefixSumUnchecked(static_cast<int>(i - begin)) + light;
   }
 }
 
 Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
                                    double* out) const {
-  // Single fused pass: bounds checks fold into the loop, and each query is
-  // an O(1) LCA lookup plus two unchecked chain ascents — no per-query
+  // Single fused pass: bounds checks fold into the loop, no per-query
   // Result or virtual dispatch.
-  const unsigned n = static_cast<unsigned>(tree_->num_vertices());
-  const EulerTourLca& lca = *lca_;
-#if defined(DPSP_HAVE_AVX2)
-  if (SimdKernelsEnabled() && pairs.size() >= 8 && lca.SimdCompatible()) {
-    static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
-                  "kernels reinterpret VertexPair as two packed int32s");
-    // Blocked two-phase kernel: the LCA lookups of a block vectorize
-    // (gather over the packed sparse table), then the irregular chain
-    // ascents run scalar with the next pair's first touches prefetched.
-    constexpr size_t kBlock = 256;
-    int32_t z[kBlock];
-    for (size_t done = 0; done < pairs.size(); done += kBlock) {
-      const size_t chunk = std::min(kBlock, pairs.size() - done);
-      int bad = simd::LcaBatchAvx2(
-          lca.Flat(), reinterpret_cast<const int32_t*>(pairs.data() + done),
-          static_cast<int>(chunk), z);
-      if (bad >= 0) return Status::InvalidArgument("vertex out of range");
-      for (size_t j = 0; j < chunk; ++j) {
-        if (j + 1 < chunk) {
-          const auto& [pu, pv] = pairs[done + j + 1];
-          __builtin_prefetch(&chain_of_[static_cast<size_t>(pu)]);
-          __builtin_prefetch(&chain_of_[static_cast<size_t>(pv)]);
-          __builtin_prefetch(&ascent_cost_[static_cast<size_t>(pu)]);
-          __builtin_prefetch(&ascent_cost_[static_cast<size_t>(pv)]);
-        }
-        const auto& [u, v] = pairs[done + j];
-        out[done + j] =
-            DistanceToAncestor(u, z[j]) + DistanceToAncestor(v, z[j]);
-      }
-    }
-    return Status::Ok();
-  }
-#endif
+  const unsigned n = static_cast<unsigned>(num_vertices_);
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [u, v] = pairs[i];
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
       return Status::InvalidArgument("vertex out of range");
     }
-    VertexId z = lca.LcaUnchecked(u, v);
-    out[i] = DistanceToAncestor(u, z) + DistanceToAncestor(v, z);
+    out[i] = DistanceUnchecked(u, v);
   }
   return Status::Ok();
 }
 
-double HldTreeOracle::DistanceToAncestor(VertexId v, VertexId z) const {
-  // Each crossing is two flat loads: the precomputed ascent cost (chain
-  // prefix + light edge, cached at build as post-processing of the same
-  // released blocks) and the landing vertex.
-  double sum = 0.0;
-  const int chain_z = chain_of_[static_cast<size_t>(z)];
-  while (chain_of_[static_cast<size_t>(v)] != chain_z) {
-    int c = chain_of_[static_cast<size_t>(v)];
-    VertexId next = head_parent_[static_cast<size_t>(c)];
-    DPSP_CHECK_MSG(next != -1, "climbed past the root during HLD ascent");
-    // The landing vertex's loads miss almost always on large trees; issue
-    // them now so they overlap the current crossing's add.
-    __builtin_prefetch(&chain_of_[static_cast<size_t>(next)]);
-    __builtin_prefetch(&ascent_cost_[static_cast<size_t>(next)]);
-    sum += ascent_cost_[static_cast<size_t>(v)];
-    v = next;
+double HldTreeOracle::DistanceUnchecked(VertexId u, VertexId v) const {
+  // While the endpoints sit on different chains, the one whose chain head
+  // is at least as deep cannot have the LCA on its chain (were it there,
+  // the other endpoint's head would hang strictly below the LCA, so
+  // deeper), so it crosses: one cached ascent cost (chain prefix + light
+  // edge) and a jump to the head's parent. Each side sums its own
+  // crossings bottom-up, so the result is bit-identical to climbing each
+  // endpoint separately to the LCA.
+  auto cross = [this](VertexId& w, int& chain, double& up) {
+    up += ascent_cost_[static_cast<size_t>(w)];
+    w = head_parent_[static_cast<size_t>(chain)];
+    chain = chain_of_[static_cast<size_t>(w)];
+  };
+  double up_u = 0.0;
+  double up_v = 0.0;
+  int cu = chain_of_[static_cast<size_t>(u)];
+  int cv = chain_of_[static_cast<size_t>(v)];
+  while (cu != cv) {
+    if (head_depth_[static_cast<size_t>(cu)] >=
+        head_depth_[static_cast<size_t>(cv)]) {
+      cross(u, cu, up_u);
+    } else {
+      cross(v, cv, up_v);
+    }
   }
-  return sum +
-         chains_[static_cast<size_t>(chain_z)]
-             .RangeSumUnchecked(pos_in_chain_[static_cast<size_t>(z)],
-                                pos_in_chain_[static_cast<size_t>(v)]);
+  // Meeting chain: the LCA is whichever endpoint sits higher on it.
+  const int pu = pos_in_chain_[static_cast<size_t>(u)];
+  const int pv = pos_in_chain_[static_cast<size_t>(v)];
+  const int pz = std::min(pu, pv);
+  const NoisyDyadicRangeSums& chain = chains_[static_cast<size_t>(cu)];
+  return (up_u + chain.RangeSumUnchecked(pz, pu)) +
+         (up_v + chain.RangeSumUnchecked(pz, pv));
 }
 
 void HldTreeOracle::AppendReleasedBuffers(
@@ -342,19 +310,15 @@ void HldTreeOracle::AppendReleasedBuffers(
                   ascent_cost_.size() * sizeof(double)});
   out->push_back({"head-parent", head_parent_.data(),
                   head_parent_.size() * sizeof(VertexId)});
+  out->push_back({"head-depth", head_depth_.data(),
+                  head_depth_.size() * sizeof(int)});
   out->push_back({"light-noisy", light_noisy_.data(),
                   light_noisy_.size() * sizeof(double)});
-  EulerTourLca::FlatView flat = lca_->Flat();
-  out->push_back({"lca-table", flat.table, lca_->table_bytes()});
-  out->push_back({"lca-first-visit", flat.first_visit,
-                  lca_->first_visit_bytes()});
   for (const NoisyDyadicRangeSums& chain : chains_) {
-    NoisyDyadicRangeSums::FlatView view = chain.Flat();
-    if (view.num_levels == 0) continue;
+    std::span<const double> blocks = chain.blocks();
+    if (blocks.empty()) continue;
     out->push_back(
-        {"dyadic-blocks", view.blocks,
-         static_cast<size_t>(view.level_offset[view.num_levels]) *
-             sizeof(double)});
+        {"dyadic-blocks", blocks.data(), blocks.size() * sizeof(double)});
   }
 }
 
@@ -363,19 +327,15 @@ Status HldTreeOracle::SaveReleasedState(
   // Every noisy value of the release: the per-chain dyadic blocks
   // (concatenated in chain order, with per-chain counts so restore can
   // slice them back), and the light-edge scalars. Everything else —
-  // chains, LCA, membership, ascent caches — is deterministic
+  // chains, head depths, membership, ascent caches — is deterministic
   // post-processing of the public topology and the blocks.
   std::vector<double> blocks;
   std::vector<double> counts;
   counts.reserve(chains_.size());
   for (const NoisyDyadicRangeSums& chain : chains_) {
-    NoisyDyadicRangeSums::FlatView view = chain.Flat();
-    const size_t count =
-        view.num_levels == 0
-            ? 0
-            : static_cast<size_t>(view.level_offset[view.num_levels]);
-    counts.push_back(static_cast<double>(count));
-    blocks.insert(blocks.end(), view.blocks, view.blocks + count);
+    std::span<const double> chain_blocks = chain.blocks();
+    counts.push_back(static_cast<double>(chain_blocks.size()));
+    blocks.insert(blocks.end(), chain_blocks.begin(), chain_blocks.end());
   }
   out->push_back(released_state::Pack<double>(
       "chain-blocks", std::span<const double>(blocks)));
@@ -413,7 +373,7 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
     return Status::InvalidArgument("snapshot hld release epsilon must be > 0");
   }
 
-  // Rebuild the deterministic skeleton (chains, LCA, membership) with a
+  // Rebuild the deterministic skeleton (chains, membership) with a
   // throwaway noise stream, then overwrite every noisy value with the
   // persisted image. The decomposition depends only on the public
   // topology, never on the noise, so this is exact.
@@ -443,11 +403,7 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
     DPSP_ASSIGN_OR_RETURN(
         count, released_state::AsInt(counts[c], "chain block count"));
     NoisyDyadicRangeSums& chain = oracle->chains_[c];
-    NoisyDyadicRangeSums::FlatView view = chain.Flat();
-    const size_t expected =
-        view.num_levels == 0
-            ? 0
-            : static_cast<size_t>(view.level_offset[view.num_levels]);
+    const size_t expected = chain.blocks().size();
     if (count < 0 || static_cast<size_t>(count) != expected) {
       return Status::InvalidArgument(StrFormat(
           "snapshot chain %zu has %d blocks, the graph implies %zu", c,
@@ -477,12 +433,10 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
 }
 
 Result<double> HldTreeOracle::Distance(VertexId u, VertexId v) const {
-  if (u < 0 || u >= tree_->num_vertices() || v < 0 ||
-      v >= tree_->num_vertices()) {
+  if (u < 0 || u >= num_vertices_ || v < 0 || v >= num_vertices_) {
     return Status::InvalidArgument("vertex out of range");
   }
-  VertexId z = lca_->Lca(u, v);
-  return DistanceToAncestor(u, z) + DistanceToAncestor(v, z);
+  return DistanceUnchecked(u, v);
 }
 
 double HldTreeOracle::ErrorBound(int num_vertices,

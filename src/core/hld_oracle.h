@@ -9,9 +9,11 @@
 // max_chain(#levels) <= ceil(log2 V): one Laplace mechanism invocation at
 // scale (max levels)/eps makes it eps-DP.
 //
-// A query d(x, y) splits at the LCA and each half climbs chains: at most
-// 2 log2 V chain-range queries, each summing at most 2 log2 V noisy
-// blocks, so the error is a sum of O(log^2 V) Laplace terms of scale
+// A query d(x, y) climbs both endpoints chain by chain until they meet on
+// the chain holding their LCA — the side whose chain head is deeper
+// crosses next, so no LCA index is needed. That is at most 2 log2 V
+// chain-range queries, each summing at most 2 log2 V noisy blocks, so
+// the error is a sum of O(log^2 V) Laplace terms of scale
 // O(log V)/eps — O(log^2 V sqrt(log(1/gamma)))/eps by Lemma 3.1, a log^0.5
 // factor above Theorem 4.2's recursion. The trade: this oracle's released
 // object supports *edge-interval* analytics on chains (subpath sums along
@@ -31,7 +33,6 @@
 #include "core/range_sums.h"
 #include "dp/privacy.h"
 #include "dp/release_context.h"
-#include "graph/tree.h"
 
 // Incremental release (continual weight updates): every edge lives in one
 // heavy-chain dyadic structure (one block per level of that chain) or in
@@ -68,15 +69,14 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
       Rng* rng, VertexId root = -1);
 
   Result<double> Distance(VertexId u, VertexId v) const override;
-  /// Fused serial kernel: an O(1) Euler-tour LCA plus two unchecked chain
-  /// ascents per pair, full-chain climbs answered by the countr_zero
-  /// prefix specialization of the dyadic structure.
+  /// Fused serial kernel: bounds checks folded into the loop, then one
+  /// two-sided chain climb per pair (DistanceUnchecked).
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
-  /// The flat buffers the ascent kernel streams: per-vertex chain arrays,
-  /// ascent caches, the packed LCA structure, and every chain's dyadic
-  /// blocks.
+  /// The flat buffers the chain climb streams: per-vertex chain arrays,
+  /// per-chain head depths and landing vertices, ascent caches, and every
+  /// chain's dyadic blocks.
   void AppendReleasedBuffers(std::vector<ReleasedBuffer>* out) const override;
 
   /// One incremental update epoch: maps each dirty edge to its heavy-
@@ -102,9 +102,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
 
   /// Persists the released noisy state: every chain's dyadic blocks
   /// (concatenated, with per-chain counts), the light-edge scalars, and
-  /// the release calibration. The decomposition itself (chains, LCA,
-  /// membership) is deterministic post-processing of the public topology
-  /// and is rebuilt at restore.
+  /// the release calibration. The decomposition itself (chains, head
+  /// depths, membership) is deterministic post-processing of the public
+  /// topology and is rebuilt at restore.
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
   /// OracleLoader counterpart: rebuilds the deterministic skeleton from
@@ -122,16 +122,16 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
  private:
   HldTreeOracle() = default;
 
-  // Noisy distance from `v` up to its ancestor `z` (sum of chain ranges).
-  // Both must be valid vertices with z an ancestor of v.
-  double DistanceToAncestor(VertexId v, VertexId z) const;
+  // Noisy u-v distance; both must be valid vertices. Each endpoint sums
+  // its own chain crossings bottom-up, then its range on the meeting
+  // chain, and the two sides are added last.
+  double DistanceUnchecked(VertexId u, VertexId v) const;
 
   // Rebuilds the ascent caches of chain `c` from its (possibly redrawn)
   // released blocks.
   void RecomputeAscentCosts(int c);
 
-  std::unique_ptr<RootedTree> tree_;
-  std::unique_ptr<EulerTourLca> lca_;
+  int num_vertices_ = 0;
   double noise_scale_ = 0.0;
   int sensitivity_ = 0;
   int num_noisy_values_ = 0;
@@ -143,6 +143,7 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   AlignedVector<int> chain_of_;      // vertex -> chain index
   AlignedVector<int> pos_in_chain_;  // vertex -> position along its chain
   std::vector<VertexId> chain_head_;  // chain -> shallowest vertex
+  AlignedVector<int> head_depth_;     // chain -> hop depth of its head
   // edge id -> the child endpoint whose parent edge it is; the update
   // path's dirty-edge -> (chain, position) map.
   std::vector<VertexId> edge_child_;

@@ -32,69 +32,27 @@ Status ValidatePathShape(const Graph& graph) {
 
 Result<std::unique_ptr<PathGraphOracle>> PathGraphOracle::Build(
     const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng, int branching) {
+    Rng* rng) {
   DPSP_RETURN_IF_ERROR(params.Validate());
   DPSP_RETURN_IF_ERROR(ValidatePathShape(graph));
   DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
-  if (branching < 2) {
-    return Status::InvalidArgument("branching factor must be >= 2");
-  }
-
-  auto oracle = std::unique_ptr<PathGraphOracle>(new PathGraphOracle());
-  oracle->branching_ = branching;
-  oracle->num_vertices_ = graph.num_vertices();
-  oracle->num_edges_ = graph.num_edges();
-  int m = oracle->num_edges_;
-
-  if (m == 0) {
-    oracle->noise_scale_ = 0.0;
-    return oracle;
-  }
-
-  // Levels 0 .. L where branching^L >= m.
-  oracle->widths_.push_back(1);
-  while (oracle->widths_.back() < m) {
-    oracle->widths_.push_back(oracle->widths_.back() * branching);
-  }
-  int num_levels = static_cast<int>(oracle->widths_.size());
 
   // Every edge lies in exactly one block per level, so the joint release
-  // has sensitivity num_levels.
-  DPSP_ASSIGN_OR_RETURN(
-      double scale,
-      LaplaceScale(static_cast<double>(num_levels), params));
-  oracle->noise_scale_ = scale;
-
-  // Exact prefix sums (private intermediate).
-  std::vector<double> prefix(static_cast<size_t>(m + 1), 0.0);
-  for (int i = 0; i < m; ++i) {
-    prefix[static_cast<size_t>(i + 1)] =
-        prefix[static_cast<size_t>(i)] + w[static_cast<size_t>(i)];
+  // has sensitivity #levels. A single vertex has no edges and no levels.
+  const int levels = NoisyDyadicRangeSums::LevelsForSize(graph.num_edges());
+  double scale = 0.0;
+  if (levels > 0) {
+    DPSP_ASSIGN_OR_RETURN(
+        scale, LaplaceScale(static_cast<double>(levels), params));
   }
-
-  oracle->levels_.resize(static_cast<size_t>(num_levels));
-  for (int l = 0; l < num_levels; ++l) {
-    int64_t width = oracle->widths_[static_cast<size_t>(l)];
-    int64_t count = (m + width - 1) / width;
-    auto& row = oracle->levels_[static_cast<size_t>(l)];
-    row.resize(static_cast<size_t>(count));
-    for (int64_t j = 0; j < count; ++j) {
-      int64_t lo = j * width;
-      int64_t hi = std::min<int64_t>(m, lo + width);
-      double exact = prefix[static_cast<size_t>(hi)] -
-                     prefix[static_cast<size_t>(lo)];
-      row[static_cast<size_t>(j)] = exact + rng->Laplace(scale);
-    }
-  }
-  return oracle;
+  return std::unique_ptr<PathGraphOracle>(
+      new PathGraphOracle(NoisyDyadicRangeSums(w, scale, rng)));
 }
 
 Result<std::unique_ptr<PathGraphOracle>> PathGraphOracle::Build(
-    const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
-    int branching) {
+    const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
   return ctx.MeteredBuild(
-      kName,
-      [&] { return Build(graph, w, ctx.params(), ctx.rng(), branching); },
+      kName, [&] { return Build(graph, w, ctx.params(), ctx.rng()); },
       [](const PathGraphOracle& oracle, ReleaseTelemetry& t) {
         t.sensitivity = oracle.num_levels();
         t.noise_scale = oracle.noise_scale();
@@ -104,157 +62,75 @@ Result<std::unique_ptr<PathGraphOracle>> PathGraphOracle::Build(
 
 Status PathGraphOracle::SaveReleasedState(
     std::vector<ReleasedSection>* out) const {
-  std::vector<double> flat;
-  std::vector<double> counts;
-  counts.reserve(levels_.size());
-  for (const std::vector<double>& row : levels_) {
-    counts.push_back(static_cast<double>(row.size()));
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  out->push_back(released_state::Pack<double>(
-      "levels", std::span<const double>(flat)));
-  out->push_back(released_state::Pack<double>(
-      "level-counts", std::span<const double>(counts)));
+  out->push_back(released_state::Pack<double>("blocks", sums_.blocks()));
   out->push_back(released_state::PackScalars(
-      "meta", {static_cast<double>(branching_),
-               static_cast<double>(num_vertices_),
-               static_cast<double>(num_edges_), noise_scale_}));
+      "meta", {static_cast<double>(num_vertices()),
+               static_cast<double>(sums_.size()), sums_.noise_scale()}));
   return Status::Ok();
 }
 
 Result<std::unique_ptr<DistanceOracle>> PathGraphOracle::FromReleasedState(
     const Graph& graph, const EdgeWeights& w,
     std::span<const ReleasedSectionView> sections) {
-  (void)w;
   DPSP_RETURN_IF_ERROR(ValidatePathShape(graph));
+  DPSP_RETURN_IF_ERROR(graph.ValidateWeights(w));
   DPSP_ASSIGN_OR_RETURN(std::span<const double> meta,
-                        released_state::Require<double>(sections, "meta", 4));
-  int branching;
-  DPSP_ASSIGN_OR_RETURN(branching,
-                        released_state::AsInt(meta[0], "branching factor"));
+                        released_state::Require<double>(sections, "meta", 3));
   int num_vertices;
   DPSP_ASSIGN_OR_RETURN(num_vertices,
-                        released_state::AsInt(meta[1], "vertex count"));
+                        released_state::AsInt(meta[0], "vertex count"));
   int num_edges;
   DPSP_ASSIGN_OR_RETURN(num_edges,
-                        released_state::AsInt(meta[2], "edge count"));
-  if (branching < 2) {
-    return Status::InvalidArgument("snapshot branching factor must be >= 2");
-  }
+                        released_state::AsInt(meta[1], "edge count"));
   if (num_vertices != graph.num_vertices() ||
       num_edges != graph.num_edges()) {
     return Status::InvalidArgument(StrFormat(
         "snapshot path has %d vertices / %d edges, the graph has %d / %d",
         num_vertices, num_edges, graph.num_vertices(), graph.num_edges()));
   }
-
-  auto oracle = std::unique_ptr<PathGraphOracle>(new PathGraphOracle());
-  oracle->branching_ = branching;
-  oracle->num_vertices_ = num_vertices;
-  oracle->num_edges_ = num_edges;
-  oracle->noise_scale_ = meta[3];
-  const int m = num_edges;
-  if (m == 0) return std::unique_ptr<DistanceOracle>(std::move(oracle));
-
-  // Rebuild the deterministic width table, then slice the persisted rows
-  // against the block counts it implies.
-  oracle->widths_.push_back(1);
-  while (oracle->widths_.back() < m) {
-    oracle->widths_.push_back(oracle->widths_.back() * branching);
-  }
-  const size_t num_levels = oracle->widths_.size();
-  DPSP_ASSIGN_OR_RETURN(
-      std::span<const double> counts,
-      released_state::Require<double>(sections, "level-counts",
-                                      static_cast<long>(num_levels)));
-  DPSP_ASSIGN_OR_RETURN(
-      std::span<const double> flat,
-      released_state::Require<double>(sections, "levels"));
-  size_t offset = 0;
-  oracle->levels_.resize(num_levels);
-  for (size_t l = 0; l < num_levels; ++l) {
-    int64_t width = oracle->widths_[l];
-    size_t expected = static_cast<size_t>((m + width - 1) / width);
-    int count;
-    DPSP_ASSIGN_OR_RETURN(count,
-                          released_state::AsInt(counts[l], "level count"));
-    if (count < 0 || static_cast<size_t>(count) != expected) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot level %zu has %d blocks, the path implies %zu", l, count,
-          expected));
-    }
-    if (offset + expected > flat.size()) {
-      return Status::InvalidArgument(
-          "snapshot levels section is shorter than its counts imply");
-    }
-    oracle->levels_[l].assign(flat.begin() + static_cast<long>(offset),
-                              flat.begin() + static_cast<long>(offset) +
-                                  static_cast<long>(expected));
-    offset += expected;
-  }
-  if (offset != flat.size()) {
+  const double noise_scale = meta[2];
+  if (num_edges > 0 && !(noise_scale > 0.0 && std::isfinite(noise_scale))) {
     return Status::InvalidArgument(
-        "snapshot levels section is longer than its counts imply");
+        "snapshot path noise scale must be positive and finite");
   }
-  return std::unique_ptr<DistanceOracle>(std::move(oracle));
-}
+  DPSP_ASSIGN_OR_RETURN(std::span<const double> blocks,
+                        released_state::Require<double>(sections, "blocks"));
 
-int PathGraphOracle::num_noisy_values() const {
-  int total = 0;
-  for (const auto& row : levels_) total += static_cast<int>(row.size());
-  return total;
-}
-
-double PathGraphOracle::QueryRange(int lo, int hi, int* segments) const {
-  // Greedy aligned decomposition: repeatedly take the largest level block
-  // that starts at `lo` and fits in [lo, hi). At most 2(branching-1) blocks
-  // per level are consumed, i.e. <= 2(b-1) log_b V noisy values per query.
-  double sum = 0.0;
-  while (lo < hi) {
-    int level = 0;
-    while (level + 1 < static_cast<int>(levels_.size()) &&
-           lo % widths_[static_cast<size_t>(level + 1)] == 0 &&
-           lo + widths_[static_cast<size_t>(level + 1)] <=
-               static_cast<int64_t>(hi)) {
-      ++level;
-    }
-    int64_t width = widths_[static_cast<size_t>(level)];
-    sum += levels_[static_cast<size_t>(level)]
-                  [static_cast<size_t>(lo / width)];
-    if (segments != nullptr) ++(*segments);
-    lo += static_cast<int>(width);
-  }
-  return sum;
+  // Rebuild the structure's shape with a throwaway noise stream, then
+  // overwrite every block with the persisted image (size-checked).
+  Rng scratch_rng(0);
+  NoisyDyadicRangeSums sums(w, noise_scale, &scratch_rng);
+  DPSP_RETURN_IF_ERROR(sums.RestoreBlocks(blocks));
+  return std::unique_ptr<DistanceOracle>(new PathGraphOracle(std::move(sums)));
 }
 
 Result<double> PathGraphOracle::Distance(VertexId u, VertexId v) const {
-  if (u < 0 || u >= num_vertices_ || v < 0 || v >= num_vertices_) {
+  if (u < 0 || u >= num_vertices() || v < 0 || v >= num_vertices()) {
     return Status::InvalidArgument("vertex out of range");
   }
-  int lo = std::min(u, v);
-  int hi = std::max(u, v);
-  return QueryRange(lo, hi, nullptr);
+  return sums_.RangeSumUnchecked(std::min(u, v), std::max(u, v));
 }
 
 Status PathGraphOracle::DistanceInto(std::span<const VertexPair> pairs,
                                      double* out) const {
-  const unsigned n = static_cast<unsigned>(num_vertices_);
+  const unsigned n = static_cast<unsigned>(num_vertices());
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [u, v] = pairs[i];
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
       return Status::InvalidArgument("vertex out of range");
     }
-    out[i] = QueryRange(std::min(u, v), std::max(u, v), nullptr);
+    out[i] = sums_.RangeSumUnchecked(std::min(u, v), std::max(u, v));
   }
   return Status::Ok();
 }
 
 Result<int> PathGraphOracle::QuerySegmentCount(VertexId u, VertexId v) const {
-  if (u < 0 || u >= num_vertices_ || v < 0 || v >= num_vertices_) {
+  if (u < 0 || u >= num_vertices() || v < 0 || v >= num_vertices()) {
     return Status::InvalidArgument("vertex out of range");
   }
   int segments = 0;
-  QueryRange(std::min(u, v), std::max(u, v), &segments);
+  DPSP_RETURN_IF_ERROR(
+      sums_.RangeSum(std::min(u, v), std::max(u, v), &segments).status());
   return segments;
 }
 
@@ -262,10 +138,9 @@ double PathGraphErrorBound(int num_vertices, const PrivacyParams& params,
                            double gamma) {
   DPSP_CHECK_MSG(num_vertices >= 1 && gamma > 0.0 && gamma < 1.0,
                  "invalid error bound arguments");
-  int m = num_vertices - 1;
-  if (m == 0) return 0.0;
-  int num_levels = 1;
-  while ((1 << (num_levels - 1)) < m) ++num_levels;
+  const int num_levels =
+      NoisyDyadicRangeSums::LevelsForSize(num_vertices - 1);
+  if (num_levels == 0) return 0.0;
   double scale = static_cast<double>(num_levels) * params.neighbor_l1_bound /
                  params.epsilon;
   return LaplaceSumBound(scale, 2 * num_levels, gamma).value();

@@ -6,22 +6,26 @@
 // level-i hubs are the multiples of 2^i). The noisy value stored for a
 // consecutive level-i hub pair (j 2^i, (j+1) 2^i) is exactly the dyadic
 // segment sum of edge weights over [j 2^i, (j+1) 2^i), so the release is
-// the classic segment-tree of noisy partial sums:
+// one NoisyDyadicRangeSums (core/range_sums.h) over the edge weights:
 //   * every edge lies in exactly one segment per level -> the full release
 //     has sensitivity (#levels), handled by one Laplace mechanism with
 //     scale (#levels)/eps;
 //   * any query interval [x, y) decomposes into at most 2 #levels aligned
 //     segments, so each distance estimate sums <= 2 log2 V noisy values,
 //     giving error O(log^1.5 V log(1/gamma))/eps by Lemma 3.1.
+// tree-hld releases the same structure per heavy chain; on a path rooted
+// at vertex 0 the two mechanisms answer bit-identically from one seed.
 
 #ifndef DPSP_CORE_PATH_GRAPH_H_
 #define DPSP_CORE_PATH_GRAPH_H_
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/distance_oracle.h"
+#include "core/range_sums.h"
 #include "dp/privacy.h"
 #include "dp/release_context.h"
 
@@ -36,68 +40,51 @@ class PathGraphOracle final : public DistanceOracle {
   /// Builds the hierarchy through the release pipeline: draws one release
   /// of ctx.params() from the accountant and records telemetry.
   static Result<std::unique_ptr<PathGraphOracle>> Build(
-      const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
-      int branching = 2);
+      const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 
   /// Legacy entry point without budget accounting. `graph` must be
   /// MakePathGraph(V)-shaped: edge i joins vertices i and i+1 (validated).
   /// Weights non-negative.
-  ///
-  /// `branching` is the paper's V^{1/k} hub spacing ratio: level-i hubs sit
-  /// at multiples of branching^i. branching = 2 (default) gives the
-  /// k = log2 V instantiation used for Theorem A.1's final bound; larger
-  /// values trade fewer levels (lower release sensitivity) for more
-  /// segments per query — the Appendix-A tuning knob, exercised by
-  /// bench_path_graph's ablation rows.
   static Result<std::unique_ptr<PathGraphOracle>> Build(
       const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-      Rng* rng, int branching = 2);
+      Rng* rng);
 
   /// Estimated distance |path sum| between u and v; symmetric in (u, v).
   Result<double> Distance(VertexId u, VertexId v) const override;
-  /// Fused serial kernel: the greedy aligned hub decomposition per pair
-  /// with bounds checks folded into the loop.
+  /// Fused serial kernel: one dyadic range sum per pair with bounds checks
+  /// folded into the loop.
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
 
   /// Number of hub levels (= sensitivity of the release).
-  int num_levels() const { return static_cast<int>(levels_.size()); }
-  double noise_scale() const { return noise_scale_; }
+  int num_levels() const { return sums_.num_levels(); }
+  double noise_scale() const { return sums_.noise_scale(); }
   /// Total noisy block sums stored, for telemetry.
-  int num_noisy_values() const;
+  int num_noisy_values() const { return sums_.num_blocks(); }
 
   /// Number of noisy values a query for [u, v) sums (for tests).
   Result<int> QuerySegmentCount(VertexId u, VertexId v) const;
 
-  int branching() const { return branching_; }
-
-  /// Persists the released hierarchy: every level's noisy block sums
-  /// (flattened, with per-level counts) plus the build parameters. The
-  /// level widths are branching^l, rebuilt at restore.
+  /// Persists the released hierarchy: the flat dyadic blocks plus
+  /// {V, E, noise scale}.
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
-  /// OracleLoader counterpart: validates the path shape, rebuilds the
-  /// width table, and installs the persisted noisy levels. Bit-identical
-  /// queries, no budget consumed.
+  /// OracleLoader counterpart: validates the path shape and installs the
+  /// persisted blocks. Bit-identical queries, no budget consumed.
   static Result<std::unique_ptr<DistanceOracle>> FromReleasedState(
       const Graph& graph, const EdgeWeights& w,
       std::span<const ReleasedSectionView> sections);
 
  private:
-  PathGraphOracle() = default;
+  explicit PathGraphOracle(NoisyDyadicRangeSums sums)
+      : sums_(std::move(sums)) {}
 
-  // levels_[l][j]: noisy sum of edges [j b^l, min((j+1) b^l, m)).
-  std::vector<std::vector<double>> levels_;
-  // widths_[l] = branching^l.
-  std::vector<int64_t> widths_;
-  int branching_ = 2;
-  int num_edges_ = 0;
-  int num_vertices_ = 0;
-  double noise_scale_ = 0.0;
+  // Edge e's weight is value e: V vertices hold V - 1 values, and the u-v
+  // distance is the range sum over [min(u, v), max(u, v)).
+  int num_vertices() const { return sums_.size() + 1; }
 
-  // Sums noisy segments covering edge interval [lo, hi); counts segments.
-  double QueryRange(int lo, int hi, int* segments) const;
+  NoisyDyadicRangeSums sums_;
 };
 
 /// High-probability per-pair error bound of Theorem A.1 with the proved

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/cpu.h"
 #include "common/table.h"
-#include "core/simd_kernels.h"
 
 namespace dpsp {
 
@@ -147,29 +145,18 @@ double NoisyDyadicRangeSums::PrefixSumUnchecked(int hi) const {
   return sum;
 }
 
-void NoisyDyadicRangeSums::PrefixSumsUnchecked(std::span<const int> his,
-                                               double* out) const {
-#if defined(DPSP_HAVE_AVX2)
-  if (SimdKernelsEnabled() && his.size() >= 4) {
-    simd::DyadicPrefixSumsAvx2(Flat(), his.data(),
-                               static_cast<int>(his.size()), out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < his.size(); ++i) {
-    out[i] = PrefixSumUnchecked(his[i]);
-  }
-}
-
 double NoisyDyadicRangeSums::SumRange(int lo, int hi, int* segments) const {
+  // Greedy aligned decomposition, front to back: each step takes the
+  // largest block that starts at lo (2^level divides lo), fits in
+  // [lo, hi) and exists. All three caps are monotone in the level, so the
+  // level is their minimum; countr_zero(0) = 32 leaves lo = 0 uncapped.
   double sum = 0.0;
-  int levels = num_levels();
+  const int top = num_levels() - 1;
   while (lo < hi) {
-    int level = 0;
-    while (level + 1 < levels && lo % (1 << (level + 1)) == 0 &&
-           lo + (1 << (level + 1)) <= hi) {
-      ++level;
-    }
+    const int fit =
+        static_cast<int>(std::bit_width(static_cast<unsigned>(hi - lo))) - 1;
+    const int level =
+        std::min({top, fit, std::countr_zero(static_cast<unsigned>(lo))});
     sum += blocks_[BlockSlot(level, lo >> level)];
     if (segments != nullptr) ++(*segments);
     lo += 1 << level;

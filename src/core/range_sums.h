@@ -1,6 +1,8 @@
-// Noisy dyadic range sums: the releasable data structure underlying the
-// Appendix-A path hierarchy, factored out so other mechanisms (the
-// heavy-light tree oracle) can compose it.
+// Noisy dyadic range sums: the DNPR10 binary-counting tree, released
+// once and read by both the Appendix-A path hierarchy (path_graph.h) and
+// the heavy-light tree oracle (hld_oracle.h, one per heavy chain). It is
+// the repo's only dyadic structure: one flat buffer, one save image (the
+// blocks() span), and one scalar query kernel.
 //
 // Given a value vector x[0..m), the structure stores, for every dyadic
 // block [j 2^l, min(m, (j+1) 2^l)), the block sum plus one Laplace draw of
@@ -8,7 +10,7 @@
 // so releasing the whole structure is a single Laplace-mechanism
 // invocation with l1 sensitivity (#levels) * (per-index sensitivity of x).
 // Any range sum over [lo, hi) is answered from at most 2 #levels noisy
-// blocks.
+// blocks, each one's level found in closed form (no level probing).
 //
 // The structure is incrementally releasable: a point update x[i] = v
 // invalidates exactly one block per level (the #levels blocks containing
@@ -62,35 +64,23 @@ class NoisyDyadicRangeSums {
   /// guarantee 0 <= lo <= hi <= size. The batched-query hot path.
   double RangeSumUnchecked(int lo, int hi) const;
 
-  /// Specialized RangeSumUnchecked(0, hi): a prefix [0, hi) decomposes
-  /// into exactly one dyadic block per set bit of hi (the popcount(hi)
-  /// blocks a Fenwick walk would visit), found by std::countr_zero instead
-  /// of the level-probing loop the general decomposition pays per block.
-  /// The HLD oracle's full-chain ascents are all prefix queries, so this
-  /// cuts the chain-ascent constant in the batch hot path. Caller must
-  /// guarantee 0 <= hi <= size.
+  /// A prefix [0, hi) walked back to front: one block per set bit of hi
+  /// (the popcount(hi) blocks a Fenwick walk visits), lowest bit first.
+  /// The HLD oracle caches every chain prefix in this order at build, so
+  /// its ascent caches depend on it. Caller must guarantee
+  /// 0 <= hi <= size.
   double PrefixSumUnchecked(int hi) const;
-
-  /// Batched PrefixSumUnchecked: out[i] = noisy sum over [0, his[i]) for
-  /// every i. Dispatches to the AVX2 lowest-set-bit walk when available;
-  /// the vector path adds blocks in the same per-query order as the scalar
-  /// walk, so results are bit-identical either way. Callers must guarantee
-  /// 0 <= his[i] <= size.
-  void PrefixSumsUnchecked(std::span<const int> his, double* out) const;
 
   /// Number of stored values.
   int size() const { return size_; }
 
-  /// Raw pointers into the flat released structure, for the batch SIMD
-  /// kernels: level l's noisy block sums occupy
-  /// blocks[level_offset[l] .. level_offset[l + 1]).
-  struct FlatView {
-    const double* blocks;
-    const uint32_t* level_offset;
-    int num_levels;
-  };
-  FlatView Flat() const {
-    return {blocks_.data(), level_offset_.data(), num_levels()};
+  /// The Laplace scale every block was (and every redraw is) drawn at.
+  double noise_scale() const { return noise_scale_; }
+
+  /// The released noisy block sums, level-major in one cache-aligned
+  /// buffer: what a holder saves, ships and hands to NUMA placement.
+  std::span<const double> blocks() const {
+    return {blocks_.data(), blocks_.size()};
   }
 
   /// Point updates (index, new value): sets each value, then recomputes
@@ -110,7 +100,7 @@ class NoisyDyadicRangeSums {
   int DirtyBlockCount(std::span<const int> indices) const;
 
   /// Overwrites the released noisy block sums with a persisted image (a
-  /// snapshot of another same-shape structure's Flat() blocks). The
+  /// snapshot of another same-shape structure's blocks()). The
   /// private value vector is untouched: a later update epoch recomputes
   /// dirty block sums from the holder's current values, which is the
   /// documented warm-restart semantic. Fails unless the image holds

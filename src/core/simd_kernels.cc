@@ -94,44 +94,6 @@ inline int32_t ScalarLca(const EulerTourLca::FlatView& lca, int u, int v) {
 
 }  // namespace
 
-int LcaBatchAvx2(const EulerTourLca::FlatView& lca, const int32_t* pairs,
-                 int count, int32_t* out_lca) {
-  int n = lca.num_vertices;
-  int i = 0;
-  // 8 pairs per iteration as two independent lane groups: the sparse
-  // table misses to DRAM on large trees, so the win is memory-level
-  // parallelism — both groups' gathers are in flight together.
-  for (; i + 8 <= count; i += 8) {
-    __m128i u0, v0, u1, v1;
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u0, &v0);
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i) + 8, &u1, &v1);
-    if (FirstInvalidLane(u0, v0, n) < 4 || FirstInvalidLane(u1, v1, n) < 4) {
-      break;  // finish in the 4-wide loop / scalar tail below
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_lca + i),
-                     LcaLookup4(lca, u0, v0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_lca + i + 4),
-                     LcaLookup4(lca, u1, v1));
-  }
-  for (; i + 4 <= count; i += 4) {
-    __m128i u, v;
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u, &v);
-    if (FirstInvalidLane(u, v, n) < 4) break;  // finish scalar below
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_lca + i),
-                     LcaLookup4(lca, u, v));
-  }
-  for (; i < count; ++i) {
-    int u = pairs[2 * static_cast<size_t>(i)];
-    int v = pairs[2 * static_cast<size_t>(i) + 1];
-    if (static_cast<unsigned>(u) >= static_cast<unsigned>(n) ||
-        static_cast<unsigned>(v) >= static_cast<unsigned>(n)) {
-      return i;
-    }
-    out_lca[i] = ScalarLca(lca, u, v);
-  }
-  return -1;
-}
-
 int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
                     const int32_t* pairs, int count, double* out) {
   int n = lca.num_vertices;
@@ -194,7 +156,8 @@ int BoundedLookupAvx2(const double* table, int stride,
   const __m128i stride_v = _mm_set1_epi32(stride);
   const __m256d zero = _mm256_setzero_pd();
   int i = 0;
-  // Two independent lane groups per iteration (see LcaBatchAvx2).
+  // Two independent lane groups per iteration: on large tables both
+  // groups' gathers are in flight together (memory-level parallelism).
   for (; i + 8 <= count; i += 8) {
     __m128i u0, v0, u1, v1;
     LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u0, &v0);
@@ -245,55 +208,6 @@ int BoundedLookupAvx2(const double* table, int stride,
                          static_cast<size_t>(zv)];
   }
   return -1;
-}
-
-void DyadicPrefixSumsAvx2(const NoisyDyadicRangeSums::FlatView& view,
-                          const int* his, int count, double* out) {
-  const int* offs = reinterpret_cast<const int*>(view.level_offset);
-  const __m128i ones = _mm_set1_epi32(-1);
-  const __m128i one = _mm_set1_epi32(1);
-  int i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m128i iv =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(his + i));
-    __m256d sum = _mm256_setzero_pd();
-    for (;;) {
-      __m128i inactive = _mm_cmpeq_epi32(iv, _mm_setzero_si128());
-      if (_mm_movemask_ps(_mm_castsi128_ps(inactive)) == 0xF) break;
-      __m128i active = _mm_xor_si128(inactive, ones);
-      // Isolate the lowest set bit; its float exponent is exact (it is a
-      // power of two), giving the level l of this round's block.
-      __m128i lowbit = _mm_and_si128(iv, _mm_sub_epi32(_mm_setzero_si128(),
-                                                       iv));
-      __m128i l = _mm_sub_epi32(
-          _mm_srli_epi32(_mm_castps_si128(_mm_cvtepi32_ps(lowbit)), 23),
-          _mm_set1_epi32(127));
-      l = _mm_and_si128(l, active);  // finished lanes: clamp to level 0
-      __m128i base = _mm_i32gather_epi32(offs, l, 4);
-      __m128i slot = _mm_add_epi32(
-          base, _mm_sub_epi32(_mm_srlv_epi32(iv, l), one));
-      // Masked gather: finished lanes touch no memory; the blend (rather
-      // than adding 0.0) keeps their partial sums bit-identical — adding
-      // +0.0 would flip a -0.0 lane.
-      __m256d active_pd =
-          _mm256_castsi256_pd(_mm256_cvtepi32_epi64(active));
-      __m256d vals = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                              view.blocks, slot, active_pd, 8);
-      sum = _mm256_blendv_pd(sum, _mm256_add_pd(sum, vals), active_pd);
-      iv = _mm_and_si128(iv, _mm_sub_epi32(iv, one));
-    }
-    _mm256_storeu_pd(out + i, sum);
-  }
-  for (; i < count; ++i) {
-    // Scalar lowest-set-bit walk, same order as PrefixSumUnchecked.
-    double sum = 0.0;
-    for (unsigned x = static_cast<unsigned>(his[i]); x != 0; x &= x - 1) {
-      int l = __builtin_ctz(x);
-      sum += view.blocks[view.level_offset[static_cast<size_t>(l)] +
-                         (x >> l) - 1];
-    }
-    out[i] = sum;
-  }
 }
 
 }  // namespace simd

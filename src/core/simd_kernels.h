@@ -1,8 +1,12 @@
 // AVX2 batch kernels for the fused DistanceInto hot paths.
 //
 // Each kernel is the vector twin of one scalar batch loop, operating on
-// the flat released buffers (EulerTourLca::FlatView, the dyadic block
-// array, the bounded-weight Z x Z table) through gathers. The kernels are
+// the flat released buffers (EulerTourLca::FlatView with the released
+// estimates, the bounded-weight Z x Z table) through gathers. The dyadic
+// range-sum oracles (tree-hld, path-hierarchy) have no vector kernel:
+// their per-pair chain climbs and block walks have data-dependent length,
+// and a gathered prefix-sum variant measured no faster than the scalar
+// walk. The kernels are
 // bit-identical to their scalar twins by construction: integer index math
 // is exact, and every floating-point combine uses the same IEEE operation
 // order as the scalar loop (enforced repo-wide with -ffp-contract=off).
@@ -20,7 +24,6 @@
 
 #include <cstdint>
 
-#include "core/range_sums.h"
 #include "graph/tree.h"
 
 namespace dpsp {
@@ -29,33 +32,22 @@ namespace simd {
 
 #if defined(DPSP_HAVE_AVX2)
 
-/// Batched LCA: out_lca[i] = LCA of pairs[2i], pairs[2i+1] (pairs is the
-/// flattened (u, v) int array, 2 ints per query). Validates ids like the
-/// scalar loop: on the first out-of-range pair, results for every earlier
-/// pair are written and its index is returned; -1 means all `count` pairs
-/// were valid and written.
-int LcaBatchAvx2(const EulerTourLca::FlatView& lca, const int32_t* pairs,
-                 int count, int32_t* out_lca);
-
 /// Fused tree-distance kernel: out[i] = est[u] + est[v] - 2 * est[lca],
-/// the TreeAllPairsOracle combine, with the LCA lookup inlined. Same
-/// validation contract as LcaBatchAvx2.
+/// the TreeAllPairsOracle combine, with the Euler-tour LCA lookup done by
+/// gathers over the packed sparse table. `pairs` is the flattened (u, v)
+/// int array, 2 ints per query. Validates ids like the scalar loop: on
+/// the first out-of-range pair, results for every earlier pair are
+/// written and its index is returned; -1 means all `count` pairs were
+/// valid and written.
 int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
                     const int32_t* pairs, int count, double* out);
 
 /// Fused bounded-weight kernel: out[i] = table[assign[u] * stride +
 /// assign[v]], 0 exactly when the assignments coincide. Same validation
-/// contract as LcaBatchAvx2 (`n` bounds the vertex ids).
+/// contract as TreeCombineAvx2 (`n` bounds the vertex ids).
 int BoundedLookupAvx2(const double* table, int stride,
                       const int32_t* assign, int n, const int32_t* pairs,
                       int count, double* out);
-
-/// Batched dyadic prefix sums: out[i] = sum of the noisy blocks covering
-/// [0, his[i]), added lowest-set-bit first per lane — the scalar
-/// PrefixSumUnchecked walk order, so results are bit-identical. Callers
-/// guarantee 0 <= his[i] <= size.
-void DyadicPrefixSumsAvx2(const NoisyDyadicRangeSums::FlatView& view,
-                          const int* his, int count, double* out);
 
 #endif  // DPSP_HAVE_AVX2
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -645,10 +644,6 @@ void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
                   request->pairs.size(), options_.max_pairs_per_query)), version);
     return;
   }
-  // Per-node capacity ceiling: the batch waits for its admission slot
-  // (delayed, never shed), so sustained throughput tops out at the
-  // configured pairs/sec no matter how hard the closed loop pushes.
-  PaceQueryAdmission(request->pairs.size());
   std::shared_ptr<DistanceOracle> oracle;
   std::shared_ptr<std::shared_mutex> guard;
   LookupHandle(request->handle_id, &oracle, &guard);
@@ -672,27 +667,6 @@ void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
   counters_.pairs_served.fetch_add(request->pairs.size());
   std::vector<uint8_t> response = EncodeQueryResponse(*distances);
   WriteFrame(socket, MessageType::kQueryResponse, response, version);
-}
-
-void QueryServer::PaceQueryAdmission(size_t pairs) {
-  if (options_.max_query_pairs_per_sec <= 0) return;
-  // Virtual-clock pacer: each batch reserves pairs/rate seconds behind
-  // the previous admission and sleeps until its slot arrives. Admitted
-  // starts are therefore spaced at exactly the configured rate; the
-  // connection thread blocks, so no retry storm and no shed work.
-  std::chrono::steady_clock::time_point slot;
-  {
-    std::lock_guard<std::mutex> lock(pace_mutex_);
-    const auto now = std::chrono::steady_clock::now();
-    if (pace_next_ < now) pace_next_ = now;
-    slot = pace_next_;
-    pace_next_ +=
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                static_cast<double>(pairs) /
-                options_.max_query_pairs_per_sec));
-  }
-  std::this_thread::sleep_until(slot);
 }
 
 void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,

@@ -38,7 +38,6 @@
 #define DPSP_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -75,12 +74,6 @@ struct QueryServerOptions {
   /// Largest pair count in one QueryRequest; larger is a kTooLarge error
   /// (clients split batches instead of the server buffering hugely).
   uint32_t max_pairs_per_query = 1u << 20;
-  /// Admission pacing: sustained pairs-per-second ceiling on the query
-  /// path (0 = unpaced). Batches over the rate are DELAYED, never shed —
-  /// this is the per-node capacity model for a replicated read tier,
-  /// where aggregate admitted throughput is endpoint count x this rate.
-  /// Orthogonal to max_inflight_queries, which sheds bursts.
-  double max_query_pairs_per_sec = 0.0;
   /// Sharding configuration for the per-request BatchExecutor fan-out.
   BatchExecutorOptions executor;
   /// Directory for crash-safe state (created if absent). When set, Start
@@ -264,9 +257,6 @@ class QueryServer {
                      uint16_t version);
   void HandleQuery(Socket& socket, std::span<const uint8_t> body,
                    uint16_t version);
-  /// Sleeps the connection thread until the batch's admission slot under
-  /// options_.max_query_pairs_per_sec (no-op when unpaced).
-  void PaceQueryAdmission(size_t pairs);
   /// One incremental update epoch (v3): validated, budget-checked at its
   /// dirty-fraction price, applied under the handle's writer lock and the
   /// ledger lock (one noise stream), answered with the charged loss and
@@ -333,11 +323,6 @@ class QueryServer {
 
   BatchExecutor executor_;
   std::atomic<int> inflight_queries_{0};
-
-  // Admission pacer: virtual start time of the next admitted batch.
-  // Meaningful only when options_.max_query_pairs_per_sec > 0.
-  std::mutex pace_mutex_;
-  std::chrono::steady_clock::time_point pace_next_{};
 
   Listener listener_;
   std::thread accept_thread_;

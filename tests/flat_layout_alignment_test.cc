@@ -63,9 +63,7 @@ TEST(FlatLayoutAlignmentTest, DyadicBlocksAreCacheAligned) {
   std::vector<double> values(777);
   for (double& v : values) v = rng.Uniform(0.0, 1.0);
   NoisyDyadicRangeSums sums(values, 0.5, &rng);
-  NoisyDyadicRangeSums::FlatView flat = sums.Flat();
-  EXPECT_TRUE(IsCacheAligned(flat.blocks));
-  EXPECT_TRUE(IsCacheAligned(flat.level_offset));
+  EXPECT_TRUE(IsCacheAligned(sums.blocks().data()));
 }
 
 // Every buffer an oracle reports for NUMA placement is a real released

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,57 +129,47 @@ TEST(PathGraphOracleTest, SingleVertexPath) {
   EXPECT_DOUBLE_EQ(d, 0.0);
 }
 
-class PathGraphBranchingTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(PathGraphBranchingTest, AllBranchingFactorsAccurateAtHighEpsilon) {
-  int branching = GetParam();
-  Rng rng(kTestSeed + static_cast<uint64_t>(branching));
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(100));
-  EdgeWeights w = MakeUniformWeights(g, 0.5, 2.0, &rng);
-  PrivacyParams params{1e7, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                           &rng, branching));
-  std::vector<double> prefix(100, 0.0);
-  for (int i = 1; i < 100; ++i) {
-    prefix[static_cast<size_t>(i)] =
-        prefix[static_cast<size_t>(i - 1)] + w[static_cast<size_t>(i - 1)];
-  }
-  for (int q = 0; q < 200; ++q) {
-    VertexId u = static_cast<VertexId>(rng.UniformInt(0, 99));
-    VertexId v = static_cast<VertexId>(rng.UniformInt(0, 99));
-    double exact = std::fabs(prefix[static_cast<size_t>(v)] -
-                             prefix[static_cast<size_t>(u)]);
-    ASSERT_OK_AND_ASSIGN(double est, oracle->Distance(u, v));
-    EXPECT_NEAR(est, exact, 1e-2);
-    // Segment bound: <= 2 (b-1) levels.
-    ASSERT_OK_AND_ASSIGN(int segments, oracle->QuerySegmentCount(u, v));
-    EXPECT_LE(segments, 2 * (branching - 1) * oracle->num_levels());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Branching, PathGraphBranchingTest,
-                         ::testing::Values(2, 3, 4, 10, 99));
-
-TEST(PathGraphBranchingTest, FewerLevelsWithLargerBranching) {
+TEST(PathGraphOracleTest, RestoreRejectsImagesOfTheWrongShape) {
   Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(1025));
-  EdgeWeights w(1024, 1.0);
-  PrivacyParams params;
-  ASSERT_OK_AND_ASSIGN(auto binary, PathGraphOracle::Build(g, w, params,
-                                                           &rng, 2));
-  ASSERT_OK_AND_ASSIGN(auto wide, PathGraphOracle::Build(g, w, params,
-                                                         &rng, 32));
-  EXPECT_EQ(binary->num_levels(), 11);
-  EXPECT_EQ(wide->num_levels(), 3);  // 1, 32, 1024
-  EXPECT_LT(wide->noise_scale(), binary->noise_scale());
-}
+  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(37));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle,
+                       PathGraphOracle::Build(g, w, PrivacyParams{}, &rng));
+  std::vector<ReleasedSection> saved;
+  ASSERT_OK(oracle->SaveReleasedState(&saved));
+  auto restore = [&](const std::vector<ReleasedSection>& sections) {
+    std::vector<ReleasedSectionView> views;
+    for (const ReleasedSection& s : sections) {
+      views.push_back({s.label, s.bytes});
+    }
+    return PathGraphOracle::FromReleasedState(g, w, views);
+  };
+  ASSERT_OK(restore(saved).status());
 
-TEST(PathGraphBranchingTest, RejectsBranchingBelowTwo) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(8));
-  PrivacyParams params;
-  EXPECT_FALSE(
-      PathGraphOracle::Build(g, EdgeWeights(7, 1.0), params, &rng, 1).ok());
+  auto meta = [](std::vector<double> values) {
+    ReleasedSection section{"meta", std::vector<uint8_t>(values.size() * 8)};
+    std::memcpy(section.bytes.data(), values.data(), section.bytes.size());
+    return section;
+  };
+  const ReleasedSection& blocks = saved[0];
+  std::vector<std::vector<ReleasedSection>> bad = {
+      // The per-level layout with a {branching, V, E, scale} meta.
+      {{"levels", blocks.bytes}, meta({2, 37, 36, 6})},
+      // One block short.
+      {{"blocks", std::vector<uint8_t>(blocks.bytes.begin() + 8,
+                                       blocks.bytes.end())},
+       meta({37, 36, 6})},
+      // A noise scale the structure could not have been drawn at.
+      {blocks, meta({37, 36, 0})},
+      // Another path's image.
+      {blocks, meta({38, 37, 6})},
+  };
+  for (const auto& sections : bad) {
+    Result<std::unique_ptr<DistanceOracle>> restored = restore(sections);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().ToString();
+  }
 }
 
 TEST(PathGraphErrorBoundTest, GrowsPolylogarithmically) {

@@ -19,7 +19,6 @@
 
 #include "common/cpu.h"
 #include "core/oracle_registry.h"
-#include "core/range_sums.h"
 #include "dp/release_context.h"
 #include "graph/generators.h"
 #include "store/oracle_store.h"
@@ -112,9 +111,8 @@ TEST_P(SimdConformanceTest, QueriesBitIdenticalAcrossDispatch) {
 
 TEST_P(SimdConformanceTest, BuildsBitIdenticalAcrossDispatch) {
   // Builds route noise through the same fixed Rng stream regardless of
-  // dispatch (the HLD build batches its chain ascents through the
-  // dispatched prefix-sum kernel), so two same-seed builds under opposite
-  // modes must release identical structures.
+  // dispatch, so two same-seed builds under opposite modes must release
+  // identical structures.
   const std::string& name = GetParam();
   const OracleSpec* spec = OracleRegistry::Global().Find(name);
   ASSERT_NE(spec, nullptr);
@@ -219,7 +217,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Scale case: the gather kernels change code paths with table size (the
 // LCA sparse table's float-exponent log2 needs its round-up correction
 // only once d exceeds 2^24 exactness — large inputs keep that corner
-// honest) so the tree oracles also get a V=131072 leg.
+// honest) so the tree oracles also get a V=131072 leg; tree-hld's long
+// multi-chain climbs ride along as a determinism check.
 class SimdLargeScaleTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SimdLargeScaleTest, LargeTreeBitIdenticalAcrossDispatch) {
@@ -263,40 +262,6 @@ INSTANTIATE_TEST_SUITE_P(TreeOracles, SimdLargeScaleTest,
                            }
                            return id;
                          });
-
-TEST(SimdPrefixSumTest, BatchedPrefixSumsMatchScalarWalk) {
-  // Direct kernel check on the dyadic structure, including the awkward
-  // sizes (non-powers of two, tails shorter than a vector) and hi = 0 /
-  // hi = size endpoints.
-  Rng rng(kTestSeed);
-  for (int m : {1, 2, 3, 7, 8, 64, 1000, 4096, 100000}) {
-    std::vector<double> values(static_cast<size_t>(m));
-    for (double& v : values) v = rng.Uniform(-5.0, 5.0);
-    NoisyDyadicRangeSums sums(values, 0.7, &rng);
-    std::vector<int> his;
-    his.reserve(256);
-    for (int i = 0; i < 251; ++i) {
-      his.push_back(static_cast<int>(rng.UniformInt(0, m)));
-    }
-    his.push_back(0);
-    his.push_back(m);
-    his.push_back(m / 2);
-    std::vector<double> batched(his.size());
-    sums.PrefixSumsUnchecked(his, batched.data());
-    for (size_t i = 0; i < his.size(); ++i) {
-      ASSERT_EQ(batched[i], sums.PrefixSumUnchecked(his[i]))
-          << "m=" << m << " hi=" << his[i];
-    }
-    // Forced scalar batches agree too (trivially when ambient dispatch is
-    // already scalar).
-    ScopedForceScalar force(true);
-    std::vector<double> scalar(his.size());
-    sums.PrefixSumsUnchecked(his, scalar.data());
-    for (size_t i = 0; i < his.size(); ++i) {
-      ASSERT_EQ(batched[i], scalar[i]) << "m=" << m << " hi=" << his[i];
-    }
-  }
-}
 
 }  // namespace
 }  // namespace dpsp

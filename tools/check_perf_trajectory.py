@@ -10,8 +10,9 @@ series the benches emit is compared per mechanism and series:
                                              batch and sharded), R4 update
                                              epochs, and the R5 scalar/
                                              AVX2/NUMA dispatch series
-  BENCH_server.json    (bench_server_loadgen) end-to-end wire ops/sec and
-                                             the in-process direct baseline
+  BENCH_server.json    (bench_server_loadgen) end-to-end wire ops/sec, the
+                                             in-process direct baseline, and
+                                             the S2 mixed query/update run
 
 A drop beyond the threshold (default 20%) is flagged with the GitHub
 Actions ::warning:: syntax so it surfaces on the run summary. Exit status
@@ -81,13 +82,6 @@ def ops_series(doc):
         mixed = doc.get("mixed", {})
         if mixed.get("ops_per_sec"):
             yield "mixed", mixed.get("name", "?"), float(mixed["ops_per_sec"])
-        # S3: read-tier scale-out — one series point per replica count, so
-        # a lost scaling win (x4 regressing to x1 throughput) is flagged
-        # even when the single-node numbers hold steady.
-        for row in doc.get("replica", []):
-            if row.get("ops_per_sec"):
-                yield ("replica", f"x{row.get('replicas', '?')}",
-                       float(row["ops_per_sec"]))
     else:
         print(f"::warning::unrecognized bench JSON ('{bench}'), skipping")
 

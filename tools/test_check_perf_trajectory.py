@@ -4,8 +4,8 @@ the CI perf-trajectory step depends on: a missing PRIOR artifact must be a
 clean skip (first run on a branch), a missing CURRENT artifact must fail
 loudly (the bench that should have produced it never ran), regressions
 must be flagged (and only fail under --strict), and the R4 update, R5
-scalar/AVX2/NUMA, and loadgen mixed and replica scale-out series must be
-picked up from the bench JSON.
+scalar/AVX2/NUMA, and loadgen mixed series must be picked up from the
+bench JSON.
 
 Run directly (python3 tools/test_check_perf_trajectory.py) or via ctest.
 """
@@ -47,8 +47,8 @@ def registry_doc(sweep_ops, update_ops, simd_ops=4000.0):
     }
 
 
-def server_doc(net_ops, mixed_ops, replica_x2_ops=None):
-    doc = {
+def server_doc(net_ops, mixed_ops):
+    return {
         "bench": "bench_server_loadgen",
         "mechanisms": [
             {"name": "tree-hld", "ops_per_sec": net_ops,
@@ -56,12 +56,6 @@ def server_doc(net_ops, mixed_ops, replica_x2_ops=None):
         ],
         "mixed": {"name": "tree-hld", "ops_per_sec": mixed_ops},
     }
-    if replica_x2_ops is not None:
-        doc["replica"] = [
-            {"replicas": 1, "ops_per_sec": 400000.0},
-            {"replicas": 2, "ops_per_sec": replica_x2_ops},
-        ]
-    return doc
 
 
 class CheckPerfTrajectoryTest(unittest.TestCase):
@@ -153,24 +147,6 @@ class CheckPerfTrajectoryTest(unittest.TestCase):
                     if line.startswith("::warning::")]
         self.assertEqual(len(warnings), 1, result.stdout)
         self.assertIn("-avx2", warnings[0])
-
-    def test_replica_scaleout_series_is_compared_per_replica_count(self):
-        # The read-tier scaling curve is per-replica-count series points:
-        # x2 collapsing to x1 throughput is a lost scaling win and must be
-        # flagged even though the single-node (x1) series holds steady.
-        prior = self.path("prior/BENCH_server.json",
-                          server_doc(900.0, 800.0, replica_x2_ops=800000.0))
-        current = self.path("BENCH_server.json",
-                            server_doc(900.0, 800.0, replica_x2_ops=400000.0))
-        result = self.run_tool("--pair", prior, current)
-        self.assertEqual(result.returncode, 0, result.stdout)
-        self.assertIn("x1", result.stdout)
-        self.assertIn("x2", result.stdout)
-        warnings = [line for line in result.stdout.splitlines()
-                    if line.startswith("::warning::")]
-        self.assertEqual(len(warnings), 1, result.stdout)
-        self.assertIn("x2", warnings[0])
-        self.assertIn("replica", warnings[0])
 
     def test_positional_pair_still_works(self):
         prior = self.path("prior/BENCH_server.json", server_doc(900.0, 800.0))
