@@ -36,9 +36,7 @@ Status Client::FailOver() {
   return Status::Unavailable("no failover endpoint reachable");
 }
 
-Result<Frame> Client::Attempt(MessageType request_type,
-                              std::span<const uint8_t> body) {
-  DPSP_RETURN_IF_ERROR(WriteFrame(socket_, request_type, body));
+Status Client::ReadResponse() {
   if (options_.request_timeout_ms > 0) {
     Status readable = socket_.WaitReadable(options_.request_timeout_ms);
     if (!readable.ok()) {
@@ -50,12 +48,13 @@ Result<Frame> Client::Attempt(MessageType request_type,
       return readable;
     }
   }
-  return ReadFrame(socket_);
+  return ReadFrameInto(socket_, &response_);
 }
 
-Result<Frame> Client::RoundTrip(MessageType request_type,
-                                std::span<const uint8_t> body,
-                                MessageType expected_response) {
+template <typename WriteRequest>
+Status Client::RoundTrip(MessageType request_type,
+                         MessageType expected_response,
+                         const WriteRequest& write_request) {
   // Re-issuing after a transport failure is only safe when the request
   // cannot change server state: a replayed Query or Stats at worst does
   // redundant reads, a replayed Release or UpdateWeights could spend
@@ -74,7 +73,8 @@ Result<Frame> Client::RoundTrip(MessageType request_type,
     --failovers_left;
   }
   for (int attempt = 0;; ++attempt) {
-    Result<Frame> attempted = Attempt(request_type, body);
+    Status attempted = write_request(socket_);
+    if (attempted.ok()) attempted = ReadResponse();
     if (!attempted.ok()) {
       // Transport failure or deadline: the request's fate on this node is
       // unknown. Idempotent requests move to the next endpoint; anything
@@ -84,11 +84,10 @@ Result<Frame> Client::RoundTrip(MessageType request_type,
         attempt = -1;  // fresh retry budget on the new node
         continue;
       }
-      return attempted.status();
+      return attempted;
     }
-    Frame response = std::move(attempted).value();
-    if (response.type == MessageType::kError) {
-      DPSP_ASSIGN_OR_RETURN(WireError error, DecodeError(response.body));
+    if (response_.type == MessageType::kError) {
+      DPSP_ASSIGN_OR_RETURN(WireError error, DecodeError(response_.body));
       Status status = error.ToStatus();
       bool retryable = error.kind == ErrorKind::kOverloaded;
       last_error_ = std::move(error);
@@ -117,14 +116,14 @@ Result<Frame> Client::RoundTrip(MessageType request_type,
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
       continue;
     }
-    if (response.type != expected_response) {
+    if (response_.type != expected_response) {
       return Status::Internal(
           StrFormat("unexpected response type %u (wanted %u)",
-                    static_cast<unsigned>(response.type),
+                    static_cast<unsigned>(response_.type),
                     static_cast<unsigned>(expected_response)));
     }
     last_error_.reset();
-    return response;
+    return Status::Ok();
   }
 }
 
@@ -133,22 +132,23 @@ Result<ReleaseInfo> Client::Release(const std::string& workload,
                                     const std::string& handle_name) {
   ReleaseRequest request{workload, mechanism, handle_name};
   std::vector<uint8_t> body = EncodeReleaseRequest(request);
-  DPSP_ASSIGN_OR_RETURN(
-      Frame response,
-      RoundTrip(MessageType::kReleaseRequest, body,
-                MessageType::kReleaseResponse));
-  return DecodeReleaseInfo(response.body);
+  DPSP_RETURN_IF_ERROR(RoundTrip(
+      MessageType::kReleaseRequest, MessageType::kReleaseResponse,
+      [&](Socket& socket) {
+        return WriteFrame(socket, MessageType::kReleaseRequest, body);
+      }));
+  return DecodeReleaseInfo(response_.body);
 }
 
 Result<std::vector<double>> Client::Query(uint32_t handle_id,
                                           std::span<const VertexPair> pairs) {
-  std::vector<uint8_t> body = EncodeQueryRequest(handle_id, pairs);
-  DPSP_ASSIGN_OR_RETURN(
-      Frame response,
-      RoundTrip(MessageType::kQueryRequest, body,
-                MessageType::kQueryResponse));
+  DPSP_RETURN_IF_ERROR(RoundTrip(
+      MessageType::kQueryRequest, MessageType::kQueryResponse,
+      [&](Socket& socket) {
+        return WriteQueryRequest(socket, handle_id, pairs);
+      }));
   DPSP_ASSIGN_OR_RETURN(std::vector<double> distances,
-                        DecodeQueryResponse(response.body));
+                        DecodeQueryResponse(response_.body));
   if (distances.size() != pairs.size()) {
     return Status::Internal(
         StrFormat("server answered %zu distances for %zu pairs",
@@ -160,19 +160,21 @@ Result<std::vector<double>> Client::Query(uint32_t handle_id,
 Result<UpdateInfo> Client::UpdateWeights(
     uint32_t handle_id, std::span<const EdgeWeightDelta> deltas) {
   std::vector<uint8_t> body = EncodeUpdateRequest(handle_id, deltas);
-  DPSP_ASSIGN_OR_RETURN(
-      Frame response,
-      RoundTrip(MessageType::kUpdateRequest, body,
-                MessageType::kUpdateResponse));
-  return DecodeUpdateInfo(response.body);
+  DPSP_RETURN_IF_ERROR(RoundTrip(
+      MessageType::kUpdateRequest, MessageType::kUpdateResponse,
+      [&](Socket& socket) {
+        return WriteFrame(socket, MessageType::kUpdateRequest, body);
+      }));
+  return DecodeUpdateInfo(response_.body);
 }
 
 Result<ServerStats> Client::Stats() {
-  DPSP_ASSIGN_OR_RETURN(
-      Frame response,
-      RoundTrip(MessageType::kStatsRequest, {},
-                MessageType::kStatsResponse));
-  return DecodeServerStats(response.body);
+  DPSP_RETURN_IF_ERROR(RoundTrip(
+      MessageType::kStatsRequest, MessageType::kStatsResponse,
+      [](Socket& socket) {
+        return WriteFrame(socket, MessageType::kStatsRequest, {});
+      }));
+  return DecodeServerStats(response_.body);
 }
 
 }  // namespace net

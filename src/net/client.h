@@ -9,6 +9,12 @@
 //
 // A Client is one connection and is NOT thread-safe; concurrent load uses
 // one Client per thread (see bench/bench_server_loadgen.cc).
+//
+// Query sends its request straight from the caller's pair span (one
+// gather write, no request buffer) and reads every response into one
+// frame the client reuses, so the returned answer vector is the only
+// allocation a steady stream of queries makes. The reused frame keeps
+// the largest response body seen, at most kMaxBodyBytes.
 
 #ifndef DPSP_NET_CLIENT_H_
 #define DPSP_NET_CLIENT_H_
@@ -126,17 +132,17 @@ class Client {
   Client(Socket socket, ClientOptions options)
       : socket_(std::move(socket)), options_(std::move(options)) {}
 
-  /// Sends one request frame and reads the response, honoring the
-  /// per-request deadline and the kOverloaded retry policy; an Error
-  /// frame is decoded, stashed in last_error_, and returned as its
-  /// Status.
-  Result<Frame> RoundTrip(MessageType request_type,
-                          std::span<const uint8_t> body,
-                          MessageType expected_response);
+  /// Sends one request by calling `write_request(socket_)` (again for
+  /// each retry or failover) and reads the response into response_,
+  /// honoring the per-request deadline and the kOverloaded retry policy;
+  /// an Error frame is decoded, stashed in last_error_, and returned as
+  /// its Status.
+  template <typename WriteRequest>
+  Status RoundTrip(MessageType request_type, MessageType expected_response,
+                   const WriteRequest& write_request);
 
-  /// One send + deadline-bounded receive.
-  Result<Frame> Attempt(MessageType request_type,
-                        std::span<const uint8_t> body);
+  /// The deadline-bounded receive of one response into response_.
+  Status ReadResponse();
 
   /// Reconnects round-robin to the next reachable endpoint (skipping the
   /// current one), replacing the socket and clearing broken_. Fails with
@@ -150,6 +156,8 @@ class Client {
   std::vector<Endpoint> endpoints_;
   size_t current_endpoint_ = 0;
   std::optional<WireError> last_error_;
+  /// The last response read; its body buffer is reused by the next one.
+  Frame response_;
   uint64_t retries_performed_ = 0;
   uint64_t failovers_performed_ = 0;
   bool broken_ = false;

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <sys/uio.h>
+
 #include <bit>
 #include <cstring>
 
@@ -12,38 +14,38 @@ namespace net {
 namespace {
 
 // ---------------------------------------------------------- wire buffers --
-// Explicit little-endian byte shifts: the encoding is the wire contract,
-// not whatever the host happens to store.
+// The wire is little-endian and so is every host this builds for, so
+// scalars and arrays go on and off the wire as host bytes, one memcpy
+// each. A big-endian port would need byte swaps here; it fails to compile
+// instead of silently speaking a different format.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codecs copy host bytes; big-endian hosts are not "
+              "supported");
+// The query codecs move pair arrays as packed int32 lanes (the same view
+// the SIMD kernels take).
+static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
+              "codecs move VertexPair arrays as two packed int32s");
 
 class WireWriter {
  public:
-  void U16(uint16_t v) {
-    out_.push_back(static_cast<uint8_t>(v));
-    out_.push_back(static_cast<uint8_t>(v >> 8));
-  }
-  void U32(uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      out_.push_back(static_cast<uint8_t>(v >> shift));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      out_.push_back(static_cast<uint8_t>(v >> shift));
-    }
-  }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void U16(uint16_t v) { Raw(&v, sizeof(v)); }
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void I32(int32_t v) { Raw(&v, sizeof(v)); }
+  void F64(double v) { Raw(&v, sizeof(v)); }
   void Str(const std::string& s) {
-    // push_back loop, not insert(): strings on this protocol are short
-    // names, and GCC 12 mis-diagnoses the inlined range insert.
     U32(static_cast<uint32_t>(s.size()));
-    for (char c : s) out_.push_back(static_cast<uint8_t>(c));
+    Raw(s.data(), s.size());
   }
   /// Raw payload bytes with a u64 length prefix (replication sections can
   /// exceed the u32 string limit's comfort zone).
   void Bytes(std::span<const uint8_t> bytes) {
     U64(bytes.size());
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    Raw(bytes.data(), bytes.size());
+  }
+  void Raw(const void* data, size_t n) {
+    const auto* bytes = static_cast<const uint8_t*>(data);
+    out_.insert(out_.end(), bytes, bytes + n);
   }
   void Reserve(size_t n) { out_.reserve(out_.size() + n); }
 
@@ -57,44 +59,11 @@ class WireReader {
  public:
   explicit WireReader(std::span<const uint8_t> data) : data_(data) {}
 
-  Status U16(uint16_t* v) {
-    DPSP_RETURN_IF_ERROR(Need(2));
-    *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return Status::Ok();
-  }
-  Status U32(uint32_t* v) {
-    DPSP_RETURN_IF_ERROR(Need(4));
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_ + static_cast<size_t>(i)])
-            << (8 * i);
-    }
-    pos_ += 4;
-    return Status::Ok();
-  }
-  Status U64(uint64_t* v) {
-    DPSP_RETURN_IF_ERROR(Need(8));
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)])
-            << (8 * i);
-    }
-    pos_ += 8;
-    return Status::Ok();
-  }
-  Status I32(int32_t* v) {
-    uint32_t raw = 0;
-    DPSP_RETURN_IF_ERROR(U32(&raw));
-    *v = static_cast<int32_t>(raw);
-    return Status::Ok();
-  }
-  Status F64(double* v) {
-    uint64_t raw = 0;
-    DPSP_RETURN_IF_ERROR(U64(&raw));
-    *v = std::bit_cast<double>(raw);
-    return Status::Ok();
-  }
+  Status U16(uint16_t* v) { return Raw(v, sizeof(*v)); }
+  Status U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
+  Status U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
+  Status I32(int32_t* v) { return Raw(v, sizeof(*v)); }
+  Status F64(double* v) { return Raw(v, sizeof(*v)); }
   Status Str(std::string* s) {
     uint32_t len = 0;
     DPSP_RETURN_IF_ERROR(U32(&len));
@@ -116,6 +85,14 @@ class WireReader {
     bytes->assign(data_.begin() + static_cast<ptrdiff_t>(pos_),
                   data_.begin() + static_cast<ptrdiff_t>(pos_ + len));
     pos_ += len;
+    return Status::Ok();
+  }
+  /// `n` raw bytes into `out`.
+  Status Raw(void* out, size_t n) {
+    DPSP_RETURN_IF_ERROR(Need(n));
+    if (n == 0) return Status::Ok();  // out may be null
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
     return Status::Ok();
   }
   size_t remaining() const { return data_.size() - pos_; }
@@ -179,51 +156,80 @@ const char* NodeRoleName(NodeRole role) {
 
 // ------------------------------------------------------------- frame I/O --
 
-Status WriteFrame(Socket& socket, MessageType type,
-                  std::span<const uint8_t> body, uint16_t version) {
-  WireWriter header;
-  header.Reserve(12 + body.size());
-  header.U32(kFrameMagic);
-  header.U16(version);
-  header.U16(static_cast<uint16_t>(type));
-  header.U32(static_cast<uint32_t>(body.size()));
-  // One send: header and body coalesce into as few packets as possible.
-  std::vector<uint8_t> frame = header.Take();
-  frame.insert(frame.end(), body.begin(), body.end());
-  return socket.WriteAll(frame.data(), frame.size());
+namespace {
+
+// The 12-byte frame header, laid out exactly as on the wire.
+struct FrameHeader {
+  uint32_t magic;
+  uint16_t version;
+  uint16_t type;
+  uint32_t body_size;
+};
+static_assert(sizeof(FrameHeader) == 12, "the frame header has no padding");
+
+// An array's object bytes, which on a little-endian host are its wire
+// bytes.
+template <typename T>
+std::span<const uint8_t> WireBytes(const T* data, size_t count) {
+  return {reinterpret_cast<const uint8_t*>(data), count * sizeof(T)};
 }
 
-Result<Frame> ReadFrame(Socket& socket, uint32_t max_body_bytes) {
-  uint8_t raw[12];
-  DPSP_RETURN_IF_ERROR(socket.ReadAll(raw, sizeof(raw)));
-  WireReader reader(raw);
-  uint32_t magic = 0, body_size = 0;
-  uint16_t version = 0, type = 0;
-  DPSP_RETURN_IF_ERROR(reader.U32(&magic));
-  DPSP_RETURN_IF_ERROR(reader.U16(&version));
-  DPSP_RETURN_IF_ERROR(reader.U16(&type));
-  DPSP_RETURN_IF_ERROR(reader.U32(&body_size));
-  if (magic != kFrameMagic) {
+// Sends one frame whose body is `prefix` followed by `payload` as one
+// gather write behind a stack-built header: neither piece is copied.
+Status WriteFrameParts(Socket& socket, MessageType type, uint16_t version,
+                       std::span<const uint8_t> prefix,
+                       std::span<const uint8_t> payload) {
+  FrameHeader header{kFrameMagic, version, static_cast<uint16_t>(type),
+                     static_cast<uint32_t>(prefix.size() + payload.size())};
+  iovec parts[] = {{&header, sizeof(header)},
+                   {const_cast<uint8_t*>(prefix.data()), prefix.size()},
+                   {const_cast<uint8_t*>(payload.data()), payload.size()}};
+  return socket.WriteAllv(parts);
+}
+
+}  // namespace
+
+Status WriteFrame(Socket& socket, MessageType type,
+                  std::span<const uint8_t> body, uint16_t version) {
+  return WriteFrameParts(socket, type, version, body, {});
+}
+
+Status ReadFrameInto(Socket& socket, Frame* frame, uint32_t max_body_bytes) {
+  FrameHeader header{};
+  DPSP_RETURN_IF_ERROR(socket.ReadAll(&header, sizeof(header)));
+  if (header.magic != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic (not a dpsp peer?)");
   }
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (header.version < kMinProtocolVersion ||
+      header.version > kProtocolVersion) {
     return Status::InvalidArgument(
         StrFormat("protocol version mismatch: peer speaks %u, this build "
                   "speaks %u-%u",
-                  version, kMinProtocolVersion, kProtocolVersion));
+                  header.version, kMinProtocolVersion, kProtocolVersion));
   }
-  if (body_size > max_body_bytes) {
+  if (header.body_size > max_body_bytes) {
     return Status::OutOfRange(
         StrFormat("frame body of %u bytes exceeds the %u-byte limit",
-                  body_size, max_body_bytes));
+                  header.body_size, max_body_bytes));
   }
+  frame->type = static_cast<MessageType>(header.type);
+  frame->version = header.version;
+  if (header.body_size > frame->body.capacity()) {
+    // A fresh exact-size buffer, not resize's doubling: what a reused
+    // frame retains is its largest body, never twice that.
+    frame->body = std::vector<uint8_t>(header.body_size);
+  } else {
+    frame->body.resize(header.body_size);
+  }
+  if (header.body_size > 0) {
+    DPSP_RETURN_IF_ERROR(socket.ReadAll(frame->body.data(), header.body_size));
+  }
+  return Status::Ok();
+}
+
+Result<Frame> ReadFrame(Socket& socket, uint32_t max_body_bytes) {
   Frame frame;
-  frame.type = static_cast<MessageType>(type);
-  frame.version = version;
-  frame.body.resize(body_size);
-  if (body_size > 0) {
-    DPSP_RETURN_IF_ERROR(socket.ReadAll(frame.body.data(), body_size));
-  }
+  DPSP_RETURN_IF_ERROR(ReadFrameInto(socket, &frame, max_body_bytes));
   return frame;
 }
 
@@ -270,43 +276,67 @@ Result<ReleaseInfo> DecodeReleaseInfo(std::span<const uint8_t> body) {
 std::vector<uint8_t> EncodeQueryRequest(uint32_t handle_id,
                                         std::span<const VertexPair> pairs) {
   WireWriter w;
-  w.Reserve(8 + pairs.size() * 8);
+  w.Reserve(8 + pairs.size_bytes());
   w.U32(handle_id);
   w.U32(static_cast<uint32_t>(pairs.size()));
-  for (const VertexPair& p : pairs) {
-    w.I32(p.first);
-    w.I32(p.second);
-  }
+  w.Raw(pairs.data(), pairs.size_bytes());
   return w.Take();
 }
 
-Result<QueryRequest> DecodeQueryRequest(std::span<const uint8_t> body) {
+Status WriteQueryRequest(Socket& socket, uint32_t handle_id,
+                         std::span<const VertexPair> pairs,
+                         uint16_t version) {
+  const uint32_t prefix[] = {handle_id, static_cast<uint32_t>(pairs.size())};
+  return WriteFrameParts(socket, MessageType::kQueryRequest, version,
+                         WireBytes(prefix, 2),
+                         WireBytes(pairs.data(), pairs.size()));
+}
+
+Result<QueryRequestView> ParseQueryRequest(std::span<const uint8_t> body) {
   WireReader r(body);
-  QueryRequest request;
-  uint32_t count = 0;
-  DPSP_RETURN_IF_ERROR(r.U32(&request.handle_id));
-  DPSP_RETURN_IF_ERROR(r.U32(&count));
-  if (static_cast<size_t>(count) * 8 != r.remaining()) {
+  QueryRequestView view;
+  DPSP_RETURN_IF_ERROR(r.U32(&view.handle_id));
+  DPSP_RETURN_IF_ERROR(r.U32(&view.num_pairs));
+  if (static_cast<size_t>(view.num_pairs) * 8 != r.remaining()) {
     return Status::InvalidArgument(
         "query pair count disagrees with body size");
   }
-  request.pairs.resize(count);
-  for (VertexPair& p : request.pairs) {
-    int32_t u = 0, v = 0;
-    DPSP_RETURN_IF_ERROR(r.I32(&u));
-    DPSP_RETURN_IF_ERROR(r.I32(&v));
-    p = {u, v};
-  }
-  DPSP_RETURN_IF_ERROR(r.ExpectEnd());
+  view.pair_bytes = body.last(r.remaining());
+  return view;
+}
+
+void CopyPairs(const QueryRequestView& view, std::span<VertexPair> out) {
+  DPSP_CHECK(out.size() == view.num_pairs);
+  if (out.empty()) return;
+  // Through int32 lanes: std::pair is not trivially copyable, its two
+  // int members are.
+  std::memcpy(reinterpret_cast<int32_t*>(out.data()), view.pair_bytes.data(),
+              view.pair_bytes.size());
+}
+
+Result<QueryRequest> DecodeQueryRequest(std::span<const uint8_t> body) {
+  DPSP_ASSIGN_OR_RETURN(QueryRequestView view, ParseQueryRequest(body));
+  QueryRequest request;
+  request.handle_id = view.handle_id;
+  request.pairs.resize(view.num_pairs);
+  CopyPairs(view, request.pairs);
   return request;
 }
 
 std::vector<uint8_t> EncodeQueryResponse(std::span<const double> distances) {
   WireWriter w;
-  w.Reserve(4 + distances.size() * 8);
+  w.Reserve(4 + distances.size_bytes());
   w.U32(static_cast<uint32_t>(distances.size()));
-  for (double d : distances) w.F64(d);
+  w.Raw(distances.data(), distances.size_bytes());
   return w.Take();
+}
+
+Status WriteQueryResponse(Socket& socket, std::span<const double> distances,
+                          uint16_t version) {
+  const uint32_t count = static_cast<uint32_t>(distances.size());
+  return WriteFrameParts(socket, MessageType::kQueryResponse, version,
+                         WireBytes(&count, 1),
+                         WireBytes(distances.data(), distances.size()));
 }
 
 Result<std::vector<double>> DecodeQueryResponse(
@@ -319,8 +349,7 @@ Result<std::vector<double>> DecodeQueryResponse(
         "distance count disagrees with body size");
   }
   std::vector<double> distances(count);
-  for (double& d : distances) DPSP_RETURN_IF_ERROR(r.F64(&d));
-  DPSP_RETURN_IF_ERROR(r.ExpectEnd());
+  DPSP_RETURN_IF_ERROR(r.Raw(distances.data(), distances.size() * 8));
   return distances;
 }
 

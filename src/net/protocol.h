@@ -1,7 +1,9 @@
 // The length-prefixed binary wire protocol the query server and client
 // speak — one frame per request or response over a TCP stream.
 //
-// Frame layout (all integers little-endian):
+// Frame layout (all integers little-endian; the codecs copy host bytes
+// straight onto the wire, so the build refuses big-endian targets with a
+// static_assert instead of speaking a different format there):
 //
 //   offset  size  field
 //   0       4     magic 0x44505350 ("DPSP")
@@ -74,6 +76,15 @@
 // WHY mechanically (budget exhausted vs. overloaded vs. unknown handle)
 // while the embedded status code/message reproduce the server-side Status
 // so Client can surface the same Result the in-process call would return.
+//
+// The query exchange copies a batch at most once in user space on each
+// end. Every frame goes out as one gather write of {stack-built header,
+// body pieces}, so WriteQueryRequest sends a caller's pair array and
+// WriteQueryResponse an answer array as they lie in memory, each behind a
+// few prefix bytes. On the way in, ReadFrameInto refills a caller-owned
+// Frame, and ParseQueryRequest checks a body's shape before CopyPairs
+// moves its pairs out in one memcpy. The Encode/Decode functions build
+// and read the same bytes through buffers of their own.
 
 #ifndef DPSP_NET_PROTOCOL_H_
 #define DPSP_NET_PROTOCOL_H_
@@ -172,7 +183,8 @@ struct Frame {
 };
 
 /// Writes one frame (header + body) at `version` (the responder passes
-/// the request's version through).
+/// the request's version through), as one gather write: the body is not
+/// copied behind the header first.
 Status WriteFrame(Socket& socket, MessageType type,
                   std::span<const uint8_t> body,
                   uint16_t version = kProtocolVersion);
@@ -180,6 +192,12 @@ Status WriteFrame(Socket& socket, MessageType type,
 /// Reads one frame, validating magic, version, and the body-size ceiling.
 /// A clean EOF before the header surfaces as kNotFound (peer hung up).
 Result<Frame> ReadFrame(Socket& socket, uint32_t max_body_bytes = kMaxBodyBytes);
+
+/// ReadFrame into a caller-owned frame whose body buffer is reused: it
+/// grows (to exactly the body size) only when a body outgrows it, so a
+/// reader of similar-sized frames stops allocating after the first.
+Status ReadFrameInto(Socket& socket, Frame* frame,
+                     uint32_t max_body_bytes = kMaxBodyBytes);
 
 // ------------------------------------------------------------- messages --
 
@@ -358,8 +376,30 @@ std::vector<uint8_t> EncodeQueryRequest(uint32_t handle_id,
                                         std::span<const VertexPair> pairs);
 Result<QueryRequest> DecodeQueryRequest(std::span<const uint8_t> body);
 
+/// A QueryRequest body whose shape has been checked (the pair count
+/// matches the body size) but whose pairs have not been copied out yet:
+/// `pair_bytes` still points into the body.
+struct QueryRequestView {
+  uint32_t handle_id = 0;
+  uint32_t num_pairs = 0;
+  std::span<const uint8_t> pair_bytes;
+};
+Result<QueryRequestView> ParseQueryRequest(std::span<const uint8_t> body);
+/// Copies the view's pairs into `out`, which must hold exactly
+/// `view.num_pairs` pairs.
+void CopyPairs(const QueryRequestView& view, std::span<VertexPair> out);
+
+/// Sends a QueryRequest frame straight from `pairs`.
+Status WriteQueryRequest(Socket& socket, uint32_t handle_id,
+                         std::span<const VertexPair> pairs,
+                         uint16_t version = kProtocolVersion);
+
 std::vector<uint8_t> EncodeQueryResponse(std::span<const double> distances);
 Result<std::vector<double>> DecodeQueryResponse(std::span<const uint8_t> body);
+
+/// Sends a QueryResponse frame straight from `distances`.
+Status WriteQueryResponse(Socket& socket, std::span<const double> distances,
+                          uint16_t version = kProtocolVersion);
 
 std::vector<uint8_t> EncodeUpdateRequest(uint32_t handle_id,
                                          std::span<const EdgeWeightDelta> deltas);

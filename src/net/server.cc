@@ -251,6 +251,8 @@ void QueryServer::Stop() {
   for (auto& connection : connections_) {
     if (connection->thread.joinable()) connection->thread.join();
   }
+  // retained_batch_pairs() may be reading the list.
+  std::lock_guard<std::mutex> lock(connections_mutex_);
   connections_.clear();
 }
 
@@ -433,31 +435,43 @@ void QueryServer::ServeConnection(Connection* connection) {
       // this wait — its shutdown makes the socket readable (EOF).
       if (!socket.WaitReadable(options_.idle_timeout_ms).ok()) break;
     }
-    Result<Frame> frame = ReadFrame(socket);
-    if (!frame.ok()) {
+    Status read = ReadFrameInto(socket, &connection->buffers.frame);
+    if (!read.ok()) {
       // kNotFound is the peer hanging up cleanly; anything else is a
       // framing failure worth one best-effort typed error before closing
       // (the stream cannot be resynchronized either way).
-      if (frame.status().code() != StatusCode::kNotFound &&
-          !stopping_.load()) {
-        SendError(socket, ErrorKind::kMalformed, frame.status(),
-                  peer_version);
+      if (read.code() != StatusCode::kNotFound && !stopping_.load()) {
+        SendError(socket, ErrorKind::kMalformed, read, peer_version);
       }
       break;
     }
-    peer_version = frame->version;
-    if (!DispatchFrame(socket, *frame)) break;
+    peer_version = connection->buffers.frame.version;
+    if (!DispatchFrame(*connection)) break;
   }
+  // Free the buffers now, not when the acceptor gets around to reaping.
+  connection->buffers = QueryBuffers();
+  connection->batch_pairs.store(0);
   connection->done.store(true);
 }
 
-bool QueryServer::DispatchFrame(Socket& socket, const Frame& frame) {
+size_t QueryServer::retained_batch_pairs() const {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  size_t total = 0;
+  for (const auto& connection : connections_) {
+    total += connection->batch_pairs.load();
+  }
+  return total;
+}
+
+bool QueryServer::DispatchFrame(Connection& connection) {
+  Socket& socket = connection.socket;
+  const Frame& frame = connection.buffers.frame;
   switch (frame.type) {
     case MessageType::kReleaseRequest:
       HandleRelease(socket, frame.body, frame.version);
       return true;
     case MessageType::kQueryRequest:
-      HandleQuery(socket, frame.body, frame.version);
+      HandleQuery(connection);
       return true;
     case MessageType::kUpdateRequest:
       HandleUpdate(socket, frame.body, frame.version);
@@ -619,8 +633,10 @@ void QueryServer::LookupHandle(
   }
 }
 
-void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
-                              uint16_t version) {
+void QueryServer::HandleQuery(Connection& connection) {
+  Socket& socket = connection.socket;
+  QueryBuffers& buffers = connection.buffers;
+  const uint16_t version = buffers.frame.version;
   // Queue-depth backpressure first: shedding happens before the body is
   // even decoded, so an overloaded server does the minimum work per
   // rejected request.
@@ -632,16 +648,17 @@ void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
                                   "retry later"), version);
     return;
   }
-  Result<QueryRequest> request = DecodeQueryRequest(body);
+  Result<QueryRequestView> request = ParseQueryRequest(buffers.frame.body);
   if (!request.ok()) {
     SendError(socket, ErrorKind::kMalformed, request.status(), version);
     return;
   }
-  if (request->pairs.size() > options_.max_pairs_per_query) {
+  if (request->num_pairs > options_.max_pairs_per_query) {
     SendError(socket, ErrorKind::kTooLarge,
               Status::OutOfRange(StrFormat(
-                  "batch of %zu pairs exceeds the per-request limit of %u",
-                  request->pairs.size(), options_.max_pairs_per_query)), version);
+                  "batch of %u pairs exceeds the per-request limit of %u",
+                  request->num_pairs, options_.max_pairs_per_query)),
+              version);
     return;
   }
   std::shared_ptr<DistanceOracle> oracle;
@@ -653,20 +670,34 @@ void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
                                          request->handle_id)), version);
     return;
   }
-  // Reader side of the handle guard: any number of query batches run
-  // concurrently, but never across an in-flight update epoch.
-  std::shared_lock<std::shared_mutex> read_lock(*guard);
-  Result<std::vector<double>> distances =
-      executor_.Execute(*oracle, request->pairs);
-  if (!distances.ok()) {
+  const size_t n = request->num_pairs;
+  if (buffers.pairs.size() < n) {
+    // Exact-size buffers, not resize's doubling: a connection retains
+    // its largest accepted batch, never twice that.
+    buffers.pairs = std::vector<VertexPair>(n);
+    buffers.answers = std::vector<double>(n);
+    connection.batch_pairs.store(n);
+  }
+  std::span<VertexPair> pairs(buffers.pairs.data(), n);
+  std::span<double> answers(buffers.answers.data(), n);
+  CopyPairs(*request, pairs);
+  Status executed;
+  {
+    // Reader side of the handle guard: any number of query batches run
+    // concurrently, but never across an in-flight update epoch. The
+    // answers are this connection's own, so the guard is not held while
+    // they are written out.
+    std::shared_lock<std::shared_mutex> read_lock(*guard);
+    executed = executor_.ExecuteInto(*oracle, pairs, answers);
+  }
+  if (!executed.ok()) {
     // Out-of-range vertices and the like: the client's fault, typed so.
-    SendError(socket, ErrorKind::kMalformed, distances.status(), version);
+    SendError(socket, ErrorKind::kMalformed, executed, version);
     return;
   }
   counters_.queries_served.fetch_add(1);
-  counters_.pairs_served.fetch_add(request->pairs.size());
-  std::vector<uint8_t> response = EncodeQueryResponse(*distances);
-  WriteFrame(socket, MessageType::kQueryResponse, response, version);
+  counters_.pairs_served.fetch_add(n);
+  WriteQueryResponse(socket, answers, version);
 }
 
 void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,

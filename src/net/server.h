@@ -202,6 +202,13 @@ class QueryServer {
   /// freshly installed replica images).
   const BatchExecutor& executor() const { return executor_; }
 
+  /// Pairs of batch capacity the open connections keep for reuse (16
+  /// bytes each: a pair and its answer). Each connection keeps room for
+  /// the largest batch it accepted, at most max_pairs_per_query, and
+  /// frees it when it closes; frame bodies, capped at kMaxBodyBytes, are
+  /// not counted here.
+  size_t retained_batch_pairs() const;
+
  private:
   struct Workload {
     std::string name;
@@ -223,10 +230,21 @@ class QueryServer {
     /// (or the mechanism does not implement SaveReleasedState).
     std::string snapshot_path;
   };
+  /// What a connection reuses from request to request, so a steady
+  /// stream of batches allocates nothing: the last frame read, and pair
+  /// and answer buffers sized for the largest batch accepted so far.
+  struct QueryBuffers {
+    Frame frame;
+    std::vector<VertexPair> pairs;
+    std::vector<double> answers;
+  };
   struct Connection {
     Socket socket;
     std::thread thread;
     std::atomic<bool> done{false};
+    QueryBuffers buffers;
+    /// buffers.pairs.size(), readable from other threads.
+    std::atomic<size_t> batch_pairs{0};
   };
 
   void AcceptLoop();
@@ -248,15 +266,19 @@ class QueryServer {
   /// so a stats poll never waits out a multi-second release build.
   void RefreshBudgetSnapshot();
   void ServeConnection(Connection* connection);
-  /// Dispatches one frame; returns false when the connection must close
-  /// (framing is broken and the stream cannot be resynchronized). Every
-  /// response (errors included) echoes the request frame's protocol
-  /// version so a v1 peer never sees a v2 header.
-  bool DispatchFrame(Socket& socket, const Frame& frame);
+  /// Dispatches the connection's last frame; returns false when the
+  /// connection must close (framing is broken and the stream cannot be
+  /// resynchronized). Every response (errors included) echoes the request
+  /// frame's protocol version so a v1 peer never sees a v2 header.
+  bool DispatchFrame(Connection& connection);
   void HandleRelease(Socket& socket, std::span<const uint8_t> body,
                      uint16_t version);
-  void HandleQuery(Socket& socket, std::span<const uint8_t> body,
-                   uint16_t version);
+  /// Answers the QueryRequest in the connection's frame out of its
+  /// reused buffers: the pairs are copied once out of the frame, the
+  /// executor writes the answers in place, and the response is gathered
+  /// from them. The buffers grow only for a batch that passed every
+  /// check, so a refused request never enlarges them.
+  void HandleQuery(Connection& connection);
   /// One incremental update epoch (v3): validated, budget-checked at its
   /// dirty-fraction price, applied under the handle's writer lock and the
   /// ledger lock (one noise stream), answered with the charged loss and
@@ -329,7 +351,7 @@ class QueryServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::mutex connections_mutex_;
+  mutable std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
 
   struct Counters {

@@ -80,19 +80,39 @@ Socket& Socket::operator=(Socket&& other) noexcept {
 }
 
 Status Socket::WriteAll(const void* data, size_t n) {
+  iovec one{const_cast<void*>(data), n};
+  return WriteAllv({&one, 1});
+}
+
+Status Socket::WriteAllv(std::span<iovec> parts) {
   if (!valid()) return Status::FailedPrecondition("write on closed socket");
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
+  parts = ConsumeIovecs(parts, 0);  // nothing to send for empty buffers
+  while (!parts.empty()) {
+    msghdr message{};
+    message.msg_iov = parts.data();
+    message.msg_iovlen = parts.size();
     // MSG_NOSIGNAL: a reset peer must surface as a Status, not SIGPIPE.
-    ssize_t written = send(fd_, p, n, MSG_NOSIGNAL);
+    ssize_t written = sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus("send");
+      return ErrnoStatus("sendmsg");
     }
-    p += written;
-    n -= static_cast<size_t>(written);
+    parts = ConsumeIovecs(parts, static_cast<size_t>(written));
   }
   return Status::Ok();
+}
+
+std::span<iovec> ConsumeIovecs(std::span<iovec> parts, size_t written) {
+  while (!parts.empty() && parts.front().iov_len <= written) {
+    written -= parts.front().iov_len;
+    parts = parts.subspan(1);
+  }
+  if (written > 0 && !parts.empty()) {
+    parts.front().iov_base =
+        static_cast<char*>(parts.front().iov_base) + written;
+    parts.front().iov_len -= written;
+  }
+  return parts;
 }
 
 Status Socket::ReadAll(void* data, size_t n) {

@@ -1,8 +1,9 @@
 // Thin RAII wrappers over POSIX TCP sockets — the only file in the tree
 // that talks to the BSD socket API. Everything above (protocol framing,
 // the query server, the client library) works in terms of Socket's
-// whole-buffer ReadAll/WriteAll and Listener's poll-based Accept, so the
-// transport could be swapped (unix sockets, TLS) behind this header.
+// whole-buffer ReadAll/WriteAll, its gather write WriteAllv, and
+// Listener's poll-based Accept, so the transport could be swapped (unix
+// sockets, TLS) behind this header.
 //
 // Error handling follows the library convention: no exceptions, fallible
 // calls return Status/Result. EOF mid-read is an error (the framing layer
@@ -13,8 +14,11 @@
 #ifndef DPSP_NET_SOCKET_H_
 #define DPSP_NET_SOCKET_H_
 
+#include <sys/uio.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -41,6 +45,14 @@ class Socket {
   /// Writes all `n` bytes (looping over short writes). SIGPIPE is
   /// suppressed; a peer reset surfaces as a Status.
   Status WriteAll(const void* data, size_t n);
+
+  /// Writes the concatenation of `parts`, in order, with one sendmsg per
+  /// attempt: separate buffers (a frame header and a caller's payload) go
+  /// out together without being joined in user space. Short writes
+  /// advance the gather list in place (ConsumeIovecs), so on return the
+  /// entries of `parts` no longer describe the original buffers. Same
+  /// errors as WriteAll.
+  Status WriteAllv(std::span<iovec> parts);
 
   /// Reads exactly `n` bytes (looping over short reads). EOF before the
   /// first byte returns kNotFound ("connection closed"); EOF mid-buffer
@@ -109,6 +121,12 @@ class Listener {
 /// Connects to `address:port` (IPv4 dotted quad, or "localhost"). Sets
 /// TCP_NODELAY on the connection.
 Result<Socket> Connect(const std::string& address, uint16_t port);
+
+/// Drops the first `written` bytes from the front of a gather list, the
+/// bookkeeping after a short write: fully sent buffers (and empty ones)
+/// leave the list, and a partly sent one is trimmed in place. Returns
+/// what is still unsent, empty once everything is.
+std::span<iovec> ConsumeIovecs(std::span<iovec> parts, size_t written);
 
 }  // namespace net
 }  // namespace dpsp

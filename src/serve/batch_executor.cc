@@ -65,14 +65,23 @@ Status RunShards(int num_shards, int max_threads,
 Result<std::vector<double>> BatchExecutor::Execute(
     const DistanceOracle& oracle, std::span<const VertexPair> pairs) const {
   std::vector<double> out(pairs.size(), 0.0);
+  DPSP_RETURN_IF_ERROR(ExecuteInto(oracle, pairs, out));
+  return out;
+}
+
+Status BatchExecutor::ExecuteInto(const DistanceOracle& oracle,
+                                  std::span<const VertexPair> pairs,
+                                  std::span<double> out) const {
+  if (out.size() != pairs.size()) {
+    return Status::InvalidArgument(
+        StrFormat("output span holds %zu answers for %zu pairs", out.size(),
+                  pairs.size()));
+  }
   // Empty and single-pair batches bypass shard planning entirely: no
   // worker spawn, no bucket scatter — the empty result is well-defined and
   // one pair runs the serial kernel inline on the calling thread.
-  if (pairs.empty()) return out;
-  if (pairs.size() == 1) {
-    DPSP_RETURN_IF_ERROR(oracle.DistanceInto(pairs, out.data()));
-    return out;
-  }
+  if (pairs.empty()) return Status::Ok();
+  if (pairs.size() == 1) return oracle.DistanceInto(pairs, out.data());
   int num_shards = PlannedShardCount(pairs.size());
 
   if (cells_.empty() || num_shards <= 1) {
@@ -80,16 +89,13 @@ Result<std::vector<double>> BatchExecutor::Execute(
     // merge is the identity — each kernel writes its slice of `out`.
     size_t chunk = (pairs.size() + static_cast<size_t>(num_shards) - 1) /
                    static_cast<size_t>(num_shards);
-    DPSP_RETURN_IF_ERROR(RunShards(
-        num_shards, options_.max_threads, [&](int s) {
-          size_t lo = static_cast<size_t>(s) * chunk;
-          size_t hi = std::min(pairs.size(), lo + chunk);
-          if (lo >= hi) return Status::Ok();
-          MaybePinShardWorker(options_.numa_aware, s);
-          return oracle.DistanceInto(pairs.subspan(lo, hi - lo),
-                                     out.data() + lo);
-        }));
-    return out;
+    return RunShards(num_shards, options_.max_threads, [&](int s) {
+      size_t lo = static_cast<size_t>(s) * chunk;
+      size_t hi = std::min(pairs.size(), lo + chunk);
+      if (lo >= hi) return Status::Ok();
+      MaybePinShardWorker(options_.numa_aware, s);
+      return oracle.DistanceInto(pairs.subspan(lo, hi - lo), out.data() + lo);
+    });
   }
 
   // Keyed policy. Bucket query indices by the cell of the first endpoint
@@ -147,7 +153,7 @@ Result<std::vector<double>> BatchExecutor::Execute(
   // Each shard gathers its pairs into a contiguous local batch (cache-
   // resident kernel input), runs the serial kernel, and scatters results
   // back to input positions.
-  DPSP_RETURN_IF_ERROR(RunShards(
+  return RunShards(
       num_shards, options_.max_threads, [&](int s) {
         MaybePinShardWorker(options_.numa_aware, s);
         const std::vector<int>& buckets =
@@ -172,8 +178,7 @@ Result<std::vector<double>> BatchExecutor::Execute(
           out[local_index[j]] = local_out[j];
         }
         return Status::Ok();
-      }));
-  return out;
+      });
 }
 
 Result<BatchExecutor::UpdateReport> BatchExecutor::ApplyUpdates(

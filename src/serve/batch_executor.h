@@ -83,6 +83,15 @@ class BatchExecutor {
   Result<std::vector<double>> Execute(const DistanceOracle& oracle,
                                       std::span<const VertexPair> pairs) const;
 
+  /// Execute into a caller-owned span: answer i lands in out[i], so a
+  /// caller that reuses its buffer (the query server, per connection)
+  /// allocates nothing for the answers. `out` must hold exactly one slot
+  /// per pair, else InvalidArgument and nothing is written. On a kernel
+  /// error `out` holds unspecified values.
+  Status ExecuteInto(const DistanceOracle& oracle,
+                     std::span<const VertexPair> pairs,
+                     std::span<double> out) const;
+
   /// What one propagated update epoch touched, for telemetry and the
   /// serving dashboards.
   struct UpdateReport {

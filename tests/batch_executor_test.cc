@@ -329,5 +329,46 @@ TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
   EXPECT_FALSE(DistanceBatchOf(*oracle, bad, 1).ok());
 }
 
+TEST(BatchExecutorTest, ExecuteIntoMatchesExecuteAndRefusesAMisSizedSpan) {
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(kNumVertices));
+  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(auto oracle,
+                       OracleRegistry::Global().Create("tree-hld", g, w, ctx));
+  std::vector<VertexPair> pairs = SampleTestPairs(kNumVertices, 3000, &rng);
+
+  BatchExecutorOptions options;
+  options.num_shards = 7;
+  options.max_threads = 4;
+  options.min_shard_pairs = 1;
+  BatchExecutor contiguous(options);
+  BatchExecutor keyed(options);
+  std::vector<int> cells(kNumVertices);
+  for (int v = 0; v < kNumVertices; ++v) cells[static_cast<size_t>(v)] = v;
+  keyed.SetShardCells(std::move(cells));
+
+  for (const BatchExecutor* executor : {&contiguous, &keyed}) {
+    ASSERT_OK_AND_ASSIGN(std::vector<double> expected,
+                         executor->Execute(*oracle, pairs));
+    std::vector<double> out(pairs.size());
+    ASSERT_OK(executor->ExecuteInto(*oracle, pairs, out));
+    EXPECT_EQ(out, expected);
+
+    // A span one slot short, one slot long, or empty is refused before
+    // anything is written: the canvas around it keeps its sentinel, so an
+    // out-of-bounds write would show even without a sanitizer.
+    for (size_t slots : {pairs.size() - 1, pairs.size() + 1, size_t{0}}) {
+      std::vector<double> canvas(pairs.size() + 2, -1.0);
+      Status refused = executor->ExecuteInto(
+          *oracle, pairs, std::span<double>(canvas).first(slots));
+      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << slots;
+      for (double v : canvas) ASSERT_EQ(v, -1.0) << slots;
+    }
+    ASSERT_OK(executor->ExecuteInto(*oracle, {}, {}));
+  }
+}
+
 }  // namespace
 }  // namespace dpsp

@@ -1,13 +1,18 @@
 // Tests for the network front end: wire-protocol round trips, loopback
 // serving bit-identical to direct BatchExecutor calls, budget-driven
 // admission control (typed over-budget rejection), queue-depth/connection
-// backpressure, and survival under 8 concurrent client connections.
+// backpressure, survival under 8 concurrent client connections, and one
+// connection reusing its buffers across every kind of request outcome.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -604,6 +609,111 @@ TEST(NetServerTest, UpdateOnUnknownHandleIsTypedNotFound) {
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(client.last_error()->kind, net::ErrorKind::kNotFound);
+}
+
+// ------------------------------------------- per-connection buffer reuse --
+
+/// Sends `pairs` on `socket` through the gather writer and checks the
+/// answers bit for bit against BatchExecutor::Execute on `reference`.
+void ExpectServedLikeExecute(net::Socket& socket, uint32_t handle,
+                             const DistanceOracle& reference,
+                             std::span<const VertexPair> pairs) {
+  ASSERT_OK(net::WriteQueryRequest(socket, handle, pairs));
+  ASSERT_OK_AND_ASSIGN(net::Frame reply, net::ReadFrame(socket));
+  ASSERT_EQ(reply.type, net::MessageType::kQueryResponse);
+  ASSERT_OK_AND_ASSIGN(std::vector<double> remote,
+                       net::DecodeQueryResponse(reply.body));
+  ASSERT_OK_AND_ASSIGN(std::vector<double> direct,
+                       BatchExecutor().Execute(reference, pairs));
+  ASSERT_EQ(remote.size(), direct.size());
+  for (size_t i = 0; i < direct.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(remote[i]),
+              std::bit_cast<uint64_t>(direct[i]))
+        << "pair " << i << " of " << pairs.size();
+  }
+}
+
+/// Sends one request frame and expects a typed error of `kind` back.
+void ExpectTypedError(net::Socket& socket, net::MessageType type,
+                      std::span<const uint8_t> body, net::ErrorKind kind) {
+  ASSERT_OK(net::WriteFrame(socket, type, body));
+  ASSERT_OK_AND_ASSIGN(net::Frame reply, net::ReadFrame(socket));
+  ASSERT_EQ(reply.type, net::MessageType::kError);
+  ASSERT_OK_AND_ASSIGN(net::WireError error, net::DecodeError(reply.body));
+  EXPECT_EQ(error.kind, kind) << error.message;
+}
+
+TEST(NetServerTest, OneConnectionReusesItsBuffersThroughEveryOutcome) {
+  constexpr uint32_t kLimit = 3000;
+  net::QueryServerOptions options;
+  options.max_pairs_per_query = kLimit;
+  ServerFixture fixture(options);
+  net::Client admin = fixture.Connect();
+  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
+                       admin.Release("path", "tree-hld", "reused"));
+  // The local twin: same seed, same release, and later the same epoch.
+  ReleaseContext ctx =
+      ReleaseContext::Create(fixture.params(), kServerSeed).value();
+  ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<DistanceOracle> reference,
+      OracleRegistry::Global().Create("tree-hld", fixture.workload().graph,
+                                      fixture.workload().weights, ctx));
+
+  // Every step below travels over this one connection.
+  ASSERT_OK_AND_ASSIGN(net::Socket socket,
+                       net::Connect("127.0.0.1", fixture.server().port()));
+  Rng rng(kTestSeed ^ 6);
+  EXPECT_EQ(fixture.server().retained_batch_pairs(), 0u);
+
+  // A batch at the limit sizes the buffers; a small one reuses them.
+  std::vector<VertexPair> large = SampleTestPairs(kNumVertices, kLimit, &rng);
+  ExpectServedLikeExecute(socket, info.handle_id, *reference, large);
+  EXPECT_EQ(fixture.server().retained_batch_pairs(), kLimit);
+  std::vector<VertexPair> small = SampleTestPairs(kNumVertices, 5, &rng);
+  ExpectServedLikeExecute(socket, info.handle_id, *reference, small);
+  EXPECT_EQ(fixture.server().retained_batch_pairs(), kLimit);
+
+  // A body whose pair count disagrees with its size.
+  std::vector<uint8_t> torn = net::EncodeQueryRequest(info.handle_id, small);
+  torn.pop_back();
+  ExpectTypedError(socket, net::MessageType::kQueryRequest, torn,
+                   net::ErrorKind::kMalformed);
+
+  // A well-formed batch naming a vertex the release does not have.
+  std::vector<VertexPair> out_of_range = small;
+  out_of_range[2] = {0, kNumVertices + 7};
+  ExpectTypedError(socket, net::MessageType::kQueryRequest,
+                   net::EncodeQueryRequest(info.handle_id, out_of_range),
+                   net::ErrorKind::kMalformed);
+
+  // One pair over the limit: refused before the buffers could grow.
+  std::vector<VertexPair> over = SampleTestPairs(kNumVertices, kLimit + 1,
+                                                 &rng);
+  ExpectTypedError(socket, net::MessageType::kQueryRequest,
+                   net::EncodeQueryRequest(info.handle_id, over),
+                   net::ErrorKind::kTooLarge);
+  EXPECT_EQ(fixture.server().retained_batch_pairs(), kLimit);
+
+  // An update epoch on the same connection, mirrored on the twin.
+  std::vector<EdgeWeightDelta> deltas = {{3, 1.5}, {40, 0.05}};
+  ASSERT_OK(net::WriteFrame(socket, net::MessageType::kUpdateRequest,
+                            net::EncodeUpdateRequest(info.handle_id, deltas)));
+  ASSERT_OK_AND_ASSIGN(net::Frame updated, net::ReadFrame(socket));
+  ASSERT_EQ(updated.type, net::MessageType::kUpdateResponse);
+  ASSERT_OK(reference->AsUpdatable()->ApplyWeightUpdates(deltas, ctx));
+
+  // A large batch again answers from the post-epoch release.
+  large = SampleTestPairs(kNumVertices, kLimit, &rng);
+  ExpectServedLikeExecute(socket, info.handle_id, *reference, large);
+  EXPECT_EQ(fixture.server().retained_batch_pairs(), kLimit);
+
+  // Closing the connection gives its buffers back.
+  socket.Close();
+  for (int i = 0; i < 200 && fixture.server().retained_batch_pairs() > 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(fixture.server().retained_batch_pairs(), 0u);
 }
 
 TEST(NetServerTest, ConcurrentQueriesAndUpdatesStaySane) {
