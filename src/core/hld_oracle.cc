@@ -12,10 +12,10 @@
 
 namespace dpsp {
 
-Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng, VertexId root) {
-  DPSP_RETURN_IF_ERROR(params.Validate());
+Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Decompose(
+    const Graph& graph, const EdgeWeights& w, VertexId root,
+    std::vector<std::vector<double>>* chain_weights,
+    std::vector<double>* light_weights) {
   DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   if (root == -1) root = 0;
   DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
@@ -58,48 +58,22 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     }
   }
 
-  // Joint sensitivity: an edge is either heavy (one block per level of its
-  // chain's structure) or light (one released scalar), so the release's
-  // sensitivity is max over chains of #levels, at least 1.
-  int max_levels = 1;
-  for (const auto& chain : members) {
-    max_levels = std::max(
-        max_levels, NoisyDyadicRangeSums::LevelsForSize(
-                        static_cast<int>(chain.size()) - 1));
-  }
-  DPSP_ASSIGN_OR_RETURN(
-      double scale,
-      LaplaceScale(static_cast<double>(max_levels), params));
-  oracle->noise_scale_ = scale;
-  oracle->sensitivity_ = max_levels;
-  oracle->release_epsilon_ = params.epsilon;
-
-  // Released structures: per-chain dyadic sums over the heavy edges, plus
-  // one noisy scalar per light (chain-head parent) edge.
-  oracle->light_noisy_.assign(members.size(), 0.0);
+  // The values each chain's release covers: its heavy edges by position,
+  // and the light edge above its head (none at the root chain).
+  chain_weights->assign(members.size(), {});
+  light_weights->assign(members.size(), 0.0);
+  oracle->head_parent_.resize(members.size());
   for (size_t c = 0; c < members.size(); ++c) {
     const std::vector<VertexId>& chain = members[c];
-    std::vector<double> values;
+    std::vector<double>& values = (*chain_weights)[c];
     values.reserve(chain.size() - 1);
     for (size_t p = 1; p < chain.size(); ++p) {
-      values.push_back(
-          w[static_cast<size_t>(tree.parent_edge(chain[p]))]);
+      values.push_back(w[static_cast<size_t>(tree.parent_edge(chain[p]))]);
     }
-    oracle->chains_.emplace_back(values, scale, rng);
     VertexId head = chain[0];
+    oracle->head_parent_[c] = tree.parent(head);
     if (tree.parent(head) != -1) {
-      oracle->light_noisy_[c] =
-          w[static_cast<size_t>(tree.parent_edge(head))] +
-          rng->Laplace(scale);
-    }
-  }
-
-  for (const NoisyDyadicRangeSums& chain : oracle->chains_) {
-    oracle->num_noisy_values_ += chain.num_blocks();
-  }
-  for (size_t c = 0; c < members.size(); ++c) {
-    if (tree.parent(oracle->chain_head_[c]) != -1) {
-      ++oracle->num_noisy_values_;
+      (*light_weights)[c] = w[static_cast<size_t>(tree.parent_edge(head))];
     }
   }
 
@@ -121,16 +95,52 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     oracle->chain_member_list_.insert(oracle->chain_member_list_.end(),
                                       chain.begin(), chain.end());
   }
+  oracle->ascent_cost_.assign(static_cast<size_t>(n), 0.0);
+  return oracle;
+}
+
+Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
+    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
+    Rng* rng, VertexId root) {
+  DPSP_RETURN_IF_ERROR(params.Validate());
+  std::vector<std::vector<double>> chain_weights;
+  std::vector<double> light_weights;
+  DPSP_ASSIGN_OR_RETURN(
+      std::unique_ptr<HldTreeOracle> oracle,
+      Decompose(graph, w, root, &chain_weights, &light_weights));
+
+  // Joint sensitivity: an edge is either heavy (one block per level of its
+  // chain's structure) or light (one released scalar), so the release's
+  // sensitivity is max over chains of #levels, at least 1.
+  int max_levels = 1;
+  for (const std::vector<double>& values : chain_weights) {
+    max_levels = std::max(max_levels, NoisyDyadicRangeSums::LevelsForSize(
+                                          static_cast<int>(values.size())));
+  }
+  DPSP_ASSIGN_OR_RETURN(
+      double scale,
+      LaplaceScale(static_cast<double>(max_levels), params));
+  oracle->noise_scale_ = scale;
+  oracle->sensitivity_ = max_levels;
+  oracle->release_epsilon_ = params.epsilon;
+
+  // Released structures: per-chain dyadic sums over the heavy edges, plus
+  // one noisy scalar per light (chain-head parent) edge, drawn chain by
+  // chain.
+  oracle->light_noisy_.assign(chain_weights.size(), 0.0);
+  for (size_t c = 0; c < chain_weights.size(); ++c) {
+    oracle->chains_.emplace_back(chain_weights[c], scale, rng);
+    oracle->num_noisy_values_ += oracle->chains_.back().num_blocks();
+    if (oracle->head_parent_[c] != -1) {
+      oracle->light_noisy_[c] = light_weights[c] + rng->Laplace(scale);
+      ++oracle->num_noisy_values_;
+    }
+  }
 
   // Ascent caches (post-processing of the released blocks, no new noise):
   // climbing off the top of v's chain costs the chain prefix up to v plus
   // the light edge above the head, and lands on the head's parent.
-  oracle->head_parent_.resize(members.size());
-  for (size_t c = 0; c < members.size(); ++c) {
-    oracle->head_parent_[c] = tree.parent(oracle->chain_head_[c]);
-  }
-  oracle->ascent_cost_.assign(static_cast<size_t>(n), 0.0);
-  for (size_t c = 0; c < members.size(); ++c) {
+  for (size_t c = 0; c < chain_weights.size(); ++c) {
     oracle->RecomputeAscentCosts(static_cast<int>(c));
   }
   return oracle;
@@ -253,15 +263,25 @@ void HldTreeOracle::RecomputeAscentCosts(int c) {
 
 Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
                                    double* out) const {
-  // Single fused pass: bounds checks fold into the loop, no per-query
-  // Result or virtual dispatch.
   const unsigned n = static_cast<unsigned>(num_vertices_);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [u, v] = pairs[i];
+  for (const auto& [u, v] : pairs) {
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
       return Status::InvalidArgument("vertex out of range");
     }
-    out[i] = DistanceUnchecked(u, v);
+  }
+  // Each climb starts from its endpoints' chain and position entries;
+  // prefetching those of pair i + kLookahead before answering pair i keeps
+  // that many pairs' first misses in flight.
+  constexpr size_t kLookahead = 8;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i + kLookahead < pairs.size()) {
+      const auto& [u, v] = pairs[i + kLookahead];
+      __builtin_prefetch(&chain_of_[static_cast<size_t>(u)]);
+      __builtin_prefetch(&chain_of_[static_cast<size_t>(v)]);
+      __builtin_prefetch(&pos_in_chain_[static_cast<size_t>(u)]);
+      __builtin_prefetch(&pos_in_chain_[static_cast<size_t>(v)]);
+    }
+    out[i] = DistanceUnchecked(pairs[i].first, pairs[i].second);
   }
   return Status::Ok();
 }
@@ -369,22 +389,24 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
   DPSP_ASSIGN_OR_RETURN(num_noisy_values,
                         released_state::AsInt(meta[3], "hld noise draws"));
   const double release_epsilon = meta[4];
+  if (!(noise_scale > 0.0 && std::isfinite(noise_scale))) {
+    return Status::InvalidArgument(
+        "snapshot hld noise scale must be positive and finite");
+  }
   if (!(release_epsilon > 0.0)) {
     return Status::InvalidArgument("snapshot hld release epsilon must be > 0");
   }
 
-  // Rebuild the deterministic skeleton (chains, membership) with a
-  // throwaway noise stream, then overwrite every noisy value with the
-  // persisted image. The decomposition depends only on the public
-  // topology, never on the noise, so this is exact.
-  Rng scratch_rng(0);
-  PrivacyParams scratch_params;
-  scratch_params.epsilon = release_epsilon;
+  // Rebuild the public skeleton (chains, membership), which depends only on
+  // the topology, then install every chain's persisted blocks at the
+  // persisted scale, so later update epochs redraw at the release's scale.
+  std::vector<std::vector<double>> chain_weights;
+  std::vector<double> light_weights;
   DPSP_ASSIGN_OR_RETURN(
       std::unique_ptr<HldTreeOracle> oracle,
-      Build(graph, w, scratch_params, &scratch_rng, root));
+      Decompose(graph, w, root, &chain_weights, &light_weights));
 
-  const size_t num_chains = oracle->chains_.size();
+  const size_t num_chains = chain_weights.size();
   DPSP_ASSIGN_OR_RETURN(
       std::span<const double> counts,
       released_state::Require<double>(sections, "chain-block-counts",
@@ -398,30 +420,28 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
                                                         "chain-blocks"));
 
   size_t offset = 0;
+  oracle->chains_.reserve(num_chains);
   for (size_t c = 0; c < num_chains; ++c) {
     int count;
     DPSP_ASSIGN_OR_RETURN(
         count, released_state::AsInt(counts[c], "chain block count"));
-    NoisyDyadicRangeSums& chain = oracle->chains_[c];
-    const size_t expected = chain.blocks().size();
-    if (count < 0 || static_cast<size_t>(count) != expected) {
-      return Status::InvalidArgument(StrFormat(
-          "snapshot chain %zu has %d blocks, the graph implies %zu", c,
-          count, expected));
-    }
-    if (offset + expected > blocks.size()) {
+    if (count < 0 || static_cast<size_t>(count) > blocks.size() - offset) {
       return Status::InvalidArgument(
           "snapshot chain-blocks section is shorter than its counts imply");
     }
-    DPSP_RETURN_IF_ERROR(
-        chain.RestoreBlocks(blocks.subspan(offset, expected)));
-    offset += expected;
+    DPSP_ASSIGN_OR_RETURN(
+        NoisyDyadicRangeSums chain,
+        NoisyDyadicRangeSums::Restore(
+            chain_weights[c], noise_scale,
+            blocks.subspan(offset, static_cast<size_t>(count))));
+    oracle->chains_.push_back(std::move(chain));
+    offset += static_cast<size_t>(count);
   }
   if (offset != blocks.size()) {
     return Status::InvalidArgument(
         "snapshot chain-blocks section is longer than its counts imply");
   }
-  std::copy(light.begin(), light.end(), oracle->light_noisy_.begin());
+  oracle->light_noisy_.assign(light.begin(), light.end());
   oracle->noise_scale_ = noise_scale;
   oracle->sensitivity_ = sensitivity;
   oracle->num_noisy_values_ = num_noisy_values;

@@ -69,8 +69,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
       Rng* rng, VertexId root = -1);
 
   Result<double> Distance(VertexId u, VertexId v) const override;
-  /// Fused serial kernel: bounds checks folded into the loop, then one
-  /// two-sided chain climb per pair (DistanceUnchecked).
+  /// Fused serial kernel: validates every pair first, then answers pair i
+  /// with one two-sided chain climb (DistanceUnchecked) while prefetching
+  /// the chain and position entries of pair i + 8's endpoints.
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
@@ -108,8 +109,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
   /// OracleLoader counterpart: rebuilds the deterministic skeleton from
-  /// the public tree, then overwrites every noisy value with the
-  /// persisted image and recomputes the ascent caches. Queries are
+  /// the public tree, installs every chain's persisted blocks at the
+  /// persisted noise scale (no noise drawn), and recomputes the ascent
+  /// caches. Queries and later update epochs are
   /// bit-identical to the saved instance. Post-restart update epochs
   /// recompute dirty block sums from the CURRENT workload weights — if
   /// updates had drifted the weights before the snapshot, the first
@@ -121,6 +123,16 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
 
  private:
   HldTreeOracle() = default;
+
+  // The public skeleton: chains, positions, head depths and parents,
+  // membership and the edge -> child map, all determined by the topology.
+  // Fills `chain_weights` with each chain's heavy-edge weights by position
+  // and `light_weights` with the weight of the edge above each chain head
+  // (0 at the root chain). Draws no noise and releases nothing.
+  static Result<std::unique_ptr<HldTreeOracle>> Decompose(
+      const Graph& graph, const EdgeWeights& w, VertexId root,
+      std::vector<std::vector<double>>* chain_weights,
+      std::vector<double>* light_weights);
 
   // Noisy u-v distance; both must be valid vertices. Each endpoint sums
   // its own chain crossings bottom-up, then its range on the meeting

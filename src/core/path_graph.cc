@@ -1,7 +1,6 @@
 #include "core/path_graph.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/table.h"
 #include "core/released_state.h"
@@ -88,19 +87,12 @@ Result<std::unique_ptr<DistanceOracle>> PathGraphOracle::FromReleasedState(
         "snapshot path has %d vertices / %d edges, the graph has %d / %d",
         num_vertices, num_edges, graph.num_vertices(), graph.num_edges()));
   }
-  const double noise_scale = meta[2];
-  if (num_edges > 0 && !(noise_scale > 0.0 && std::isfinite(noise_scale))) {
-    return Status::InvalidArgument(
-        "snapshot path noise scale must be positive and finite");
-  }
   DPSP_ASSIGN_OR_RETURN(std::span<const double> blocks,
                         released_state::Require<double>(sections, "blocks"));
-
-  // Rebuild the structure's shape with a throwaway noise stream, then
-  // overwrite every block with the persisted image (size-checked).
-  Rng scratch_rng(0);
-  NoisyDyadicRangeSums sums(w, noise_scale, &scratch_rng);
-  DPSP_RETURN_IF_ERROR(sums.RestoreBlocks(blocks));
+  // Restore rejects a noise scale the structure could not have been drawn
+  // at and an image of the wrong block count.
+  DPSP_ASSIGN_OR_RETURN(NoisyDyadicRangeSums sums,
+                        NoisyDyadicRangeSums::Restore(w, meta[2], blocks));
   return std::unique_ptr<DistanceOracle>(new PathGraphOracle(std::move(sums)));
 }
 
@@ -114,11 +106,20 @@ Result<double> PathGraphOracle::Distance(VertexId u, VertexId v) const {
 Status PathGraphOracle::DistanceInto(std::span<const VertexPair> pairs,
                                      double* out) const {
   const unsigned n = static_cast<unsigned>(num_vertices());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [u, v] = pairs[i];
+  for (const auto& [u, v] : pairs) {
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
       return Status::InvalidArgument("vertex out of range");
     }
+  }
+  // Prefetching the blocks of pair i + kLookahead before answering pair i
+  // keeps that many queries' misses in flight.
+  constexpr size_t kLookahead = 8;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i + kLookahead < pairs.size()) {
+      const auto& [u, v] = pairs[i + kLookahead];
+      sums_.PrefetchRange(std::min(u, v), std::max(u, v));
+    }
+    const auto& [u, v] = pairs[i];
     out[i] = sums_.RangeSumUnchecked(std::min(u, v), std::max(u, v));
   }
   return Status::Ok();

@@ -51,8 +51,8 @@ class PathGraphOracle final : public DistanceOracle {
 
   /// Estimated distance |path sum| between u and v; symmetric in (u, v).
   Result<double> Distance(VertexId u, VertexId v) const override;
-  /// Fused serial kernel: one dyadic range sum per pair with bounds checks
-  /// folded into the loop.
+  /// Fused serial kernel: validates every pair first, then answers pair i
+  /// with one dyadic range sum while prefetching the blocks of pair i + 8.
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }

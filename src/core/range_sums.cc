@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/table.h"
 
@@ -16,21 +17,12 @@ int NoisyDyadicRangeSums::LevelsForSize(int size) {
 }
 
 NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
-                                           double noise_scale, Rng* rng)
+                                           double noise_scale)
     : size_(static_cast<int>(values.size())),
       noise_scale_(noise_scale),
       values_(values) {
   if (size_ == 0) return;
-  DPSP_CHECK_MSG(noise_scale > 0.0, "noise scale must be positive");
-
-  std::vector<double> prefix(values.size() + 1, 0.0);
-  for (size_t i = 0; i < values.size(); ++i) {
-    prefix[i + 1] = prefix[i] + values[i];
-  }
-
-  // One flat level-major buffer: level_offset_ first (block counts per
-  // level), then every block sum + Laplace draw in (level, block) order —
-  // the same Rng walk as a per-level layout, so fixed seeds reproduce.
+  // One flat level-major buffer: level l holds ceil(size / 2^l) blocks.
   int num_levels = LevelsForSize(size_);
   level_offset_.assign(static_cast<size_t>(num_levels) + 1, 0);
   for (int l = 0; l < num_levels; ++l) {
@@ -40,7 +32,22 @@ NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
         level_offset_[static_cast<size_t>(l)] + static_cast<uint32_t>(count);
   }
   blocks_.resize(level_offset_.back());
-  for (int l = 0; l < num_levels; ++l) {
+}
+
+NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
+                                           double noise_scale, Rng* rng)
+    : NoisyDyadicRangeSums(values, noise_scale) {
+  if (size_ == 0) return;
+  DPSP_CHECK_MSG(noise_scale > 0.0, "noise scale must be positive");
+
+  std::vector<double> prefix(values.size() + 1, 0.0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    prefix[i + 1] = prefix[i] + values[i];
+  }
+
+  // Every block sum + Laplace draw in (level, block) order — the same Rng
+  // walk as a per-level layout, so fixed seeds reproduce.
+  for (int l = 0; l < num_levels(); ++l) {
     int width = 1 << l;
     int count = static_cast<int>(level_offset_[static_cast<size_t>(l) + 1] -
                                  level_offset_[static_cast<size_t>(l)]);
@@ -52,6 +59,24 @@ NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
           rng->Laplace(noise_scale);
     }
   }
+}
+
+Result<NoisyDyadicRangeSums> NoisyDyadicRangeSums::Restore(
+    const std::vector<double>& values, double noise_scale,
+    std::span<const double> blocks) {
+  if (!values.empty() && !(noise_scale > 0.0 && std::isfinite(noise_scale))) {
+    return Status::InvalidArgument(
+        "dyadic noise scale must be positive and finite");
+  }
+  NoisyDyadicRangeSums sums(values, noise_scale);
+  if (blocks.size() != sums.blocks_.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "dyadic block image holds %zu blocks, a structure over %zu values "
+        "has %zu",
+        blocks.size(), values.size(), sums.blocks_.size()));
+  }
+  std::copy(blocks.begin(), blocks.end(), sums.blocks_.begin());
+  return sums;
 }
 
 namespace {
@@ -126,11 +151,14 @@ Result<double> NoisyDyadicRangeSums::RangeSum(int lo, int hi,
     return Status::InvalidArgument(
         StrFormat("range [%d, %d) out of bounds [0, %d)", lo, hi, size_));
   }
-  return SumRange(lo, hi, segments);
-}
-
-double NoisyDyadicRangeSums::RangeSumUnchecked(int lo, int hi) const {
-  return SumRange(lo, hi, nullptr);
+  double sum = 0.0;
+  int count = 0;
+  WalkRange(lo, hi, [&](size_t slot) {
+    sum += blocks_[slot];
+    ++count;
+  });
+  if (segments != nullptr) *segments += count;
+  return sum;
 }
 
 double NoisyDyadicRangeSums::PrefixSumUnchecked(int hi) const {
@@ -140,26 +168,7 @@ double NoisyDyadicRangeSums::PrefixSumUnchecked(int hi) const {
   double sum = 0.0;
   for (unsigned i = static_cast<unsigned>(hi); i != 0; i &= i - 1) {
     int l = std::countr_zero(i);
-    sum += blocks_[BlockSlot(l, static_cast<int>((i >> l) - 1))];
-  }
-  return sum;
-}
-
-double NoisyDyadicRangeSums::SumRange(int lo, int hi, int* segments) const {
-  // Greedy aligned decomposition, front to back: each step takes the
-  // largest block that starts at lo (2^level divides lo), fits in
-  // [lo, hi) and exists. All three caps are monotone in the level, so the
-  // level is their minimum; countr_zero(0) = 32 leaves lo = 0 uncapped.
-  double sum = 0.0;
-  const int top = num_levels() - 1;
-  while (lo < hi) {
-    const int fit =
-        static_cast<int>(std::bit_width(static_cast<unsigned>(hi - lo))) - 1;
-    const int level =
-        std::min({top, fit, std::countr_zero(static_cast<unsigned>(lo))});
-    sum += blocks_[BlockSlot(level, lo >> level)];
-    if (segments != nullptr) ++(*segments);
-    lo += 1 << level;
+    sum += blocks_[BlockSlot(l, (i >> l) - 1)];
   }
   return sum;
 }

@@ -10,7 +10,10 @@
 // so releasing the whole structure is a single Laplace-mechanism
 // invocation with l1 sensitivity (#levels) * (per-index sensitivity of x).
 // Any range sum over [lo, hi) is answered from at most 2 #levels noisy
-// blocks, each one's level found in closed form (no level probing).
+// blocks, read off the set bits of two integers (WalkRange): each block's
+// address is computed from its own bit, not from the previous block, so a
+// query's misses overlap and a batch kernel can prefetch a later query's
+// blocks (PrefetchRange).
 //
 // The structure is incrementally releasable: a point update x[i] = v
 // invalidates exactly one block per level (the #levels blocks containing
@@ -25,7 +28,8 @@
 #ifndef DPSP_CORE_RANGE_SUMS_H_
 #define DPSP_CORE_RANGE_SUMS_H_
 
-#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -45,6 +49,17 @@ class NoisyDyadicRangeSums {
   NoisyDyadicRangeSums(const std::vector<double>& values, double noise_scale,
                        Rng* rng);
 
+  /// Reinstalls a persisted release without drawing noise: `blocks` is the
+  /// blocks() image of a structure over `values` drawn at `noise_scale`,
+  /// the scale later update epochs redraw at. `values` is the holder's
+  /// current private value vector (a later epoch recomputes dirty block
+  /// sums from it: the documented warm-restart semantic). Fails unless the
+  /// image holds exactly the block count of a values.size() structure and,
+  /// for a non-empty vector, the scale is positive and finite.
+  static Result<NoisyDyadicRangeSums> Restore(
+      const std::vector<double>& values, double noise_scale,
+      std::span<const double> blocks);
+
   /// Number of levels (0 for an empty vector). The release's sensitivity
   /// multiplier.
   int num_levels() const {
@@ -62,7 +77,19 @@ class NoisyDyadicRangeSums {
 
   /// RangeSum without validation or segment counting; the caller must
   /// guarantee 0 <= lo <= hi <= size. The batched-query hot path.
-  double RangeSumUnchecked(int lo, int hi) const;
+  double RangeSumUnchecked(int lo, int hi) const {
+    double sum = 0.0;
+    WalkRange(lo, hi, [&](size_t slot) { sum += blocks_[slot]; });
+    return sum;
+  }
+
+  /// Prefetches the blocks RangeSumUnchecked(lo, hi) reads, so a batch
+  /// kernel can start a later pair's misses before it answers this one.
+  /// Same precondition as RangeSumUnchecked.
+  void PrefetchRange(int lo, int hi) const {
+    WalkRange(lo, hi,
+              [&](size_t slot) { __builtin_prefetch(&blocks_[slot]); });
+  }
 
   /// A prefix [0, hi) walked back to front: one block per set bit of hi
   /// (the popcount(hi) blocks a Fenwick walk visits), lowest bit first.
@@ -99,32 +126,46 @@ class NoisyDyadicRangeSums {
   /// are deduplicated; indices must lie in [0, size()).
   int DirtyBlockCount(std::span<const int> indices) const;
 
-  /// Overwrites the released noisy block sums with a persisted image (a
-  /// snapshot of another same-shape structure's blocks()). The
-  /// private value vector is untouched: a later update epoch recomputes
-  /// dirty block sums from the holder's current values, which is the
-  /// documented warm-restart semantic. Fails unless the image holds
-  /// exactly num_blocks() values.
-  Status RestoreBlocks(std::span<const double> blocks) {
-    if (blocks.size() != blocks_.size()) {
-      return Status::InvalidArgument(
-          "dyadic block image does not match the structure's block count");
-    }
-    std::copy(blocks.begin(), blocks.end(), blocks_.begin());
-    return Status::Ok();
-  }
-
   /// How many dyadic levels a vector of `size` values needs.
   static int LevelsForSize(int size);
 
  private:
-  // The shared greedy dyadic decomposition behind both query paths.
-  double SumRange(int lo, int hi, int* segments) const;
+  // The structure's shape over `values` (level offsets, zeroed blocks),
+  // with no noise drawn.
+  NoisyDyadicRangeSums(const std::vector<double>& values, double noise_scale);
+
+  // The greedy aligned decomposition of [lo, hi) (from lo, repeatedly take
+  // the largest dyadic block that starts there and fits), in closed form:
+  // with d the highest bit where lo and hi differ and m = hi with its bits
+  // below d cleared, greedy takes one block per set bit l of m - lo,
+  // lowest first, up to the 2^d-aligned point m, then one per set bit of
+  // hi - m, highest first. Calls visit(slot) for each block in that
+  // order. Requires 0 <= lo <= hi <= size.
+  template <typename Visit>
+  void WalkRange(int lo, int hi, Visit visit) const {
+    if (lo >= hi) return;
+    const unsigned ulo = static_cast<unsigned>(lo);
+    const unsigned uhi = static_cast<unsigned>(hi);
+    const int d = static_cast<int>(std::bit_width(ulo ^ uhi)) - 1;
+    const unsigned m = uhi >> d << d;
+    // r's bits below l are clear, so the block starts 2^l-aligned at m - r.
+    for (unsigned r = m - ulo; r != 0; r &= r - 1) {
+      const int l = std::countr_zero(r);
+      visit(BlockSlot(l, (m - r) >> l));
+    }
+    // m's bits below d are clear, so bit l of hi is set and the block
+    // ending at hi with its bits below l cleared is (hi >> l) - 1.
+    for (unsigned s = uhi - m; s != 0;) {
+      const int l = static_cast<int>(std::bit_width(s)) - 1;
+      s ^= 1u << l;
+      visit(BlockSlot(l, (uhi >> l) - 1));
+    }
+  }
 
   // blocks_ slot of dyadic block j at level l.
-  size_t BlockSlot(int level, int j) const {
+  size_t BlockSlot(int level, size_t j) const {
     return static_cast<size_t>(level_offset_[static_cast<size_t>(level)]) +
-           static_cast<size_t>(j);
+           j;
   }
 
   int size_ = 0;

@@ -1,12 +1,18 @@
 #include "core/hld_oracle.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/tree_distance.h"
+#include "dp/release_context.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -171,6 +177,98 @@ TEST(HldOracleTest, ComparableErrorRegimeToRecursiveOracle) {
                        EvaluateOracleAllPairs(g, exact, *recursive));
   EXPECT_LT(hld_report.mean_abs_error, 10.0 * rec_report.mean_abs_error);
   EXPECT_LT(rec_report.mean_abs_error, 10.0 * hld_report.mean_abs_error);
+}
+
+TEST(HldOracleTest, BatchLookaheadBoundaries) {
+  Rng rng(kTestSeed);
+  const int n = 500;
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle,
+                       HldTreeOracle::Build(g, w, PrivacyParams{}, &rng));
+  std::vector<VertexPair> pairs;
+  for (int i = 0; i < 20; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
+  }
+  ExpectBatchesMatchPerPairDistance(*oracle, pairs);
+  for (VertexId bad : {-1, n}) {
+    ExpectOutOfRangeRejectedAnywhere(*oracle, pairs, bad);
+  }
+}
+
+TEST(HldOracleTest, RestoredOracleRedrawsUpdatesAtThePersistedScale) {
+  // With a neighbor bound rho != 1 the release's scale is L * rho / eps. A
+  // restored oracle must redraw an update epoch's blocks at that scale, so
+  // the same epoch under the same seed leaves it bit-identical to the
+  // oracle it was saved from.
+  Rng rng(kTestSeed);
+  const int n = 64;
+  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
+  EdgeWeights w = MakeUniformWeights(g, 0.5, 2.0, &rng);
+  const PrivacyParams params{1.0, 0.0, 4.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext build_ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> built,
+                       HldTreeOracle::Build(g, w, build_ctx));
+
+  std::vector<ReleasedSection> saved;
+  ASSERT_OK(built->SaveReleasedState(&saved));
+  std::vector<ReleasedSectionView> views;
+  for (const ReleasedSection& s : saved) views.push_back({s.label, s.bytes});
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DistanceOracle> restored,
+                       HldTreeOracle::FromReleasedState(g, w, views));
+  ASSERT_NE(restored->AsUpdatable(), nullptr);
+
+  const std::vector<EdgeWeightDelta> epoch = {{0, 1.5}, {31, 0.25}, {62, 3.0}};
+  for (UpdatableDistanceOracle* oracle :
+       {static_cast<UpdatableDistanceOracle*>(built.get()),
+        restored->AsUpdatable()}) {
+    ASSERT_OK_AND_ASSIGN(ReleaseContext epoch_ctx,
+                         ReleaseContext::Create(params, kTestSeed ^ 1));
+    ASSERT_OK(oracle->ApplyWeightUpdates(epoch, epoch_ctx));
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_OK_AND_ASSIGN(double want, built->Distance(u, v));
+      ASSERT_OK_AND_ASSIGN(double got, restored->Distance(u, v));
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "d(" << u << ", " << v << ")";
+    }
+  }
+}
+
+TEST(HldOracleTest, RestoreRejectsAnUnusableNoiseScale) {
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(40, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle,
+                       HldTreeOracle::Build(g, w, PrivacyParams{}, &rng));
+  std::vector<ReleasedSection> saved;
+  ASSERT_OK(oracle->SaveReleasedState(&saved));
+  for (double scale : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<ReleasedSectionView> views;
+    std::vector<double> meta;
+    for (const ReleasedSection& s : saved) {
+      if (s.label != "meta") {
+        views.push_back({s.label, s.bytes});
+        continue;
+      }
+      meta.resize(s.bytes.size() / sizeof(double));
+      std::memcpy(meta.data(), s.bytes.data(), s.bytes.size());
+    }
+    ASSERT_EQ(meta.size(), 5u);
+    meta[1] = scale;
+    views.push_back(
+        {"meta", std::span<const uint8_t>(
+                     reinterpret_cast<const uint8_t*>(meta.data()),
+                     meta.size() * sizeof(double))});
+    Result<std::unique_ptr<DistanceOracle>> restored =
+        HldTreeOracle::FromReleasedState(g, w, views);
+    ASSERT_FALSE(restored.ok()) << "scale " << scale;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

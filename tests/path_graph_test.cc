@@ -172,6 +172,24 @@ TEST(PathGraphOracleTest, RestoreRejectsImagesOfTheWrongShape) {
   }
 }
 
+TEST(PathGraphOracleTest, BatchLookaheadBoundaries) {
+  Rng rng(kTestSeed);
+  const int n = 1000;
+  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle,
+                       PathGraphOracle::Build(g, w, PrivacyParams{}, &rng));
+  std::vector<VertexPair> pairs;
+  for (int i = 0; i < 20; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
+  }
+  ExpectBatchesMatchPerPairDistance(*oracle, pairs);
+  for (VertexId bad : {-1, n}) {
+    ExpectOutOfRangeRejectedAnywhere(*oracle, pairs, bad);
+  }
+}
+
 TEST(PathGraphErrorBoundTest, GrowsPolylogarithmically) {
   PrivacyParams params{1.0, 0.0, 1.0};
   double b256 = PathGraphErrorBound(256, params, 0.05);

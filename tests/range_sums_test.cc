@@ -1,6 +1,11 @@
 #include "core/range_sums.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -80,6 +85,95 @@ TEST(RangeSumsTest, BlockCountIsLinear) {
   NoisyDyadicRangeSums sums(values, 1.0, &rng);
   // sum over levels of ceil(100/2^l) < 2 * 100 + levels.
   EXPECT_LT(sums.num_blocks(), 2 * 100 + sums.num_levels());
+}
+
+// The greedy aligned decomposition the closed-form walk replaced, kept as
+// its reference: from lo, take the largest block that starts at lo (2^level
+// divides lo), fits in [lo, hi) and exists, read straight from blocks().
+class GreedyReference {
+ public:
+  explicit GreedyReference(const NoisyDyadicRangeSums& sums) : sums_(sums) {
+    // Level-major layout: level l holds ceil(size / 2^l) blocks.
+    offset_.push_back(0);
+    for (int l = 0; l < sums.num_levels(); ++l) {
+      const size_t width = size_t{1} << l;
+      offset_.push_back(offset_.back() +
+                        (static_cast<size_t>(sums.size()) + width - 1) / width);
+    }
+    EXPECT_EQ(offset_.back(), sums.blocks().size());
+  }
+
+  double RangeSum(int lo, int hi, int* segments) const {
+    std::span<const double> blocks = sums_.blocks();
+    double sum = 0.0;
+    const int top = sums_.num_levels() - 1;
+    while (lo < hi) {
+      const int fit =
+          static_cast<int>(std::bit_width(static_cast<unsigned>(hi - lo))) - 1;
+      const int level =
+          std::min({top, fit, std::countr_zero(static_cast<unsigned>(lo))});
+      sum += blocks[offset_[static_cast<size_t>(level)] +
+                    static_cast<size_t>(lo >> level)];
+      ++(*segments);
+      lo += 1 << level;
+    }
+    return sum;
+  }
+
+ private:
+  const NoisyDyadicRangeSums& sums_;
+  std::vector<size_t> offset_;
+};
+
+// Both query paths equal the greedy reference bit for bit, and RangeSum
+// counts the same blocks.
+void ExpectMatchesGreedy(const NoisyDyadicRangeSums& sums,
+                         const GreedyReference& greedy, int lo, int hi) {
+  int expected_segments = 0;
+  const uint64_t expected =
+      std::bit_cast<uint64_t>(greedy.RangeSum(lo, hi, &expected_segments));
+  int segments = 0;
+  ASSERT_OK_AND_ASSIGN(double checked, sums.RangeSum(lo, hi, &segments));
+  ASSERT_EQ(std::bit_cast<uint64_t>(checked), expected)
+      << "size " << sums.size() << " [" << lo << ", " << hi << ")";
+  ASSERT_EQ(segments, expected_segments)
+      << "size " << sums.size() << " [" << lo << ", " << hi << ")";
+  ASSERT_EQ(std::bit_cast<uint64_t>(sums.RangeSumUnchecked(lo, hi)), expected)
+      << "size " << sums.size() << " [" << lo << ", " << hi << ")";
+}
+
+std::vector<double> RandomValues(int size, Rng* rng) {
+  std::vector<double> values(static_cast<size_t>(size));
+  for (double& v : values) v = rng->Uniform(0.0, 10.0);
+  return values;
+}
+
+TEST(RangeSumsWalkTest, EveryRangeOfSmallSizesMatchesGreedy) {
+  Rng rng(kTestSeed);
+  for (int size = 1; size <= 130; ++size) {
+    NoisyDyadicRangeSums sums(RandomValues(size, &rng), 3.0, &rng);
+    GreedyReference greedy(sums);
+    for (int lo = 0; lo <= size; ++lo) {
+      for (int hi = lo; hi <= size; ++hi) {
+        ExpectMatchesGreedy(sums, greedy, lo, hi);
+        if (testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RangeSumsWalkTest, RandomRangesAroundAPowerOfTwoMatchGreedy) {
+  Rng rng(kTestSeed);
+  for (int size : {(1 << 19) - 1, 1 << 19, (1 << 19) + 1}) {
+    NoisyDyadicRangeSums sums(RandomValues(size, &rng), 3.0, &rng);
+    GreedyReference greedy(sums);
+    for (int trial = 0; trial < 100000; ++trial) {
+      int lo = static_cast<int>(rng.UniformInt(0, size));
+      int hi = static_cast<int>(rng.UniformInt(0, size));
+      ExpectMatchesGreedy(sums, greedy, std::min(lo, hi), std::max(lo, hi));
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace
