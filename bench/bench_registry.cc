@@ -17,14 +17,13 @@
 //      fractions — the continual-release economics in one table.
 //  R5  hardware-limit hot path: forced-scalar vs AVX2 DistanceInto
 //      throughput (same release, same pairs — the dispatch is the only
-//      variable) and the NUMA-aware sharded executor on top, at V=16384
-//      and V=131072.
+//      variable) at V=16384 and V=131072.
 //
 // Usage: bench_registry [out.csv] [out.json]
 //   out.csv   the R1 rows as CSV
 //   out.json  machine-readable R1 + R3 + R5 numbers (ops/sec per
-//             mechanism, the build-scaling runs, and the scalar/AVX2/NUMA
-//             series) — the CI perf-smoke artifact.
+//             mechanism, the build-scaling runs, and the scalar/AVX2
+//             series).
 
 #include <cstdio>
 #include <string>
@@ -33,7 +32,6 @@
 
 #include "bench_util.h"
 #include "common/cpu.h"
-#include "common/numa.h"
 #include "core/baselines.h"
 #include "core/bounded_weight.h"
 #include "core/hld_oracle.h"
@@ -57,16 +55,13 @@ struct ScalingRun {
   double build_ms = 0.0;
 };
 
-/// One R5 row: the same release served under forced-scalar dispatch, the
-/// ambient (AVX2 when available) dispatch, and the NUMA-aware sharded
-/// executor on top of the ambient dispatch.
+/// One R5 row: the same release served under forced-scalar dispatch and
+/// the ambient (AVX2 when available) dispatch.
 struct SimdRun {
   std::string mechanism;
   int v = 0;
   BatchTiming scalar;  // ScopedForceScalar DistanceBatch
   BatchTiming simd;    // ambient-dispatch DistanceBatch
-  BatchTiming numa;    // ambient dispatch + NUMA-aware BatchExecutor
-  int placed_buffers = 0;
 };
 
 /// One accounting policy's certified total for the R2b ledger.
@@ -230,8 +225,7 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                  i + 1 < accounting.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // R4: incremental update epochs vs full rebuild. deltas_per_sec is the
-  // ops/sec series the perf-trajectory tracker watches.
+  // R4: incremental update epochs vs full rebuild.
   std::fprintf(f,
                "  \"updates\": {\"name\": \"tree-hld\", \"V\": %d, "
                "\"epochs\": [\n",
@@ -254,9 +248,7 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                  i + 1 < updates.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
-  // R5: the dispatch A/B (one release, forced-scalar vs ambient) and the
-  // NUMA-aware executor series the perf-trajectory tracker watches.
-  const NumaTopology& topo = NumaTopologyInfo();
+  // R5: the dispatch A/B (one release, forced-scalar vs ambient).
   std::fprintf(f,
                "  \"simd\": {\"dispatch\": \"%s\", \"queries\": %zu, "
                "\"runs\": [\n",
@@ -273,19 +265,6 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                      ? r.simd.ops_per_sec / r.scalar.ops_per_sec
                      : 0.0,
                  i + 1 < simd.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"numa\": {\"nodes\": %d, \"source\": \"%s\", "
-               "\"runs\": [\n",
-               topo.num_nodes, topo.source);
-  for (size_t i = 0; i < simd.size(); ++i) {
-    const SimdRun& r = simd[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"V\": %d, \"ops_per_sec\": %.0f, "
-                 "\"placed_buffers\": %d}%s\n",
-                 r.mechanism.c_str(), r.v, r.numa.ops_per_sec,
-                 r.placed_buffers, i + 1 < simd.size() ? "," : "");
   }
   std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
@@ -541,19 +520,14 @@ void Run(const char* csv_path, const char* json_path) {
   // R5: hardware-limit hot path. One release per (mechanism, V); the
   // scalar and AVX2 legs run the identical DistanceBatch on it (results
   // are bit-identical — tests/simd_conformance_test.cc — so the dispatch
-  // is the only variable), then the NUMA-aware executor serves the same
-  // pairs with the released buffers interleaved across nodes. On this
-  // machine: dispatch and topology are printed with the table; on
-  // single-node boxes the numa column reduces to sharded execution.
+  // is the only variable). The dispatch is printed with the table.
   const size_t simd_queries = 200000;
   std::vector<SimdRun> simd_runs;
   Table simd_table(
-      StrFormat("R5: scalar vs AVX2 vs AVX2+NUMA serving (path graph, "
-                "200k queries; dispatch=%s, numa nodes=%d)",
-                SimdDispatchDescription(), NumaTopologyInfo().num_nodes),
-      {"mechanism", "V", "scalar Mops/s", "avx2 Mops/s", "avx2/scalar",
-       "numa Mops/s", "numa/scalar", "placed"});
-  BatchExecutor numa_executor;  // numa_aware defaults on
+      StrFormat("R5: scalar vs AVX2 serving (path graph, 200k queries; "
+                "dispatch=%s)",
+                SimdDispatchDescription()),
+      {"mechanism", "V", "scalar Mops/s", "avx2 Mops/s", "avx2/scalar"});
   for (int simd_v : {16384, 131072}) {
     Graph simd_g = OrDie(MakePathGraph(simd_v));
     EdgeWeights simd_w = MakeUniformWeights(simd_g, 0.1, 0.9, &rng);
@@ -573,12 +547,7 @@ void Run(const char* csv_path, const char* json_path) {
         run.scalar = TimeDistanceBatch(*oracle, simd_pairs);
       }
       run.simd = TimeDistanceBatch(*oracle, simd_pairs);
-      run.placed_buffers = numa_executor.PlaceReleasedBuffers(*oracle);
-      run.numa = TimeBatchRunner(simd_pairs.size(), 1, 3, [&] {
-        return OrDie(numa_executor.Execute(*oracle, simd_pairs)).front();
-      });
-      if (run.scalar.front != run.simd.front ||
-          run.simd.front != run.numa.front) {
+      if (run.scalar.front != run.simd.front) {
         std::abort();  // dispatch must never change results
       }
       simd_table.Row()
@@ -586,10 +555,7 @@ void Run(const char* csv_path, const char* json_path) {
           .Add(simd_v)
           .Add(run.scalar.ops_per_sec / 1e6, 2)
           .Add(run.simd.ops_per_sec / 1e6, 2)
-          .Add(run.simd.ops_per_sec / run.scalar.ops_per_sec, 2)
-          .Add(run.numa.ops_per_sec / 1e6, 2)
-          .Add(run.numa.ops_per_sec / run.scalar.ops_per_sec, 2)
-          .Add(run.placed_buffers);
+          .Add(run.simd.ops_per_sec / run.scalar.ops_per_sec, 2);
     }
   }
   simd_table.Print();
@@ -604,9 +570,9 @@ void Run(const char* csv_path, const char* json_path) {
   std::puts(
       "\nShape check: every mechanism builds once through the shared "
       "pipeline and the\nbatched path answers at memory speed; the sharded "
-      "executor matches DistanceBatch\nbit-for-bit while pinning shards to "
-      "workers. Bounded-weight build time drops as\nthe Z-center Dijkstra "
-      "fan-out widens (R3b).");
+      "executor matches DistanceBatch\nbit-for-bit while spreading shards "
+      "across workers. Bounded-weight build time\ndrops as the Z-center "
+      "Dijkstra fan-out widens (R3b).");
 }
 
 }  // namespace

@@ -183,7 +183,7 @@ void Coordinator::AcceptLoop() {
   while (!stopping_.load()) {
     ReapSessions();
     Result<net::Socket> accepted = listener_.Accept(200);
-    if (!accepted.ok()) continue;  // timeout poll or listener closing
+    if (!accepted.ok()) continue;  // timeout or failed accept: retry
     ServeSubscriber(std::move(accepted).value());
   }
 }

@@ -221,9 +221,8 @@ Status Replica::MaterializeAndInstall(uint32_t handle_id,
         StrFormat("replica has no workload '%s' loaded",
                   image.workload().c_str()));
   }
-  DPSP_ASSIGN_OR_RETURN(
-      std::shared_ptr<DistanceOracle> oracle,
-      image.Materialize(*graph, *weights, &server_->executor()));
+  DPSP_ASSIGN_OR_RETURN(std::shared_ptr<DistanceOracle> oracle,
+                        image.Materialize(*graph, *weights));
   DPSP_RETURN_IF_ERROR(server_->InstallReplicaHandle(
       handle_id, image.name(), image.mechanism(), image.workload(),
       std::move(oracle)));

@@ -3,12 +3,12 @@
 // Every hot released structure (packed Euler-tour LCA sparse table, dyadic
 // block arrays, CSR adjacency, the bounded-weight Z x Z table) is a flat
 // array streamed by the DistanceInto kernels. Default std::vector storage
-// only guarantees alignof(T); the SIMD gather paths and the NUMA placement
-// shim both want the stronger guarantee that a buffer starts on its own
-// cache line (and therefore never splits a 32-byte vector load across a
-// line boundary at offset 0). AlignedVector is std::vector with a 64-byte
-// aligned allocator, so every call site keeps vector semantics — the
-// alignment is a property of the type, checked statically in tests.
+// only guarantees alignof(T); the kernels want the stronger guarantee that
+// a buffer starts on its own cache line (so a 32-byte vector load at
+// offset 0 never splits across a line boundary). AlignedVector is
+// std::vector with a 64-byte aligned allocator, so every call site keeps
+// vector semantics — the alignment is a property of the type, checked in
+// tests.
 
 #ifndef DPSP_COMMON_ALIGNED_H_
 #define DPSP_COMMON_ALIGNED_H_

@@ -1,136 +1,29 @@
 #include "common/numa.h"
 
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__linux__)
 #include <dirent.h>
-#include <sched.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 
 #include <cstdio>
-#endif
-
-#if defined(DPSP_HAVE_LIBNUMA)
-#include <numa.h>
-#endif
 
 namespace dpsp {
 
 namespace {
 
-#if defined(__linux__)
-// mbind(2) policy constants (linux/mempolicy.h values, stable ABI);
-// declared locally so the shim builds without libnuma-dev headers.
-constexpr int kMpolBind = 2;
-constexpr int kMpolInterleave = 3;
-constexpr unsigned kMpolMfMove = 1 << 1;  // migrate already-touched pages
-
-// Parses a sysfs cpulist ("0-3,8,10-11") into CPU ids.
-std::vector<int> ParseCpuList(const char* list) {
-  std::vector<int> cpus;
-  const char* p = list;
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    long lo = std::strtol(p, &end, 10);
-    if (end == p) break;
-    long hi = lo;
-    p = end;
-    if (*p == '-') {
-      hi = std::strtol(p + 1, &end, 10);
-      p = end;
-    }
-    for (long c = lo; c <= hi; ++c) cpus.push_back(static_cast<int>(c));
-    if (*p == ',') ++p;
-  }
-  return cpus;
-}
-
-// Reads /sys/devices/system/node/node<N>/cpulist for every node directory.
-// Returns false when the sysfs tree is absent (e.g. minimal containers).
-bool ProbeSysfs(NumaTopology* topo) {
+// Counts the node<N> entries of the sysfs node directory.
+NumaTopology Probe() {
+  NumaTopology topo;
   DIR* dir = opendir("/sys/devices/system/node");
-  if (dir == nullptr) return false;
-  std::vector<int> nodes;
+  if (dir == nullptr) return topo;
+  int nodes = 0;
   for (dirent* entry = readdir(dir); entry != nullptr;
        entry = readdir(dir)) {
     int node = -1;
     if (std::sscanf(entry->d_name, "node%d", &node) == 1 && node >= 0) {
-      nodes.push_back(node);
+      ++nodes;
     }
   }
   closedir(dir);
-  if (nodes.empty()) return false;
-  int max_node = 0;
-  for (int n : nodes) max_node = n > max_node ? n : max_node;
-  topo->num_nodes = max_node + 1;
-  topo->node_cpus.assign(static_cast<size_t>(topo->num_nodes), {});
-  for (int n : nodes) {
-    char path[96];
-    std::snprintf(path, sizeof(path),
-                  "/sys/devices/system/node/node%d/cpulist", n);
-    std::FILE* f = std::fopen(path, "r");
-    if (f == nullptr) continue;
-    char buf[4096];
-    if (std::fgets(buf, sizeof(buf), f) != nullptr) {
-      topo->node_cpus[static_cast<size_t>(n)] = ParseCpuList(buf);
-    }
-    std::fclose(f);
-  }
-  topo->source = "sysfs";
-  return true;
-}
-
-// One mbind call over the page-rounded range; `nodemask` is a bitmask of
-// target nodes.
-bool MbindRange(const void* ptr, size_t bytes, int mode,
-                unsigned long nodemask) {
-  if (ptr == nullptr || bytes == 0) return false;
-  long page = sysconf(_SC_PAGESIZE);
-  if (page <= 0) return false;
-  auto addr = reinterpret_cast<uintptr_t>(ptr);
-  uintptr_t start = addr & ~static_cast<uintptr_t>(page - 1);
-  size_t len = (addr + bytes) - start;
-  len = (len + static_cast<size_t>(page) - 1) &
-        ~static_cast<size_t>(page - 1);
-  // maxnode counts bits + 1 per the syscall contract.
-  return syscall(SYS_mbind, start, len, mode, &nodemask,
-                 sizeof(nodemask) * 8 + 1, kMpolMfMove) == 0;
-}
-#endif  // __linux__
-
-NumaTopology Probe() {
-  NumaTopology topo;
-  const char* env = std::getenv("DPSP_NUMA");
-  if (env != nullptr && std::strcmp(env, "0") == 0) {
-    topo.source = "disabled";
-    return topo;
-  }
-#if defined(DPSP_HAVE_LIBNUMA)
-  if (numa_available() >= 0) {
-    topo.num_nodes = numa_max_node() + 1;
-    topo.node_cpus.assign(static_cast<size_t>(topo.num_nodes), {});
-    int cpus = numa_num_configured_cpus();
-    for (int cpu = 0; cpu < cpus; ++cpu) {
-      int node = numa_node_of_cpu(cpu);
-      if (node >= 0 && node < topo.num_nodes) {
-        topo.node_cpus[static_cast<size_t>(node)].push_back(cpu);
-      }
-    }
-    topo.source = "libnuma";
-    topo.available = topo.num_nodes > 1;
-    return topo;
-  }
-#endif
-#if defined(__linux__)
-  if (ProbeSysfs(&topo)) {
-    topo.available = topo.num_nodes > 1;
-    return topo;
-  }
-#endif
-  return topo;  // single-node fallback
+  if (nodes > 0) topo.num_nodes = nodes;
+  return topo;
 }
 
 }  // namespace
@@ -138,56 +31,6 @@ NumaTopology Probe() {
 const NumaTopology& NumaTopologyInfo() {
   static const NumaTopology topo = Probe();
   return topo;
-}
-
-bool PinCurrentThreadToNode(int node) {
-  const NumaTopology& topo = NumaTopologyInfo();
-  if (!topo.available || node < 0 || node >= topo.num_nodes) return false;
-#if defined(__linux__)
-  const std::vector<int>& cpus = topo.node_cpus[static_cast<size_t>(node)];
-  if (cpus.empty()) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int cpu : cpus) {
-    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &set);
-  }
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  return false;
-#endif
-}
-
-bool BindMemoryToNode(const void* ptr, size_t bytes, int node) {
-  const NumaTopology& topo = NumaTopologyInfo();
-  if (!topo.available || node < 0 || node >= topo.num_nodes ||
-      node >= static_cast<int>(sizeof(unsigned long) * 8)) {
-    return false;
-  }
-#if defined(__linux__)
-  return MbindRange(ptr, bytes, kMpolBind, 1ul << node);
-#else
-  (void)ptr;
-  (void)bytes;
-  return false;
-#endif
-}
-
-bool InterleaveMemory(const void* ptr, size_t bytes) {
-  const NumaTopology& topo = NumaTopologyInfo();
-  if (!topo.available) return false;
-#if defined(__linux__)
-  int nodes = topo.num_nodes < static_cast<int>(sizeof(unsigned long) * 8)
-                  ? topo.num_nodes
-                  : static_cast<int>(sizeof(unsigned long) * 8);
-  unsigned long mask = nodes >= static_cast<int>(sizeof(unsigned long) * 8)
-                           ? ~0ul
-                           : (1ul << nodes) - 1;
-  return MbindRange(ptr, bytes, kMpolInterleave, mask);
-#else
-  (void)ptr;
-  (void)bytes;
-  return false;
-#endif
 }
 
 }  // namespace dpsp

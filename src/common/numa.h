@@ -1,65 +1,22 @@
-// NUMA topology probe and placement shim for the serving hot path.
+// NUMA node count of the host, for environment records.
 //
-// On a multi-socket box the released flat buffers and the shard workers
-// that stream them should live on the same node: a remote-node load costs
-// 1.5-2x a local one, which is exactly the margin the memory-bound
-// DistanceInto kernels run at. This shim gives the executor three
-// primitives with graceful degradation:
-//
-//   * topology:  libnuma when compiled in (DPSP_HAVE_LIBNUMA), else the
-//                sysfs nodes under /sys/devices/system/node, else a
-//                single-node fallback;
-//   * pinning:   sched_setaffinity of the calling worker thread onto one
-//                node's CPU set;
-//   * placement: mbind(2) of a released buffer's pages onto one node
-//                (MPOL_BIND) or across all nodes (MPOL_INTERLEAVE) — the
-//                raw syscall, so no libnuma dependency is required.
-//
-// On a single-node machine (or a non-Linux build) every primitive is a
-// cheap no-op that reports success=false, so call sites never need their
-// own platform guards. Set DPSP_NUMA=0 to disable the whole shim at
-// runtime.
+// Nothing in the library places memory or pins threads by node; the
+// count only documents the machine a measurement ran on.
 
 #ifndef DPSP_COMMON_NUMA_H_
 #define DPSP_COMMON_NUMA_H_
-
-#include <cstddef>
-#include <vector>
 
 namespace dpsp {
 
 /// The machine's NUMA layout, probed once and cached.
 struct NumaTopology {
-  /// True iff more than one node was found and the shim is enabled —
-  /// the precondition for every placement primitive to do real work.
-  bool available = false;
-  /// Number of memory nodes (1 on UMA machines and non-Linux builds).
+  /// Memory nodes under /sys/devices/system/node; 1 when that directory
+  /// is absent or lists none.
   int num_nodes = 1;
-  /// Where the layout came from: "libnuma", "sysfs", "single", or
-  /// "disabled" (DPSP_NUMA=0).
-  const char* source = "single";
-  /// node -> CPU ids on that node (empty vectors on the fallback paths).
-  std::vector<std::vector<int>> node_cpus;
 };
 
-/// The cached topology. First call probes; DPSP_NUMA=0 yields the
-/// single-node fallback with source "disabled".
+/// The cached topology. The first call probes.
 const NumaTopology& NumaTopologyInfo();
-
-/// Pins the calling thread to the CPUs of `node`. Returns true on
-/// success; false (no-op) on single-node machines, out-of-range nodes,
-/// or unsupported platforms.
-bool PinCurrentThreadToNode(int node);
-
-/// Binds the pages of [ptr, ptr + bytes) to `node` (MPOL_BIND with page
-/// migration). The range is rounded out to page boundaries. Returns true
-/// iff the syscall succeeded on a multi-node machine.
-bool BindMemoryToNode(const void* ptr, size_t bytes, int node);
-
-/// Interleaves the pages of [ptr, ptr + bytes) across all nodes — the
-/// right policy for one released structure streamed by workers on every
-/// node. Returns true iff the syscall succeeded on a multi-node machine.
-bool InterleaveMemory(const void* ptr, size_t bytes);
 
 }  // namespace dpsp
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/cpu.h"
 #include "common/table.h"
 #include "core/released_state.h"
-#include "core/simd_kernels.h"
 #include "dp/composition.h"
 #include "dp/gaussian_mechanism.h"
 #include "dp/laplace_mechanism.h"
@@ -184,21 +182,6 @@ Status BoundedWeightOracle::DistanceInto(std::span<const VertexPair> pairs,
   const int* assign = covering_.assignment.data();
   const double* table = noisy_.data();
   const size_t stride = static_cast<size_t>(num_centers_);
-#if defined(DPSP_HAVE_AVX2)
-  // The gather path needs every table index in int32 range: Z^2 < 2^31.
-  if (SimdKernelsEnabled() && pairs.size() >= 8 &&
-      static_cast<long long>(num_centers_) * num_centers_ <
-          (1ll << 31)) {
-    static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
-                  "kernels reinterpret VertexPair as two packed int32s");
-    int bad = simd::BoundedLookupAvx2(
-        table, num_centers_, assign, static_cast<int>(n),
-        reinterpret_cast<const int32_t*>(pairs.data()),
-        static_cast<int>(pairs.size()), out);
-    if (bad < 0) return Status::Ok();
-    return Status::InvalidArgument("vertex out of range");
-  }
-#endif
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [u, v] = pairs[i];
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
@@ -209,13 +192,6 @@ Status BoundedWeightOracle::DistanceInto(std::span<const VertexPair> pairs,
     out[i] = zu == zv ? 0.0 : table[zu * stride + zv];
   }
   return Status::Ok();
-}
-
-void BoundedWeightOracle::AppendReleasedBuffers(
-    std::vector<ReleasedBuffer>* out) const {
-  out->push_back({"assignment", covering_.assignment.data(),
-                  covering_.assignment.size() * sizeof(int)});
-  out->push_back({"zz-table", noisy_.data(), noisy_.size() * sizeof(double)});
 }
 
 std::string BoundedWeightOracle::Name() const {

@@ -96,9 +96,6 @@ class BoundedWeightOracle final : public DistanceOracle {
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override;
-  /// The flat buffers the lookup kernel streams: the covering assignment
-  /// and the Z x Z noisy table.
-  void AppendReleasedBuffers(std::vector<ReleasedBuffer>* out) const override;
 
   const Covering& covering() const { return covering_; }
   double noise_scale() const { return noise_scale_; }
@@ -134,7 +131,7 @@ class BoundedWeightOracle final : public DistanceOracle {
   double noise_scale_ = 0.0;
   // Dense |Z| x |Z| noisy distance table (diagonal zero), flattened
   // row-major: entry (i, j) lives at i * num_centers_ + j. Cache-line
-  // aligned: the batch kernel gathers directly from it.
+  // aligned like every released flat buffer.
   int num_centers_ = 0;
   AlignedVector<double> noisy_;
 };

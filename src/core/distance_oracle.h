@@ -28,18 +28,6 @@ class UpdatableDistanceOracle;
 /// One (u, v) distance query.
 using VertexPair = std::pair<VertexId, VertexId>;
 
-/// One flat released buffer of an oracle, exposed for memory placement:
-/// the NUMA-aware executor binds or interleaves these pages so shard
-/// workers stream node-local memory. Pointers remain owned by the oracle
-/// and are only valid while it lives and is not mutated.
-struct ReleasedBuffer {
-  /// What the buffer holds ("estimates", "lca-table", "dyadic-blocks",
-  /// "zz-table", ...), for diagnostics.
-  const char* label = "";
-  const void* data = nullptr;
-  size_t bytes = 0;
-};
-
 /// One edge of the private weight map drifting to a new value — the unit
 /// of a continual-release update epoch. The topology is public and never
 /// changes; only the private weights do.
@@ -97,16 +85,6 @@ class DistanceOracle {
 
   /// Mechanism name for reports.
   virtual std::string Name() const = 0;
-
-  /// Appends this oracle's flat released buffers (the arrays its
-  /// DistanceInto kernel streams) to `out`, for NUMA placement by the
-  /// serving layer. The default appends nothing — placement is then a
-  /// no-op for that mechanism, never an error. Returned pointers are
-  /// invalidated by destruction or by a weight-update epoch; callers
-  /// re-query after updates.
-  virtual void AppendReleasedBuffers(std::vector<ReleasedBuffer>* out) const {
-    (void)out;
-  }
 
   /// Appends this oracle's complete released state as owning labeled
   /// sections — everything a same-mechanism restore factory needs, given

@@ -320,28 +320,6 @@ double HldTreeOracle::DistanceUnchecked(VertexId u, VertexId v) const {
          (up_v + chain.RangeSumUnchecked(pz, pv));
 }
 
-void HldTreeOracle::AppendReleasedBuffers(
-    std::vector<ReleasedBuffer>* out) const {
-  out->push_back({"chain-of", chain_of_.data(),
-                  chain_of_.size() * sizeof(int)});
-  out->push_back({"pos-in-chain", pos_in_chain_.data(),
-                  pos_in_chain_.size() * sizeof(int)});
-  out->push_back({"ascent-cost", ascent_cost_.data(),
-                  ascent_cost_.size() * sizeof(double)});
-  out->push_back({"head-parent", head_parent_.data(),
-                  head_parent_.size() * sizeof(VertexId)});
-  out->push_back({"head-depth", head_depth_.data(),
-                  head_depth_.size() * sizeof(int)});
-  out->push_back({"light-noisy", light_noisy_.data(),
-                  light_noisy_.size() * sizeof(double)});
-  for (const NoisyDyadicRangeSums& chain : chains_) {
-    std::span<const double> blocks = chain.blocks();
-    if (blocks.empty()) continue;
-    out->push_back(
-        {"dyadic-blocks", blocks.data(), blocks.size() * sizeof(double)});
-  }
-}
-
 Status HldTreeOracle::SaveReleasedState(
     std::vector<ReleasedSection>* out) const {
   // Every noisy value of the release: the per-chain dyadic blocks

@@ -75,10 +75,6 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
-  /// The flat buffers the chain climb streams: per-vertex chain arrays,
-  /// per-chain head depths and landing vertices, ascent caches, and every
-  /// chain's dyadic blocks.
-  void AppendReleasedBuffers(std::vector<ReleasedBuffer>* out) const override;
 
   /// One incremental update epoch: maps each dirty edge to its heavy-
   /// chain block stack (or light scalar), redraws fresh noise for only

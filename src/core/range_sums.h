@@ -105,7 +105,7 @@ class NoisyDyadicRangeSums {
   double noise_scale() const { return noise_scale_; }
 
   /// The released noisy block sums, level-major in one cache-aligned
-  /// buffer: what a holder saves, ships and hands to NUMA placement.
+  /// buffer: what a holder saves and ships.
   std::span<const double> blocks() const {
     return {blocks_.data(), blocks_.size()};
   }

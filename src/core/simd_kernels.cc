@@ -150,66 +150,6 @@ int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
   return -1;
 }
 
-int BoundedLookupAvx2(const double* table, int stride,
-                      const int32_t* assign, int n, const int32_t* pairs,
-                      int count, double* out) {
-  const __m128i stride_v = _mm_set1_epi32(stride);
-  const __m256d zero = _mm256_setzero_pd();
-  int i = 0;
-  // Two independent lane groups per iteration: on large tables both
-  // groups' gathers are in flight together (memory-level parallelism).
-  for (; i + 8 <= count; i += 8) {
-    __m128i u0, v0, u1, v1;
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u0, &v0);
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i) + 8, &u1, &v1);
-    if (FirstInvalidLane(u0, v0, n) < 4 || FirstInvalidLane(u1, v1, n) < 4) {
-      break;  // finish in the 4-wide loop / scalar tail below
-    }
-    __m128i zu0 = _mm_i32gather_epi32(assign, u0, 4);
-    __m128i zv0 = _mm_i32gather_epi32(assign, v0, 4);
-    __m128i zu1 = _mm_i32gather_epi32(assign, u1, 4);
-    __m128i zv1 = _mm_i32gather_epi32(assign, v1, 4);
-    __m128i idx0 = _mm_add_epi32(_mm_mullo_epi32(zu0, stride_v), zv0);
-    __m128i idx1 = _mm_add_epi32(_mm_mullo_epi32(zu1, stride_v), zv1);
-    __m256d vals0 = _mm256_i32gather_pd(table, idx0, 8);
-    __m256d vals1 = _mm256_i32gather_pd(table, idx1, 8);
-    __m256d same0 = _mm256_castsi256_pd(
-        _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(zu0, zv0)));
-    __m256d same1 = _mm256_castsi256_pd(
-        _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(zu1, zv1)));
-    _mm256_storeu_pd(out + i, _mm256_blendv_pd(vals0, zero, same0));
-    _mm256_storeu_pd(out + i + 4, _mm256_blendv_pd(vals1, zero, same1));
-  }
-  for (; i + 4 <= count; i += 4) {
-    __m128i u, v;
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u, &v);
-    if (FirstInvalidLane(u, v, n) < 4) break;  // finish scalar below
-    __m128i zu = _mm_i32gather_epi32(assign, u, 4);
-    __m128i zv = _mm_i32gather_epi32(assign, v, 4);
-    __m128i idx = _mm_add_epi32(_mm_mullo_epi32(zu, stride_v), zv);
-    __m256d vals = _mm256_i32gather_pd(table, idx, 8);
-    // Exact 0.0 on the diagonal, like the scalar zu == zv branch.
-    __m256d same = _mm256_castsi256_pd(
-        _mm256_cvtepi32_epi64(_mm_cmpeq_epi32(zu, zv)));
-    _mm256_storeu_pd(out + i, _mm256_blendv_pd(vals, zero, same));
-  }
-  for (; i < count; ++i) {
-    int u = pairs[2 * static_cast<size_t>(i)];
-    int v = pairs[2 * static_cast<size_t>(i) + 1];
-    if (static_cast<unsigned>(u) >= static_cast<unsigned>(n) ||
-        static_cast<unsigned>(v) >= static_cast<unsigned>(n)) {
-      return i;
-    }
-    int zu = assign[static_cast<size_t>(u)];
-    int zv = assign[static_cast<size_t>(v)];
-    out[i] = zu == zv
-                 ? 0.0
-                 : table[static_cast<size_t>(zu) * static_cast<size_t>(stride) +
-                         static_cast<size_t>(zv)];
-  }
-  return -1;
-}
-
 }  // namespace simd
 
 }  // namespace dpsp

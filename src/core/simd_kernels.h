@@ -1,23 +1,23 @@
-// AVX2 batch kernels for the fused DistanceInto hot paths.
+// The AVX2 batch kernel for tree-recursive's fused DistanceInto.
 //
-// Each kernel is the vector twin of one scalar batch loop, operating on
-// the flat released buffers (EulerTourLca::FlatView with the released
-// estimates, the bounded-weight Z x Z table) through gathers. The dyadic
-// range-sum oracles (tree-hld, path-hierarchy) have no vector kernel:
-// their per-pair chain climbs and block walks have data-dependent length,
-// and a gathered prefix-sum variant measured no faster than the scalar
-// walk. The kernels are
-// bit-identical to their scalar twins by construction: integer index math
-// is exact, and every floating-point combine uses the same IEEE operation
+// TreeCombineAvx2 is the vector twin of TreeAllPairsOracle's scalar batch
+// loop, operating on the flat released buffers (EulerTourLca::FlatView
+// with the released estimates) through gathers. Every other oracle runs
+// its scalar loop only: the dyadic range-sum oracles (tree-hld,
+// path-hierarchy) walk a data-dependent number of blocks per pair, and
+// bounded-weight answers with one table lookup per pair, where gathers
+// saved too little to show in any served batch. The kernel is
+// bit-identical to its scalar twin by construction: integer index math is
+// exact, and the floating-point combine uses the same IEEE operation
 // order as the scalar loop (enforced repo-wide with -ffp-contract=off).
 // tests/simd_conformance_test.cc asserts the identity across every
 // registry oracle.
 //
-// This header is always safe to include; the definitions exist only when
+// This header is always safe to include; the definition exists only when
 // the toolchain compiled the AVX2 translation unit (DPSP_HAVE_AVX2), and
-// call sites dispatch per call on SimdKernelsEnabled(). Index-width
-// contract: every gathered index must fit int32 — callers guard with
-// EulerTourLca::SimdCompatible() and the bounded oracle's Z*Z check.
+// the call site dispatches per call on SimdKernelsEnabled(). Index-width
+// contract: every gathered index must fit int32 — the caller guards with
+// EulerTourLca::SimdCompatible().
 
 #ifndef DPSP_CORE_SIMD_KERNELS_H_
 #define DPSP_CORE_SIMD_KERNELS_H_
@@ -41,13 +41,6 @@ namespace simd {
 /// valid and written.
 int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
                     const int32_t* pairs, int count, double* out);
-
-/// Fused bounded-weight kernel: out[i] = table[assign[u] * stride +
-/// assign[v]], 0 exactly when the assignments coincide. Same validation
-/// contract as TreeCombineAvx2 (`n` bounds the vertex ids).
-int BoundedLookupAvx2(const double* table, int stride,
-                      const int32_t* assign, int n, const int32_t* pairs,
-                      int count, double* out);
 
 #endif  // DPSP_HAVE_AVX2
 

@@ -150,16 +150,6 @@ Result<std::unique_ptr<TreeAllPairsOracle>> TreeAllPairsOracle::Build(
       });
 }
 
-void TreeAllPairsOracle::AppendReleasedBuffers(
-    std::vector<ReleasedBuffer>* out) const {
-  out->push_back({"estimates", release_.estimates.data(),
-                  release_.estimates.size() * sizeof(double)});
-  EulerTourLca::FlatView flat = lca_.Flat();
-  out->push_back({"lca-table", flat.table, lca_.table_bytes()});
-  out->push_back({"lca-first-visit", flat.first_visit,
-                  lca_.first_visit_bytes()});
-}
-
 Status TreeAllPairsOracle::SaveReleasedState(
     std::vector<ReleasedSection>* out) const {
   out->push_back(released_state::Pack<double>(

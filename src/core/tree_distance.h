@@ -87,9 +87,6 @@ class TreeAllPairsOracle final : public DistanceOracle {
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
-  /// The flat buffers the batch kernel streams: the released estimates
-  /// plus the packed LCA structure.
-  void AppendReleasedBuffers(std::vector<ReleasedBuffer>* out) const override;
 
   /// Persists the released single-source estimates + release metadata.
   /// The tree orientation and LCA structure are deterministic

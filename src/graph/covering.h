@@ -35,7 +35,7 @@ struct Covering {
   std::vector<VertexId> centers;
   /// For each vertex v, the index into `centers` of a covering vertex
   /// within k hops (the nearest in hops, ties to the smallest id).
-  /// Cache-aligned: the batch kernels gather from it per query.
+  /// Cache-aligned: the batch kernel reads it per query.
   AlignedVector<int> assignment;
   /// Hop distance from each vertex to its assigned center.
   std::vector<int> assignment_hops;

@@ -147,12 +147,6 @@ class EulerTourLca {
             stride_shift_, n_};
   }
 
-  /// Byte sizes of the packed buffers, for memory-placement callers.
-  size_t table_bytes() const { return table_.size() * sizeof(uint64_t); }
-  size_t first_visit_bytes() const {
-    return first_visit_.size() * sizeof(uint32_t);
-  }
-
   /// True iff every table index fits an int32 — the precondition for the
   /// AVX2 gather path (32-bit gather indices). Holds for every V the
   /// oracles accept; false only past ~2^26 vertices.

@@ -8,7 +8,7 @@
 // will ever succeed.
 //
 // A Client is one connection and is NOT thread-safe; concurrent load uses
-// one Client per thread (see bench/bench_server_loadgen.cc).
+// one Client per thread (as perfbench/'s load generators do).
 //
 // Query sends its request straight from the caller's pair span (one
 // gather write, no request buffer) and reads every response into one

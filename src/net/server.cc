@@ -373,9 +373,9 @@ void QueryServer::AcceptLoop() {
     if (!accepted.ok()) {
       if (accepted.status().code() == StatusCode::kUnavailable) {
         ReapFinishedConnections();
-        continue;  // poll timeout: check the stop flag and wait again
+        continue;  // timeout or failed accept: check the stop flag, retry
       }
-      break;  // listener failed or was closed underneath us
+      break;  // listener closed underneath us
     }
     counters_.connections_accepted.fetch_add(1);
     ReapFinishedConnections();

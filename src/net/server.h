@@ -198,10 +198,6 @@ class QueryServer {
   const Graph* WorkloadGraph(const std::string& name) const;
   const EdgeWeights* WorkloadWeights(const std::string& name) const;
 
-  /// The executor handles are placed/queried through (NUMA placement for
-  /// freshly installed replica images).
-  const BatchExecutor& executor() const { return executor_; }
-
   /// Pairs of batch capacity the open connections keep for reuse (16
   /// bytes each: a pair and its answer). Each connection keeps room for
   /// the largest batch it accepted, at most max_pairs_per_query, and

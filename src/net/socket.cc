@@ -8,9 +8,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <ctime>
+#include <thread>
 #include <utility>
 
 #include "common/table.h"
@@ -220,10 +223,15 @@ Result<Socket> Listener::Accept(int timeout_ms) {
   // a spurious kUnavailable: a server that forks workers (and so takes
   // SIGCHLD) was previously seeing phantom "accept timed out" results.
   int ready = PollRetryEintr(&pfd, timeout_ms);
-  if (ready < 0) return ErrnoStatus("poll");
   if (ready == 0) return Status::Unavailable("accept timed out");
-  int fd = accept(fd_, nullptr, nullptr);
-  if (fd < 0) return ErrnoStatus("accept");
+  int fd = ready < 0 ? -1 : accept(fd_, nullptr, nullptr);
+  if (fd < 0) {
+    // The listener stays readable, so retrying at once would spin.
+    Status failed = ErrnoStatus(ready < 0 ? "poll" : "accept");
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(std::max(timeout_ms, 0)));
+    return Status::Unavailable(failed.message());
+  }
   SetNoDelay(fd);
   return Socket(fd);
 }

@@ -107,8 +107,13 @@ class Listener {
 
   /// Waits up to `timeout_ms` for a connection and accepts it. Returns
   /// kUnavailable on timeout so accept loops can poll a stop flag between
-  /// waits instead of blocking forever. TCP_NODELAY is set on the
-  /// accepted socket (request/response protocol; Nagle only adds latency).
+  /// waits instead of blocking forever. A failed poll(2) or accept(2)
+  /// (EMFILE and ENFILE above all) also returns kUnavailable, after
+  /// waiting `timeout_ms`: the pending connection stays queued, so the
+  /// caller's next call retries it one interval later instead of spinning
+  /// on a listener that stays readable. Only a closed listener fails with
+  /// another code. TCP_NODELAY is set on the accepted socket
+  /// (request/response protocol; Nagle only adds latency).
   Result<Socket> Accept(int timeout_ms);
 
   void Close();

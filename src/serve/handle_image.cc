@@ -31,7 +31,7 @@ Status HandleImage::ApplyDelta(std::span<const store::SectionPatch> patches,
 
 Result<std::shared_ptr<DistanceOracle>> HandleImage::Materialize(
     const Graph& graph, const EdgeWeights& weights,
-    const BatchExecutor* executor) const {
+    const BatchExecutor*) const {
   std::vector<ReleasedSectionView> views;
   views.reserve(sections_.size());
   for (const ReleasedSection& section : sections_) {
@@ -42,9 +42,7 @@ Result<std::shared_ptr<DistanceOracle>> HandleImage::Materialize(
   DPSP_ASSIGN_OR_RETURN(std::unique_ptr<DistanceOracle> oracle,
                         OracleRegistry::Global().Restore(mechanism_, graph,
                                                          weights, views));
-  std::shared_ptr<DistanceOracle> shared = std::move(oracle);
-  if (executor != nullptr) executor->PlaceReleasedBuffers(*shared);
-  return shared;
+  return std::shared_ptr<DistanceOracle>(std::move(oracle));
 }
 
 uint64_t HandleImage::image_bytes() const {

@@ -45,12 +45,11 @@ class HandleImage {
                     uint64_t epoch_lsn);
 
   /// Rebuilds the serving oracle from the current sections through the
-  /// registry loader for `mechanism()`. When `executor` is non-null its
-  /// NUMA placement runs on the fresh oracle (the same call the
-  /// coordinator makes after its own installs and update epochs).
+  /// registry loader for `mechanism()`.
+  // The executor is unused; it stays because perfbench/ still passes one.
   Result<std::shared_ptr<DistanceOracle>> Materialize(
       const Graph& graph, const EdgeWeights& weights,
-      const BatchExecutor* executor = nullptr) const;
+      const BatchExecutor* = nullptr) const;
 
   const std::string& name() const { return name_; }
   const std::string& mechanism() const { return mechanism_; }

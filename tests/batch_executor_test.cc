@@ -1,4 +1,4 @@
-// Tests for the sharded batch execution engine: every shard policy must
+// Tests for the sharded batch execution engine: contiguous shards must
 // produce results bit-identical to the serial DistanceInto reference path
 // across all registered mechanisms, and a sharded build pipeline's
 // Fork/AbsorbShard ledger must equal the unsharded one.
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -75,22 +76,10 @@ TEST_P(ExecutorConformanceTest, ShardedBitIdenticalToSerial) {
     EXPECT_EQ(sharded[i], serial[i]) << name << " at pair " << i;
   }
 
-  // Keyed shards (every vertex its own cell — the worst-case key spread).
-  BatchExecutor keyed(options);
-  std::vector<int> cells(kNumVertices);
-  for (int v = 0; v < kNumVertices; ++v) cells[static_cast<size_t>(v)] = v;
-  keyed.SetShardCells(std::move(cells));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> keyed_out,
-                       keyed.Execute(*oracle, pairs));
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(keyed_out[i], serial[i]) << name << " keyed at pair " << i;
-  }
-
   // Errors propagate from shard kernels.
   std::vector<VertexPair> bad = pairs;
   bad[bad.size() / 2] = {0, kNumVertices + 5};
   EXPECT_FALSE(contiguous.Execute(*oracle, bad).ok());
-  EXPECT_FALSE(keyed.Execute(*oracle, bad).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,9 +93,9 @@ INSTANTIATE_TEST_SUITE_P(
       return id;
     });
 
-TEST(BatchExecutorTest, ComponentShardingOnForest) {
+TEST(BatchExecutorTest, ShardingOnForestKeepsInfiniteDistances) {
   // Two components; the exact oracle answers cross-component pairs with
-  // infinity, and component sharding must preserve that verbatim.
+  // infinity, and sharding must preserve that verbatim.
   ASSERT_OK_AND_ASSIGN(
       Graph g, Graph::Create(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}}));
   EdgeWeights w = {1.0, 2.0, 3.0, 4.0};
@@ -122,11 +111,15 @@ TEST(BatchExecutorTest, ComponentShardingOnForest) {
   ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
                        DistanceBatchOf(*oracle, pairs, /*max_threads=*/1));
 
+  size_t infinite = 0;
+  for (double d : serial) infinite += std::isinf(d) ? 1 : 0;
+  EXPECT_EQ(infinite, 18u);  // 2 * 3 * 3 cross-component ordered pairs
+
   BatchExecutorOptions options;
   options.num_shards = 2;
   options.min_shard_pairs = 1;
   BatchExecutor executor(options);
-  executor.SetShardCells(ComponentCells(g));
+  EXPECT_EQ(executor.PlannedShardCount(pairs.size()), 2);
   ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
                        executor.Execute(*oracle, pairs));
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -134,7 +127,7 @@ TEST(BatchExecutorTest, ComponentShardingOnForest) {
   }
 }
 
-TEST(BatchExecutorTest, CoveringCellShardingOnBoundedWeight) {
+TEST(BatchExecutorTest, ShardingOnBoundedWeight) {
   Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(8, 8));
   EdgeWeights w = MakeUniformWeights(g, 0.1, 1.0, &rng);
@@ -152,7 +145,7 @@ TEST(BatchExecutorTest, CoveringCellShardingOnBoundedWeight) {
   exec_options.num_shards = 4;
   exec_options.min_shard_pairs = 1;
   BatchExecutor executor(exec_options);
-  executor.SetShardCells(CoveringCells(oracle->covering()));
+  EXPECT_EQ(executor.PlannedShardCount(pairs.size()), 4);
   ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
                        executor.Execute(*oracle, pairs));
   for (size_t i = 0; i < serial.size(); ++i) {
@@ -272,9 +265,9 @@ TEST(BatchExecutorTest, AbsorbShardRespectsTotalBudgetAtomically) {
 TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
   // Regression: empty and single-element batches must produce well-defined
   // results with no worker spawn on every execution path — the parallel
-  // DistanceBatch, the forced-serial reference, and both executor shard
-  // policies (an empty vector's data() is null, so any path that blindly
-  // hands the kernel a pointer would be UB).
+  // DistanceBatch, the forced-serial reference, and the sharded executor
+  // (an empty vector's data() is null, so any path that blindly hands the
+  // kernel a pointer would be UB).
   Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(8));
   EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
@@ -313,16 +306,6 @@ TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
   ASSERT_EQ(exec_single.size(), 1u);
   EXPECT_EQ(exec_single[0], reference);
 
-  BatchExecutor keyed(options);
-  keyed.SetShardCells(ComponentCells(g));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> keyed_empty,
-                       keyed.Execute(*oracle, {}));
-  EXPECT_TRUE(keyed_empty.empty());
-  ASSERT_OK_AND_ASSIGN(std::vector<double> keyed_single,
-                       keyed.Execute(*oracle, single));
-  ASSERT_EQ(keyed_single.size(), 1u);
-  EXPECT_EQ(keyed_single[0], reference);
-
   // A single INVALID pair still reports the kernel's error, not UB.
   std::vector<VertexPair> bad = {{0, 99}};
   EXPECT_FALSE(contiguous.Execute(*oracle, bad).ok());
@@ -343,31 +326,25 @@ TEST(BatchExecutorTest, ExecuteIntoMatchesExecuteAndRefusesAMisSizedSpan) {
   options.num_shards = 7;
   options.max_threads = 4;
   options.min_shard_pairs = 1;
-  BatchExecutor contiguous(options);
-  BatchExecutor keyed(options);
-  std::vector<int> cells(kNumVertices);
-  for (int v = 0; v < kNumVertices; ++v) cells[static_cast<size_t>(v)] = v;
-  keyed.SetShardCells(std::move(cells));
+  BatchExecutor executor(options);
 
-  for (const BatchExecutor* executor : {&contiguous, &keyed}) {
-    ASSERT_OK_AND_ASSIGN(std::vector<double> expected,
-                         executor->Execute(*oracle, pairs));
-    std::vector<double> out(pairs.size());
-    ASSERT_OK(executor->ExecuteInto(*oracle, pairs, out));
-    EXPECT_EQ(out, expected);
+  ASSERT_OK_AND_ASSIGN(std::vector<double> expected,
+                       executor.Execute(*oracle, pairs));
+  std::vector<double> out(pairs.size());
+  ASSERT_OK(executor.ExecuteInto(*oracle, pairs, out));
+  EXPECT_EQ(out, expected);
 
-    // A span one slot short, one slot long, or empty is refused before
-    // anything is written: the canvas around it keeps its sentinel, so an
-    // out-of-bounds write would show even without a sanitizer.
-    for (size_t slots : {pairs.size() - 1, pairs.size() + 1, size_t{0}}) {
-      std::vector<double> canvas(pairs.size() + 2, -1.0);
-      Status refused = executor->ExecuteInto(
-          *oracle, pairs, std::span<double>(canvas).first(slots));
-      EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << slots;
-      for (double v : canvas) ASSERT_EQ(v, -1.0) << slots;
-    }
-    ASSERT_OK(executor->ExecuteInto(*oracle, {}, {}));
+  // A span one slot short, one slot long, or empty is refused before
+  // anything is written: the canvas around it keeps its sentinel, so an
+  // out-of-bounds write would show even without a sanitizer.
+  for (size_t slots : {pairs.size() - 1, pairs.size() + 1, size_t{0}}) {
+    std::vector<double> canvas(pairs.size() + 2, -1.0);
+    Status refused = executor.ExecuteInto(
+        *oracle, pairs, std::span<double>(canvas).first(slots));
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << slots;
+    for (double v : canvas) ASSERT_EQ(v, -1.0) << slots;
   }
+  ASSERT_OK(executor.ExecuteInto(*oracle, {}, {}));
 }
 
 }  // namespace

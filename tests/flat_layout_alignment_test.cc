@@ -1,11 +1,14 @@
 // Layout checks for the cache-flat released structures: every hot array
 // the batch kernels stream (CSR adjacency, the Euler-tour LCA sparse
-// table, dyadic block sums, released estimate vectors) is allocated
-// through AlignedAllocator and must start on a 64-byte cache-line
-// boundary. The gather kernels don't require alignment for correctness —
-// this is a perf invariant (no split-line loads at buffer starts, clean
-// NUMA page placement), locked here so a refactor back to plain
-// std::vector shows up as a test failure instead of a silent regression.
+// table, dyadic block sums, released estimate vectors, the covering
+// assignment) is allocated through AlignedAllocator and must start on a
+// 64-byte cache-line boundary. The gather kernels don't require alignment
+// for correctness — this is a perf invariant (no split-line loads at
+// buffer starts), locked here so a refactor back to plain std::vector
+// shows up as a test failure instead of a silent regression. Arrays no
+// accessor exposes (tree-hld's per-vertex climb state, bounded-weight's
+// Z x Z table) are AlignedVector members, so the type's own test covers
+// them.
 
 #include <vector>
 
@@ -13,7 +16,6 @@
 
 #include "common/aligned.h"
 #include "core/bounded_weight.h"
-#include "core/hld_oracle.h"
 #include "core/oracle_registry.h"
 #include "core/range_sums.h"
 #include "core/tree_distance.h"
@@ -66,48 +68,19 @@ TEST(FlatLayoutAlignmentTest, DyadicBlocksAreCacheAligned) {
   EXPECT_TRUE(IsCacheAligned(sums.blocks().data()));
 }
 
-// Every buffer an oracle reports for NUMA placement is a real released
-// array: non-null, non-empty, labelled, and cache-aligned.
-void ExpectAlignedReleasedBuffers(const DistanceOracle& oracle,
-                                  size_t min_buffers) {
-  std::vector<ReleasedBuffer> buffers;
-  oracle.AppendReleasedBuffers(&buffers);
-  EXPECT_GE(buffers.size(), min_buffers) << oracle.Name();
-  for (const ReleasedBuffer& b : buffers) {
-    EXPECT_NE(b.data, nullptr) << oracle.Name() << " " << b.label;
-    EXPECT_GT(b.bytes, 0u) << oracle.Name() << " " << b.label;
-    EXPECT_STRNE(b.label, "") << oracle.Name();
-    EXPECT_TRUE(IsCacheAligned(b.data)) << oracle.Name() << " " << b.label;
-  }
-}
-
-TEST(FlatLayoutAlignmentTest, OracleReleasedBuffersAreCacheAligned) {
+TEST(FlatLayoutAlignmentTest, CoveringAssignmentIsCacheAligned) {
   Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(kNumVertices, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  for (const char* name : {TreeAllPairsOracle::kName, HldTreeOracle::kName,
-                           BoundedWeightOracle::kName}) {
-    ASSERT_OK_AND_ASSIGN(
-        ReleaseContext ctx,
-        ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-    ASSERT_OK_AND_ASSIGN(auto oracle,
-                         OracleRegistry::Global().Create(name, g, w, ctx));
-    ExpectAlignedReleasedBuffers(*oracle, 2);
-  }
-}
-
-TEST(FlatLayoutAlignmentTest, BaseOracleReportsNoBuffersByDefault) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(8));
   EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
   ASSERT_OK_AND_ASSIGN(
       ReleaseContext ctx,
       ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-  ASSERT_OK_AND_ASSIGN(auto oracle, OracleRegistry::Global().Create(
-                                        "per-pair-laplace", g, w, ctx));
-  std::vector<ReleasedBuffer> buffers;
-  oracle->AppendReleasedBuffers(&buffers);
-  EXPECT_TRUE(buffers.empty());
+  ASSERT_OK_AND_ASSIGN(auto oracle,
+                       OracleRegistry::Global().Create(
+                           BoundedWeightOracle::kName, g, w, ctx));
+  const auto* bounded = dynamic_cast<const BoundedWeightOracle*>(oracle.get());
+  ASSERT_NE(bounded, nullptr);
+  EXPECT_TRUE(IsCacheAligned(bounded->covering().assignment.data()));
 }
 
 TEST(FlatLayoutAlignmentTest, ReleasedEstimatesAreCacheAligned) {

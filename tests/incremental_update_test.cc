@@ -344,7 +344,7 @@ TEST(IncrementalUpdateTest, InvalidDeltasAreRejectedWithoutCharge) {
 
 // --------------------------------------------------- executor routing --
 
-TEST(BatchExecutorUpdateTest, RoutesDeltasToShardCellsAndApplies) {
+TEST(BatchExecutorUpdateTest, AppliesEpochAndShardedStaysSerial) {
   Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph graph, MakeRandomTree(128, &rng));
   EdgeWeights w = MakeUniformWeights(graph, 0.1, 0.9, &rng);
@@ -353,25 +353,26 @@ TEST(BatchExecutorUpdateTest, RoutesDeltasToShardCellsAndApplies) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> oracle,
                        HldTreeOracle::Build(graph, w, ctx));
 
-  // Artificial 4-cell map (vertex id mod 4): enough to exercise routing.
-  BatchExecutor executor;
-  std::vector<int> cells(128);
-  for (size_t v = 0; v < cells.size(); ++v) cells[v] = static_cast<int>(v % 4);
-  executor.SetShardCells(cells);
+  BatchExecutorOptions options;
+  options.num_shards = 4;
+  options.max_threads = 4;
+  options.min_shard_pairs = 1;
+  BatchExecutor executor(options);
 
   std::vector<EdgeWeightDelta> deltas = RandomDeltas(graph.num_edges(), 6,
                                                      &rng);
   ASSERT_OK_AND_ASSIGN(
       BatchExecutor::UpdateReport report,
       executor.ApplyUpdates(*oracle, graph, deltas, ctx));
-  EXPECT_GT(report.dirty_cells, 0);
-  EXPECT_LE(report.dirty_cells, 4);
+  EXPECT_GT(report.dirty_blocks, 0);
   EXPECT_EQ(report.dirty_blocks, oracle->last_update().dirty_blocks);
+  EXPECT_EQ(report.update_sensitivity, oracle->last_update().sensitivity);
   EXPECT_DOUBLE_EQ(report.charged_epsilon,
                    oracle->last_update().charged_epsilon);
 
-  // Queries through the keyed executor still match serial bit-for-bit.
+  // Queries through the sharded executor still match serial bit-for-bit.
   std::vector<VertexPair> pairs = SampleTreePairs(128, 256, &rng);
+  EXPECT_EQ(executor.PlannedShardCount(pairs.size()), 4);
   ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
                        executor.Execute(*oracle, pairs));
   ASSERT_OK_AND_ASSIGN(std::vector<double> serial,

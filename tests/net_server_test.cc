@@ -1,14 +1,20 @@
 // Tests for the network front end: wire-protocol round trips, loopback
 // serving bit-identical to direct BatchExecutor calls, budget-driven
 // admission control (typed over-budget rejection), queue-depth/connection
-// backpressure, survival under 8 concurrent client connections, and one
-// connection reusing its buffers across every kind of request outcome.
+// backpressure, an acceptor that outlives a failed accept(2), survival
+// under 8 concurrent client connections, and one connection reusing its
+// buffers across every kind of request outcome.
 
 #include "net/server.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -308,6 +314,52 @@ TEST(NetServerTest, ConnectionLimitRejectsWithTypedOverload) {
   EXPECT_EQ(error.code, StatusCode::kUnavailable);
   // The first connection keeps working.
   ASSERT_OK(first.Stats().status());
+}
+
+TEST(NetServerTest, AcceptorOutlivesAFailedAccept) {
+  // Regression: one failed accept(2) used to end the accept loop, leaving
+  // a running server that queued new connections forever. Fill the fd
+  // table (under a lowered soft limit, so the fill stays small), let a
+  // connection arrive while accept(2) can only fail with EMFILE, then free
+  // the table: a fresh client must be served.
+  ServerFixture fixture;
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // No ASSERT until the table is freed again: an early return would leave
+  // the process unable to open anything.
+  std::vector<int> fillers;
+  int filler = open("/dev/null", O_RDONLY);
+  while (filler >= 0) {
+    fillers.push_back(filler);
+    filler = dup(fillers.front());
+  }
+  const int fill_errno = errno;
+  // The one slot freed here goes to the client socket, so the table is
+  // full again when the server's accept(2) runs.
+  if (!fillers.empty()) {
+    close(fillers.back());
+    fillers.pop_back();
+  }
+  Result<net::Socket> early =
+      net::Connect("127.0.0.1", fixture.server().port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (int fd : fillers) close(fd);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(fill_errno, EMFILE);
+  EXPECT_GT(fillers.size(), 0u);
+  ASSERT_OK(early.status());
+
+  net::ClientOptions options;
+  options.request_timeout_ms = 5000;
+  ASSERT_OK_AND_ASSIGN(
+      net::Client client,
+      net::Client::Connect("127.0.0.1", fixture.server().port(), options));
+  ASSERT_OK(client.Stats().status());
+  EXPECT_TRUE(fixture.server().running());
 }
 
 TEST(NetServerTest, MalformedFrameGetsTypedErrorAndCloses) {
