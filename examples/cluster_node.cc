@@ -2,12 +2,13 @@
 // meets it:
 //
 //   cluster_node coordinator
-//     Budget-holding QueryServer plus a cluster::Coordinator. Prints
-//     "READY query=<port> repl=<port>" and serves until killed.
+//     Budget-holding QueryServer plus a cluster::Coordinator; replicas
+//     subscribe on its query port. Prints "READY query=<port>" and
+//     serves until killed.
 //
-//   cluster_node replica <repl_port> [name]
+//   cluster_node replica <coordinator_query_port> [name]
 //     Ledger-less replica-mode QueryServer kept in sync by a
-//     cluster::Replica subscribed to <repl_port>. Prints
+//     cluster::Replica subscribed on <coordinator_query_port>. Prints
 //     "READY query=<port>" and serves until killed.
 //
 //   cluster_node drive <query_port> release <handle_name>
@@ -89,20 +90,19 @@ int RunCoordinator() {
   OrDie(server.Start());
   cluster::Coordinator coordinator(cluster::CoordinatorOptions{}, &server);
   OrDie(coordinator.Start());
-  std::printf("READY query=%u repl=%u\n", server.port(),
-              coordinator.replication_port());
+  std::printf("READY query=%u\n", server.port());
   std::fflush(stdout);
   ServeForever();
 }
 
-int RunReplica(uint16_t repl_port, const char* name) {
+int RunReplica(uint16_t coordinator_port, const char* name) {
   using namespace dpsp;
   Workload workload = MakeWorkload();
   net::QueryServer server{net::QueryServerOptions{}};  // no ledger
   OrDie(server.AddWorkload("path", workload.graph, workload.weights));
   OrDie(server.Start());
   cluster::ReplicaOptions options;
-  options.coordinator_port = repl_port;
+  options.coordinator_port = coordinator_port;
   options.name = name;
   cluster::Replica replica(options, &server);
   OrDie(replica.Start());
@@ -150,7 +150,7 @@ int RunDrive(uint16_t port, const std::string& verb,
     uint64_t target = std::stoull(arg);
     for (int i = 0; i < 200; ++i) {
       net::ServerStats stats = OrDie(client.Stats());
-      if (stats.has_cluster && stats.last_epoch_lsn >= target) {
+      if (stats.last_epoch_lsn >= target) {
         std::printf("LSN %llu\n",
                     static_cast<unsigned long long>(stats.last_epoch_lsn));
         return 0;
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "usage: cluster_node coordinator\n"
-               "       cluster_node replica <repl_port> [name]\n"
+               "       cluster_node replica <coordinator_query_port> [name]\n"
                "       cluster_node drive <query_port> "
                "release|update|query|wait_lsn <arg>\n");
   return 2;

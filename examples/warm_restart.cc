@@ -127,8 +127,7 @@ int main() {
   net::Client client =
       OrDie(net::Client::Connect("127.0.0.1", server->port()));
   net::ServerStats stats = OrDie(client.Stats());
-  Require(stats.has_recovery && stats.warm_restart,
-          "stats report a warm restart");
+  Require(stats.warm_restart, "stats report a warm restart");
   Require(stats.recovered_handles == 1, "one handle recovered");
   Require(stats.recovered_charges == 2,
           "two charges replayed (one an unresolved intent)");

@@ -21,10 +21,6 @@ Status Coordinator::Start() {
     return Status::InvalidArgument(
         "coordinator needs a budget-holding QueryServer");
   }
-  DPSP_ASSIGN_OR_RETURN(
-      listener_,
-      net::Listener::Bind(options_.bind_address, options_.replication_port));
-  stopping_.store(false);
   running_.store(true);
   server_->set_role(net::NodeRole::kCoordinator);
   server_->SetReplicationObserver(this);
@@ -41,22 +37,16 @@ Status Coordinator::Start() {
     }
     stats.replica_lag = lsn - min_acked;
   });
-  accept_thread_ = std::thread(&Coordinator::AcceptLoop, this);
   return Status::Ok();
 }
 
 void Coordinator::Stop() {
   if (!running_.exchange(false)) return;
-  // Unhook from the server first: no new images or stats callbacks may
-  // reach a coordinator that is tearing down.
+  // Unhook from the server first: no new images, subscriptions or stats
+  // callbacks may reach a coordinator that is tearing down. The unhook
+  // takes the ledger lock, so it waits out an in-flight subscribe.
   server_->SetReplicationObserver(nullptr);
   server_->SetClusterStatsProvider(nullptr);
-  stopping_.store(true);
-  // Join before closing: the accept loop polls and accepts on the
-  // listener's fd, and closing it under that thread could accept on a
-  // reused fd. The loop sees stopping_ at its next poll timeout.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
   DropAllSessions();
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   for (std::unique_ptr<Session>& session : sessions_) {
@@ -179,69 +169,22 @@ uint64_t Coordinator::min_acked_lsn() const {
   return min_acked;
 }
 
-void Coordinator::AcceptLoop() {
-  while (!stopping_.load()) {
-    ReapSessions();
-    Result<net::Socket> accepted = listener_.Accept(200);
-    if (!accepted.ok()) continue;  // timeout or failed accept: retry
-    ServeSubscriber(std::move(accepted).value());
-  }
-}
-
-void Coordinator::ServeSubscriber(net::Socket socket) {
-  // A dialer that never sends its subscribe must not stall the accept
-  // loop: bound the whole handshake read.
-  (void)socket.SetRecvTimeout(options_.subscribe_timeout_ms);
-  Result<net::Frame> first = net::ReadFrame(socket);
-  if (!first.ok()) return;
-  net::Frame frame = std::move(first).value();
-  if (frame.type != net::MessageType::kReplicaSubscribe) {
-    std::vector<uint8_t> error = net::EncodeError(
-        net::ErrorKind::kMalformed,
-        Status::InvalidArgument(
-            "replication listener expects a ReplicaSubscribe frame"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
-    return;
-  }
-  if (frame.version < net::kReplicationProtocolVersion) {
-    // The peer's own protocol version does not define replication frames
-    // — reject, never act on a frame from before the exchange existed.
-    std::vector<uint8_t> error = net::EncodeError(
-        net::ErrorKind::kMalformed,
-        Status::InvalidArgument(
-            "replication frames require protocol v5; peer stamped an "
-            "older version"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
-    return;
-  }
-  Result<net::ReplicaSubscribe> decoded =
-      net::DecodeReplicaSubscribe(frame.body);
-  if (!decoded.ok()) {
-    std::vector<uint8_t> error =
-        net::EncodeError(net::ErrorKind::kMalformed, decoded.status());
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
-    return;
-  }
-  net::ReplicaSubscribe subscribe = std::move(decoded).value();
+void Coordinator::OnSubscribe(net::ReplicaSubscribe subscribe,
+                              net::Socket socket) {
+  ReapSessions();
   if (connected_replicas() >= options_.max_replicas) {
     std::vector<uint8_t> error = net::EncodeError(
         net::ErrorKind::kOverloaded,
         Status::Unavailable("replica roster is full; retry later"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
+    (void)net::WriteFrame(socket, net::MessageType::kError, error);
     return;
   }
-  // The subscribe deadline served its purpose; from here the writer owns
-  // the socket and the reader blocks on acks indefinitely.
-  (void)socket.SetRecvTimeout(0);
 
-  // Catch-up: everything the replica is missing, in LSN order. Taking
-  // state_mutex_ here serializes against OnHandleImage, so a concurrent
-  // epoch is either in the replay or broadcast after the session joins
-  // the roster below — never lost, never duplicated.
+  // Catch-up: everything the replica is missing, in LSN order. The server
+  // holds its ledger lock across this call and across each epoch's state
+  // update and broadcast, so an epoch is either in the replay or
+  // broadcast after the session joins the roster below — never lost,
+  // never duplicated.
   std::vector<std::pair<uint64_t, Outbound>> replay;
   auto session = std::make_unique<Session>();
   {
@@ -286,8 +229,6 @@ void Coordinator::ServeSubscriber(net::Socket socket) {
     for (auto& [lsn, outbound] : replay) {
       session->queue.push_back(std::move(outbound));
     }
-    // Register under state_mutex_ still held: an OnHandleImage racing in
-    // right now blocks until the roster already includes this session.
     std::lock_guard<std::mutex> sessions_lock(sessions_mutex_);
     Session* raw = session.get();
     raw->writer = std::thread(&Coordinator::WriterLoop, this, raw);

@@ -1,6 +1,9 @@
 // The replicated read tier's write side: a Coordinator wraps the one
 // budget-holding QueryServer and streams its release/update images to
-// subscribed read replicas over a dedicated replication listener.
+// read replicas. A replica subscribes with a ReplicaSubscribe request on
+// the server's query port; the server hands that connection over, and it
+// becomes the replica's stream. The coordinator binds no port; its only
+// threads are each subscribed replica's writer and reader.
 //
 // The coordinator is the ONLY node that executes releases and weight
 // updates — it alone holds the ReleaseContext ledger, so budget is
@@ -10,7 +13,9 @@
 // adds query throughput without touching privacy accounting.
 //
 // Shipping policy per epoch (fed by QueryServer::ReplicationObserver, in
-// LSN order under the ledger lock):
+// LSN order under the ledger lock; handles that exist when the
+// coordinator starts arrive first, each as a release at the LSN of the
+// epoch that produced its image):
 //   * a new release, an unknown handle, or a shape-changing update ships
 //     a full SnapshotChunk (per-section CRC32C, verified on install) and
 //     rebases the handle's delta log on it;
@@ -26,7 +31,9 @@
 // with the last LSN they applied; the coordinator answers with whatever
 // closes the gap — base chunk + delta replay, or just the missed deltas
 // — followed by a ReplicaStats marker carrying its own LSN so the
-// replica knows the target it is converging to.
+// replica knows the target it is converging to. Subscriptions arrive
+// under the same ledger lock as epochs, so each epoch is either in a
+// session's replay or broadcast to it, never both.
 
 #ifndef DPSP_CLUSTER_COORDINATOR_H_
 #define DPSP_CLUSTER_COORDINATOR_H_
@@ -51,19 +58,11 @@ namespace dpsp {
 namespace cluster {
 
 struct CoordinatorOptions {
-  /// Address the replication listener binds (loopback by default, like
-  /// the query listener: exposing replication is a deployment decision).
-  std::string bind_address = "127.0.0.1";
-  /// 0 picks an ephemeral port; read it back with replication_port().
-  uint16_t replication_port = 0;
   /// Compact a handle's delta log once it outweighs this many times the
   /// base image (catch-up cost ceiling). <= 0 compacts every epoch.
   double compaction_factor = 4.0;
   /// Subscriptions beyond this are refused with a typed kOverloaded.
   int max_replicas = 16;
-  /// Deadline for a fresh connection to present its ReplicaSubscribe
-  /// frame (a wedged dialer must not stall the accept loop).
-  int subscribe_timeout_ms = 2000;
 };
 
 /// Cumulative replication output, counted once per logical frame at
@@ -80,22 +79,25 @@ class Coordinator : public net::QueryServer::ReplicationObserver {
  public:
   /// `server` must be a budget-holding (non-replica) QueryServer and must
   /// outlive the coordinator. Start() promotes it to NodeRole::kCoordinator
-  /// and subscribes to its image stream.
+  /// and subscribes to its image stream and its replica subscriptions.
   Coordinator(CoordinatorOptions options, net::QueryServer* server);
   ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Binds the replication listener and starts accepting subscribers.
+  /// Hooks into the server: from here on replicas can subscribe on its
+  /// query port. Starts no thread.
   Status Start();
 
-  /// Unsubscribes from the server, closes every replica session, joins
-  /// all threads. Idempotent; also run by the destructor.
+  /// Unsubscribes from the server (after any in-flight subscribe), closes
+  /// every replica session, joins all threads. Idempotent; also run by
+  /// the destructor.
   void Stop();
 
-  /// The bound replication port (useful with replication_port = 0).
-  uint16_t replication_port() const { return listener_.port(); }
+  /// The port replicas subscribe on: the server's query port. An alias
+  /// kept only because perfbench/stack.cc still calls it.
+  uint16_t replication_port() const { return server_->port(); }
 
   /// QueryServer::ReplicationObserver: one granted release or applied
   /// update epoch, in LSN order.
@@ -103,6 +105,13 @@ class Coordinator : public net::QueryServer::ReplicationObserver {
                      const std::string& name, const std::string& mechanism,
                      const std::string& workload,
                      std::vector<ReleasedSection> sections) override;
+
+  /// QueryServer::ReplicationObserver: a replica subscribed on `socket`.
+  /// Refuses it kOverloaded when the roster is full; otherwise queues the
+  /// catch-up replay and its LSN marker and starts the session's writer
+  /// and reader threads.
+  void OnSubscribe(net::ReplicaSubscribe subscribe,
+                   net::Socket socket) override;
 
   ShipStats ship_stats() const;
 
@@ -156,14 +165,9 @@ class Coordinator : public net::QueryServer::ReplicationObserver {
     uint64_t logged_delta_bytes = 0;
   };
 
-  void AcceptLoop();
-  /// Validates the opening ReplicaSubscribe (old-stamped or non-subscribe
-  /// frames get a typed kMalformed, a full roster gets kOverloaded),
-  /// builds the catch-up replay, and registers the session.
-  void ServeSubscriber(net::Socket socket);
   void WriterLoop(Session* session);
   void ReaderLoop(Session* session);
-  /// Joins and erases finished sessions (accept-loop housekeeping).
+  /// Joins and erases finished sessions (run at each subscribe).
   void ReapSessions();
   /// Enqueues one frame on every live session.
   void Broadcast(net::MessageType type,
@@ -179,8 +183,9 @@ class Coordinator : public net::QueryServer::ReplicationObserver {
   const CoordinatorOptions options_;
   net::QueryServer* const server_;
 
-  // Handle replication state; OnHandleImage (ledger-ordered) writes it,
-  // the accept loop reads it for catch-up.
+  // Handle replication state; OnHandleImage writes it, OnSubscribe reads
+  // it for catch-up. The server makes both calls under its ledger lock,
+  // which orders subscriptions against epochs.
   mutable std::mutex state_mutex_;
   std::map<uint32_t, HandleState> states_;
 
@@ -195,10 +200,7 @@ class Coordinator : public net::QueryServer::ReplicationObserver {
   };
   ShipCounters ship_;
 
-  net::Listener listener_;
-  std::thread accept_thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace cluster

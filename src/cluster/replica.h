@@ -2,11 +2,12 @@
 // mode QueryServer to a Coordinator's replication stream and keeps its
 // handle table bit-identical to the coordinator's.
 //
-// The sync loop is a single thread: connect, subscribe with the last
-// applied LSN, then apply whatever arrives — a SnapshotChunk replaces a
-// handle's image wholesale (per-section CRC32C verified against freshly
-// computed ones first), a DeltaFrame patches the dirty byte ranges in
-// place (post-CRC verified by store::ApplySectionDelta). Every applied
+// The sync loop is a single thread: connect to the coordinator's query
+// port, subscribe with the last applied LSN, then apply whatever arrives
+// — a SnapshotChunk replaces a handle's image wholesale (per-section
+// CRC32C verified against freshly computed ones first), a DeltaFrame
+// patches the dirty byte ranges in place (post-CRC verified by
+// store::ApplySectionDelta). Every applied
 // frame re-materializes the oracle through the registry loader and swaps
 // it into the server, then acks the LSN back with the node's serve
 // counters (the coordinator's lag/aggregation input).
@@ -42,6 +43,7 @@ namespace cluster {
 
 struct ReplicaOptions {
   std::string coordinator_address = "127.0.0.1";
+  /// The coordinator's query port: replicas subscribe where clients query.
   uint16_t coordinator_port = 0;
   /// Operator-visible name sent in the subscribe frame.
   std::string name = "replica";

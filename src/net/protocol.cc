@@ -176,10 +176,11 @@ std::span<const uint8_t> WireBytes(const T* data, size_t count) {
 
 // Sends one frame whose body is `prefix` followed by `payload` as one
 // gather write behind a stack-built header: neither piece is copied.
-Status WriteFrameParts(Socket& socket, MessageType type, uint16_t version,
+Status WriteFrameParts(Socket& socket, MessageType type,
                        std::span<const uint8_t> prefix,
                        std::span<const uint8_t> payload) {
-  FrameHeader header{kFrameMagic, version, static_cast<uint16_t>(type),
+  FrameHeader header{kFrameMagic, kProtocolVersion,
+                     static_cast<uint16_t>(type),
                      static_cast<uint32_t>(prefix.size() + payload.size())};
   iovec parts[] = {{&header, sizeof(header)},
                    {const_cast<uint8_t*>(prefix.data()), prefix.size()},
@@ -190,8 +191,8 @@ Status WriteFrameParts(Socket& socket, MessageType type, uint16_t version,
 }  // namespace
 
 Status WriteFrame(Socket& socket, MessageType type,
-                  std::span<const uint8_t> body, uint16_t version) {
-  return WriteFrameParts(socket, type, version, body, {});
+                  std::span<const uint8_t> body) {
+  return WriteFrameParts(socket, type, body, {});
 }
 
 Status ReadFrameInto(Socket& socket, Frame* frame, uint32_t max_body_bytes) {
@@ -200,12 +201,11 @@ Status ReadFrameInto(Socket& socket, Frame* frame, uint32_t max_body_bytes) {
   if (header.magic != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic (not a dpsp peer?)");
   }
-  if (header.version < kMinProtocolVersion ||
-      header.version > kProtocolVersion) {
+  if (header.version != kProtocolVersion) {
     return Status::InvalidArgument(
         StrFormat("protocol version mismatch: peer speaks %u, this build "
-                  "speaks %u-%u",
-                  header.version, kMinProtocolVersion, kProtocolVersion));
+                  "speaks %u",
+                  header.version, kProtocolVersion));
   }
   if (header.body_size > max_body_bytes) {
     return Status::OutOfRange(
@@ -213,7 +213,6 @@ Status ReadFrameInto(Socket& socket, Frame* frame, uint32_t max_body_bytes) {
                   header.body_size, max_body_bytes));
   }
   frame->type = static_cast<MessageType>(header.type);
-  frame->version = header.version;
   if (header.body_size > frame->body.capacity()) {
     // A fresh exact-size buffer, not resize's doubling: what a reused
     // frame retains is its largest body, never twice that.
@@ -284,10 +283,9 @@ std::vector<uint8_t> EncodeQueryRequest(uint32_t handle_id,
 }
 
 Status WriteQueryRequest(Socket& socket, uint32_t handle_id,
-                         std::span<const VertexPair> pairs,
-                         uint16_t version) {
+                         std::span<const VertexPair> pairs) {
   const uint32_t prefix[] = {handle_id, static_cast<uint32_t>(pairs.size())};
-  return WriteFrameParts(socket, MessageType::kQueryRequest, version,
+  return WriteFrameParts(socket, MessageType::kQueryRequest,
                          WireBytes(prefix, 2),
                          WireBytes(pairs.data(), pairs.size()));
 }
@@ -331,10 +329,9 @@ std::vector<uint8_t> EncodeQueryResponse(std::span<const double> distances) {
   return w.Take();
 }
 
-Status WriteQueryResponse(Socket& socket, std::span<const double> distances,
-                          uint16_t version) {
+Status WriteQueryResponse(Socket& socket, std::span<const double> distances) {
   const uint32_t count = static_cast<uint32_t>(distances.size());
-  return WriteFrameParts(socket, MessageType::kQueryResponse, version,
+  return WriteFrameParts(socket, MessageType::kQueryResponse,
                          WireBytes(&count, 1),
                          WireBytes(distances.data(), distances.size()));
 }
@@ -409,8 +406,7 @@ Result<UpdateInfo> DecodeUpdateInfo(std::span<const uint8_t> body) {
   return info;
 }
 
-std::vector<uint8_t> EncodeServerStats(const ServerStats& stats,
-                                       uint16_t version) {
+std::vector<uint8_t> EncodeServerStats(const ServerStats& stats) {
   WireWriter w;
   w.U64(stats.connections_accepted);
   w.U64(stats.queries_served);
@@ -419,30 +415,20 @@ std::vector<uint8_t> EncodeServerStats(const ServerStats& stats,
   w.U64(stats.budget_rejected);
   w.U64(stats.overload_rejected);
   w.U32(stats.open_handles);
-  // v2 accounting extension; a v1 peer gets the body shape its decoder
-  // expects (ExpectEnd would reject trailing bytes).
-  if (version >= 2) {
-    w.U16(stats.accounting_policy);
-    w.F64(stats.spent_epsilon);
-    w.F64(stats.spent_delta);
-    w.F64(stats.remaining_epsilon);
-    w.F64(stats.remaining_delta);
-  }
-  // v4 recovery extension.
-  if (version >= kRecoveryProtocolVersion) {
-    w.U32(stats.warm_restart ? 1 : 0);
-    w.U32(stats.recovered_handles);
-    w.U64(stats.recovered_charges);
-  }
-  // v5 cluster extension.
-  if (version >= kReplicationProtocolVersion) {
-    w.U16(stats.role);
-    w.U64(stats.last_epoch_lsn);
-    w.U32(stats.num_replicas);
-    w.U64(stats.replica_lag);
-    w.U64(stats.replica_queries_served);
-    w.U64(stats.replica_pairs_served);
-  }
+  w.U16(stats.accounting_policy);
+  w.F64(stats.spent_epsilon);
+  w.F64(stats.spent_delta);
+  w.F64(stats.remaining_epsilon);
+  w.F64(stats.remaining_delta);
+  w.U32(stats.warm_restart ? 1 : 0);
+  w.U32(stats.recovered_handles);
+  w.U64(stats.recovered_charges);
+  w.U16(stats.role);
+  w.U64(stats.last_epoch_lsn);
+  w.U32(stats.num_replicas);
+  w.U64(stats.replica_lag);
+  w.U64(stats.replica_queries_served);
+  w.U64(stats.replica_pairs_served);
   return w.Take();
 }
 
@@ -456,25 +442,16 @@ Result<ServerStats> DecodeServerStats(std::span<const uint8_t> body) {
   DPSP_RETURN_IF_ERROR(r.U64(&stats.budget_rejected));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.overload_rejected));
   DPSP_RETURN_IF_ERROR(r.U32(&stats.open_handles));
-  // A body that ends here is a v1 peer: the accounting extension stays at
-  // its defaults and has_accounting records its absence.
-  if (r.remaining() == 0) return stats;
   DPSP_RETURN_IF_ERROR(r.U16(&stats.accounting_policy));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.spent_epsilon));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.spent_delta));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.remaining_epsilon));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.remaining_delta));
-  stats.has_accounting = true;
-  // A body that ends here is a v2/v3 peer: no recovery extension.
-  if (r.remaining() == 0) return stats;
   uint32_t warm = 0;
   DPSP_RETURN_IF_ERROR(r.U32(&warm));
   DPSP_RETURN_IF_ERROR(r.U32(&stats.recovered_handles));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.recovered_charges));
   stats.warm_restart = warm != 0;
-  stats.has_recovery = true;
-  // A body that ends here is a v4 peer: no cluster extension.
-  if (r.remaining() == 0) return stats;
   DPSP_RETURN_IF_ERROR(r.U16(&stats.role));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.last_epoch_lsn));
   DPSP_RETURN_IF_ERROR(r.U32(&stats.num_replicas));
@@ -482,7 +459,6 @@ Result<ServerStats> DecodeServerStats(std::span<const uint8_t> body) {
   DPSP_RETURN_IF_ERROR(r.U64(&stats.replica_queries_served));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.replica_pairs_served));
   DPSP_RETURN_IF_ERROR(r.ExpectEnd());
-  stats.has_cluster = true;
   return stats;
 }
 

@@ -219,7 +219,8 @@ Status QueryServer::RecoverPersistentState() {
                                   workload->weights));
     handles_.push_back({meta.handle, meta.mechanism, workload->name,
                         std::shared_ptr<DistanceOracle>(std::move(oracle)),
-                        std::make_shared<std::shared_mutex>(), path});
+                        std::make_shared<std::shared_mutex>(), path,
+                        reader.epoch_lsn()});
     // The epoch clock resumes past everything recovered, so post-restart
     // releases stamp fresh LSNs.
     BumpEpochLsn(reader.epoch_lsn());
@@ -274,11 +275,9 @@ ServerStats QueryServer::stats() const {
     }
     stats.open_handles = open;
   }
-  stats.has_recovery = true;
   stats.warm_restart = warm_restart_;
   stats.recovered_handles = recovered_handles_;
   stats.recovered_charges = recovered_charges_;
-  stats.has_cluster = true;
   stats.role = static_cast<uint16_t>(role_.load());
   stats.last_epoch_lsn = epoch_lsn_.load();
   {
@@ -296,8 +295,25 @@ void QueryServer::BumpEpochLsn(uint64_t lsn) {
 }
 
 void QueryServer::SetReplicationObserver(ReplicationObserver* observer) {
-  std::lock_guard<std::mutex> lock(ledger_mutex_);
+  std::lock_guard<std::mutex> ledger_lock(ledger_mutex_);
   replication_observer_ = observer;
+  if (observer == nullptr) return;
+  // Handles recovered at Start or released before this call produced no
+  // image for the new observer yet. Holding the ledger lock, no epoch can
+  // run, so each one ships as a release at the epoch that produced its
+  // image: distinct LSNs, so a replica reaches the server's LSN only
+  // once it holds every handle.
+  std::vector<std::pair<uint32_t, HandleEntry>> live;
+  {
+    std::lock_guard<std::mutex> lock(handles_mutex_);
+    for (uint32_t id = 0; id < handles_.size(); ++id) {
+      if (handles_[id].oracle != nullptr) live.emplace_back(id, handles_[id]);
+    }
+  }
+  for (const auto& [id, entry] : live) {
+    NotifyReplication(id, entry.epoch_lsn, /*is_update=*/false, entry.name,
+                      entry.mechanism, entry.workload, *entry.oracle);
+  }
 }
 
 void QueryServer::SetClusterStatsProvider(ClusterStatsFn fn) {
@@ -420,13 +436,6 @@ void QueryServer::ReapFinishedConnections() {
 
 void QueryServer::ServeConnection(Connection* connection) {
   Socket& socket = connection->socket;
-  // The version the peer last spoke; best-effort errors for unreadable
-  // frames echo it so an older peer can still decode them. Before the
-  // first good frame, guess the OLDEST supported version: this build's
-  // decoder accepts the whole range, so a v1-stamped error is readable
-  // by every peer, where a v2 stamp would be rejected by a v1 client's
-  // equality check.
-  uint16_t peer_version = kMinProtocolVersion;
   while (!stopping_.load()) {
     if (options_.idle_timeout_ms > 0) {
       // Idle-connection timeout: a peer that sends nothing for the
@@ -441,11 +450,10 @@ void QueryServer::ServeConnection(Connection* connection) {
       // framing failure worth one best-effort typed error before closing
       // (the stream cannot be resynchronized either way).
       if (read.code() != StatusCode::kNotFound && !stopping_.load()) {
-        SendError(socket, ErrorKind::kMalformed, read, peer_version);
+        SendError(socket, ErrorKind::kMalformed, read);
       }
       break;
     }
-    peer_version = connection->buffers.frame.version;
     if (!DispatchFrame(*connection)) break;
   }
   // Free the buffers now, not when the acceptor gets around to reaping.
@@ -468,29 +476,29 @@ bool QueryServer::DispatchFrame(Connection& connection) {
   const Frame& frame = connection.buffers.frame;
   switch (frame.type) {
     case MessageType::kReleaseRequest:
-      HandleRelease(socket, frame.body, frame.version);
+      HandleRelease(socket, frame.body);
       return true;
     case MessageType::kQueryRequest:
       HandleQuery(connection);
       return true;
     case MessageType::kUpdateRequest:
-      HandleUpdate(socket, frame.body, frame.version);
+      HandleUpdate(socket, frame.body);
       return true;
     case MessageType::kStatsRequest:
-      HandleStats(socket, frame.version);
+      HandleStats(socket);
       return true;
+    case MessageType::kReplicaSubscribe:
+      return HandleSubscribe(connection);
     default:
       SendError(socket, ErrorKind::kMalformed,
                 Status::InvalidArgument(
-                    "unexpected message type for a request"),
-                frame.version);
+                    "unexpected message type for a request"));
       return false;
   }
 }
 
 void QueryServer::HandleRelease(Socket& socket,
-                                std::span<const uint8_t> body,
-                                uint16_t version) {
+                                std::span<const uint8_t> body) {
   if (replica_mode()) {
     // Not a budget rejection (budget_rejected stays untouched): this node
     // simply has no ledger. The failover-aware client routes releases to
@@ -498,12 +506,12 @@ void QueryServer::HandleRelease(Socket& socket,
     SendError(socket, ErrorKind::kUnsupported,
               Status::FailedPrecondition(
                   "this node is a read replica; releases run on the "
-                  "coordinator"), version);
+                  "coordinator"));
     return;
   }
   Result<ReleaseRequest> request = DecodeReleaseRequest(body);
   if (!request.ok()) {
-    SendError(socket, ErrorKind::kMalformed, request.status(), version);
+    SendError(socket, ErrorKind::kMalformed, request.status());
     return;
   }
   const Workload* workload = nullptr;
@@ -513,19 +521,19 @@ void QueryServer::HandleRelease(Socket& socket,
   if (workload == nullptr) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound("no workload loaded under '" +
-                               request->workload + "'"), version);
+                               request->workload + "'"));
     return;
   }
   const OracleRegistry& registry = OracleRegistry::Global();
   if (!registry.Contains(request->mechanism)) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound("no oracle registered under '" +
-                               request->mechanism + "'"), version);
+                               request->mechanism + "'"));
     return;
   }
   if (request->handle_name.empty()) {
     SendError(socket, ErrorKind::kMalformed,
-              Status::InvalidArgument("handle name must not be empty"), version);
+              Status::InvalidArgument("handle name must not be empty"));
     return;
   }
   ReleaseInfo info;
@@ -545,7 +553,7 @@ void QueryServer::HandleRelease(Socket& socket,
           SendError(socket, ErrorKind::kMalformed,
                     Status::InvalidArgument("handle '" +
                                             request->handle_name +
-                                            "' already exists"), version);
+                                            "' already exists"));
           return;
         }
       }
@@ -560,8 +568,7 @@ void QueryServer::HandleRelease(Socket& socket,
       if (built.status().code() == StatusCode::kFailedPrecondition) {
         counters_.budget_rejected.fetch_add(1);
       }
-      SendError(socket, ReleaseErrorKind(built.status()), built.status(),
-                version);
+      SendError(socket, ReleaseErrorKind(built.status()), built.status());
       return;
     }
     if (const ReleaseTelemetry* t = context_->last_telemetry()) {
@@ -585,7 +592,7 @@ void QueryServer::HandleRelease(Socket& socket,
       handles_.push_back({request->handle_name, request->mechanism,
                           workload->name, oracle,
                           std::make_shared<std::shared_mutex>(),
-                          snapshot_path});
+                          snapshot_path, epoch_lsn});
     }
     if (!snapshot_path.empty()) {
       store::OracleSnapshotMeta meta{request->mechanism, workload->name,
@@ -607,7 +614,7 @@ void QueryServer::HandleRelease(Socket& socket,
           handles_.pop_back();
         }
         RefreshBudgetSnapshot();
-        SendError(socket, ErrorKind::kInternal, saved, version);
+        SendError(socket, ErrorKind::kInternal, saved);
         return;
       }
     }
@@ -620,7 +627,7 @@ void QueryServer::HandleRelease(Socket& socket,
   }
   counters_.releases_granted.fetch_add(1);
   std::vector<uint8_t> response = EncodeReleaseInfo(info);
-  WriteFrame(socket, MessageType::kReleaseResponse, response, version);
+  WriteFrame(socket, MessageType::kReleaseResponse, response);
 }
 
 void QueryServer::LookupHandle(
@@ -636,7 +643,6 @@ void QueryServer::LookupHandle(
 void QueryServer::HandleQuery(Connection& connection) {
   Socket& socket = connection.socket;
   QueryBuffers& buffers = connection.buffers;
-  const uint16_t version = buffers.frame.version;
   // Queue-depth backpressure first: shedding happens before the body is
   // even decoded, so an overloaded server does the minimum work per
   // rejected request.
@@ -645,20 +651,19 @@ void QueryServer::HandleQuery(Connection& connection) {
     counters_.overload_rejected.fetch_add(1);
     SendError(socket, ErrorKind::kOverloaded,
               Status::Unavailable("query queue depth limit reached, "
-                                  "retry later"), version);
+                                  "retry later"));
     return;
   }
   Result<QueryRequestView> request = ParseQueryRequest(buffers.frame.body);
   if (!request.ok()) {
-    SendError(socket, ErrorKind::kMalformed, request.status(), version);
+    SendError(socket, ErrorKind::kMalformed, request.status());
     return;
   }
   if (request->num_pairs > options_.max_pairs_per_query) {
     SendError(socket, ErrorKind::kTooLarge,
               Status::OutOfRange(StrFormat(
                   "batch of %u pairs exceeds the per-request limit of %u",
-                  request->num_pairs, options_.max_pairs_per_query)),
-              version);
+                  request->num_pairs, options_.max_pairs_per_query)));
     return;
   }
   std::shared_ptr<DistanceOracle> oracle;
@@ -667,7 +672,7 @@ void QueryServer::HandleQuery(Connection& connection) {
   if (oracle == nullptr) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound(StrFormat("no released oracle with handle %u",
-                                         request->handle_id)), version);
+                                         request->handle_id)));
     return;
   }
   const size_t n = request->num_pairs;
@@ -692,43 +697,32 @@ void QueryServer::HandleQuery(Connection& connection) {
   }
   if (!executed.ok()) {
     // Out-of-range vertices and the like: the client's fault, typed so.
-    SendError(socket, ErrorKind::kMalformed, executed, version);
+    SendError(socket, ErrorKind::kMalformed, executed);
     return;
   }
   counters_.queries_served.fetch_add(1);
   counters_.pairs_served.fetch_add(n);
-  WriteQueryResponse(socket, answers, version);
+  WriteQueryResponse(socket, answers);
 }
 
-void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
-                               uint16_t version) {
+void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body) {
   if (replica_mode()) {
     SendError(socket, ErrorKind::kUnsupported,
               Status::FailedPrecondition(
                   "this node is a read replica; update epochs run on the "
-                  "coordinator"), version);
-    return;
-  }
-  if (version < kUpdateProtocolVersion) {
-    // The peer's own protocol does not define this exchange; acting on it
-    // would be guessing at semantics the peer never agreed to.
-    SendError(socket, ErrorKind::kMalformed,
-              Status::InvalidArgument(StrFormat(
-                  "UpdateWeights requires protocol v%u (peer spoke v%u)",
-                  kUpdateProtocolVersion, version)), version);
+                  "coordinator"));
     return;
   }
   Result<UpdateRequest> request = DecodeUpdateRequest(body);
   if (!request.ok()) {
-    SendError(socket, ErrorKind::kMalformed, request.status(), version);
+    SendError(socket, ErrorKind::kMalformed, request.status());
     return;
   }
   if (request->deltas.size() > options_.max_pairs_per_query) {
     SendError(socket, ErrorKind::kTooLarge,
               Status::OutOfRange(StrFormat(
                   "epoch of %zu deltas exceeds the per-request limit of %u",
-                  request->deltas.size(), options_.max_pairs_per_query)),
-              version);
+                  request->deltas.size(), options_.max_pairs_per_query)));
     return;
   }
   std::shared_ptr<DistanceOracle> oracle;
@@ -737,7 +731,7 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
   if (oracle == nullptr) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound(StrFormat("no released oracle with handle %u",
-                                         request->handle_id)), version);
+                                         request->handle_id)));
     return;
   }
   UpdatableDistanceOracle* updatable = oracle->AsUpdatable();
@@ -746,7 +740,7 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
               Status::FailedPrecondition(
                   "release '" + oracle->Name() +
                   "' is build-once: it does not support incremental "
-                  "weight updates"), version);
+                  "weight updates"));
     return;
   }
   UpdateInfo info;
@@ -763,7 +757,7 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
       if (applied.code() == StatusCode::kFailedPrecondition) {
         counters_.budget_rejected.fetch_add(1);
       }
-      SendError(socket, ReleaseErrorKind(applied), applied, version);
+      SendError(socket, ReleaseErrorKind(applied), applied);
       return;
     }
     const UpdatableDistanceOracle::UpdateStats& stats =
@@ -784,7 +778,8 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
     store::OracleSnapshotMeta meta;
     {
       std::lock_guard<std::mutex> lock(handles_mutex_);
-      const HandleEntry& entry = handles_[request->handle_id];
+      HandleEntry& entry = handles_[request->handle_id];
+      entry.epoch_lsn = epoch_lsn;
       snapshot_path = entry.snapshot_path;
       meta = {entry.mechanism, entry.workload, entry.name};
     }
@@ -805,12 +800,11 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
                       meta.handle, meta.mechanism, meta.workload, *oracle);
   }
   std::vector<uint8_t> response = EncodeUpdateInfo(info);
-  WriteFrame(socket, MessageType::kUpdateResponse, response, version);
+  WriteFrame(socket, MessageType::kUpdateResponse, response);
 }
 
-void QueryServer::HandleStats(Socket& socket, uint16_t version) {
+void QueryServer::HandleStats(Socket& socket) {
   ServerStats snapshot = stats();
-  snapshot.has_accounting = true;
   if (context_.has_value()) {
     // The policy never changes after construction; the budget position is
     // served from the post-commit snapshot so a stats poll is O(1) even
@@ -823,16 +817,47 @@ void QueryServer::HandleStats(Socket& socket, uint16_t version) {
     snapshot.remaining_delta = remaining_snapshot_.delta;
   }
   // Replica: the accounting fields stay zero — the budget lives on the
-  // coordinator, and role (v5) tells the client which node it asked.
-  std::vector<uint8_t> response = EncodeServerStats(snapshot, version);
-  WriteFrame(socket, MessageType::kStatsResponse, response, version);
+  // coordinator, and role tells the client which node it asked.
+  std::vector<uint8_t> response = EncodeServerStats(snapshot);
+  WriteFrame(socket, MessageType::kStatsResponse, response);
+}
+
+bool QueryServer::HandleSubscribe(Connection& connection) {
+  Result<ReplicaSubscribe> subscribe =
+      DecodeReplicaSubscribe(connection.buffers.frame.body);
+  if (!subscribe.ok()) {
+    SendError(connection.socket, ErrorKind::kMalformed, subscribe.status());
+    return true;
+  }
+  {
+    // The ledger lock orders the subscription against every epoch: each
+    // one is either in the observer's catch-up replay or broadcast to the
+    // new session, never both. It also makes unhooking the observer wait
+    // for this hand-off to finish.
+    std::lock_guard<std::mutex> ledger_lock(ledger_mutex_);
+    if (replication_observer_ != nullptr) {
+      Socket socket;
+      {
+        std::lock_guard<std::mutex> lock(connections_mutex_);
+        socket = std::move(connection.socket);
+      }
+      replication_observer_->OnSubscribe(std::move(subscribe).value(),
+                                         std::move(socket));
+      return false;
+    }
+  }
+  SendError(connection.socket, ErrorKind::kUnsupported,
+            Status::FailedPrecondition(
+                "this node is not a coordinator; replicas subscribe to "
+                "the coordinator's query port"));
+  return true;
 }
 
 void QueryServer::SendError(Socket& socket, ErrorKind kind,
-                            const Status& status, uint16_t version) {
+                            const Status& status) {
   std::vector<uint8_t> body = EncodeError(kind, status);
   // Best-effort: the peer may already be gone; its read loop will notice.
-  WriteFrame(socket, MessageType::kError, body, version);
+  WriteFrame(socket, MessageType::kError, body);
 }
 
 }  // namespace net

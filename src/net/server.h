@@ -11,28 +11,30 @@
 // query requests are only subject to queue-depth backpressure (a bounded
 // in-flight gauge) and oversized-batch limits — the server sheds load with
 // typed kOverloaded errors instead of queueing unboundedly. An UPDATE
-// (protocol v3) sits in between: a partial re-release of one handle's
-// dirty blocks, budget-checked like a release (at its dirty-fraction
-// price) and applied under the handle's writer lock so concurrent query
-// batches never observe a half-updated structure. Updates are
-// handle-scoped: they mutate the addressed release, not the workload
-// table (which stays the load-time snapshot other releases build from).
+// sits in between: a partial re-release of one handle's dirty blocks,
+// budget-checked like a release (at its dirty-fraction price) and
+// applied under the handle's writer lock so concurrent query batches
+// never observe a half-updated structure. Updates are handle-scoped:
+// they mutate the addressed release, not the workload table (which stays
+// the load-time snapshot other releases build from).
 //
 // Threading model: one acceptor thread polls the listener; each accepted
 // connection gets a reader/writer thread running the frame dispatch loop.
-// Releases are serialized on the single ReleaseContext ledger (its Rng is
-// one stream); queries run concurrently — oracle query methods are const
-// and concurrency-safe by the DistanceOracle contract, and the handle
-// table hands out shared_ptrs so a handle stays alive for the duration of
-// any in-flight batch.
+// A ReplicaSubscribe hands the connection's socket to the replication
+// observer (cluster::Coordinator) and ends that thread; a server with no
+// observer answers it kUnsupported. Releases are serialized on the single
+// ReleaseContext ledger (its Rng is one stream); queries run concurrently
+// — oracle query methods are const and concurrency-safe by the
+// DistanceOracle contract, and the handle table hands out shared_ptrs so
+// a handle stays alive for the duration of any in-flight batch.
 
-// Replica mode (protocol v5): a QueryServer constructed WITHOUT a
-// ReleaseContext is a read replica. It holds no ledger, no accountant,
-// and no noise stream — it cannot release or update even by accident;
-// both paths answer kUnsupported. Its handle table is fed by
-// cluster::Replica installing images the coordinator shipped, and its
-// query path is byte-for-byte the standalone one, so replicated answers
-// are bit-identical to the coordinator's.
+// Replica mode: a QueryServer constructed WITHOUT a ReleaseContext is a
+// read replica. It holds no ledger, no accountant, and no noise stream —
+// it cannot release or update even by accident; both paths answer
+// kUnsupported. Its handle table is fed by cluster::Replica installing
+// images the coordinator shipped, and its query path is byte-for-byte
+// the standalone one, so replicated answers are bit-identical to the
+// coordinator's.
 
 #ifndef DPSP_NET_SERVER_H_
 #define DPSP_NET_SERVER_H_
@@ -93,10 +95,12 @@ struct QueryServerOptions {
 class QueryServer {
  public:
   /// Ordered feed of every granted release and applied update epoch, as
-  /// the released image it produced. Called under the ledger lock, so
-  /// invocations arrive in epoch-LSN order — exactly the stream replicas
-  /// must apply to stay bit-identical. Oracles that do not implement
-  /// SaveReleasedState produce no call (they cannot be replicated).
+  /// the released image it produced, plus the replicas subscribing to
+  /// that feed. Both calls run under the ledger lock, so images arrive in
+  /// epoch-LSN order — exactly the stream replicas must apply to stay
+  /// bit-identical — and each subscription lands between two epochs.
+  /// Oracles that do not implement SaveReleasedState produce no image
+  /// (they cannot be replicated).
   class ReplicationObserver {
    public:
     virtual ~ReplicationObserver() = default;
@@ -105,6 +109,9 @@ class QueryServer {
                                const std::string& mechanism,
                                const std::string& workload,
                                std::vector<ReleasedSection> sections) = 0;
+    /// A replica subscribed on `socket`, which the observer now owns: it
+    /// streams the replica's catch-up and every later image over it.
+    virtual void OnSubscribe(ReplicaSubscribe subscribe, Socket socket) = 0;
   };
 
   /// The context is the server's single budget ledger: install a total
@@ -156,7 +163,7 @@ class QueryServer {
   /// True when constructed without a ledger (the replica-mode ctor).
   bool replica_mode() const { return !context_.has_value(); }
 
-  /// This node's place in the read tier, for Stats v5. Defaults to
+  /// This node's place in the read tier, for Stats. Defaults to
   /// kStandalone (kReplica for the replica ctor); cluster::Coordinator
   /// promotes its server to kCoordinator.
   void set_role(NodeRole role) { role_.store(role); }
@@ -170,12 +177,16 @@ class QueryServer {
   /// frame never moves it backwards). The replica install path.
   void BumpEpochLsn(uint64_t lsn);
 
-  /// Subscribes `observer` to the release/update image stream (nullptr
-  /// unsubscribes). The pointer is non-owning and must outlive the
-  /// server or be cleared first.
+  /// Subscribes `observer` to the release/update image stream and routes
+  /// ReplicaSubscribe requests to it (nullptr unsubscribes, after any
+  /// in-flight subscribe). A new observer is first fed every live
+  /// handle's image as a release at the LSN of the epoch that produced
+  /// it, so handles recovered at Start or released before it replicate
+  /// too. The pointer is non-owning and must outlive the server or be
+  /// cleared first.
   void SetReplicationObserver(ReplicationObserver* observer);
 
-  /// Installs `fn` to fill the Stats v5 cluster aggregation fields
+  /// Installs `fn` to fill the Stats cluster aggregation fields
   /// (num_replicas, replica_lag, replica serve counters) on every stats
   /// snapshot — the coordinator/replica objects own that state.
   using ClusterStatsFn = std::function<void(ServerStats&)>;
@@ -225,6 +236,9 @@ class QueryServer {
     /// Where this handle's snapshot lives; empty when persistence is off
     /// (or the mechanism does not implement SaveReleasedState).
     std::string snapshot_path;
+    /// The epoch that produced the current image: its release or last
+    /// update (set under the ledger lock).
+    uint64_t epoch_lsn = 0;
   };
   /// What a connection reuses from request to request, so a steady
   /// stream of batches allocates nothing: the last frame read, and pair
@@ -235,6 +249,8 @@ class QueryServer {
     std::vector<double> answers;
   };
   struct Connection {
+    /// Moved out under connections_mutex_ when a subscribe takes it, so
+    /// Stop never shuts down a socket mid-move.
     Socket socket;
     std::thread thread;
     std::atomic<bool> done{false};
@@ -263,27 +279,28 @@ class QueryServer {
   void RefreshBudgetSnapshot();
   void ServeConnection(Connection* connection);
   /// Dispatches the connection's last frame; returns false when the
-  /// connection must close (framing is broken and the stream cannot be
-  /// resynchronized). Every response (errors included) echoes the request
-  /// frame's protocol version so a v1 peer never sees a v2 header.
+  /// connection's thread must end (framing is broken and the stream
+  /// cannot be resynchronized, or a subscribe took the socket).
   bool DispatchFrame(Connection& connection);
-  void HandleRelease(Socket& socket, std::span<const uint8_t> body,
-                     uint16_t version);
+  void HandleRelease(Socket& socket, std::span<const uint8_t> body);
   /// Answers the QueryRequest in the connection's frame out of its
   /// reused buffers: the pairs are copied once out of the frame, the
   /// executor writes the answers in place, and the response is gathered
   /// from them. The buffers grow only for a batch that passed every
   /// check, so a refused request never enlarges them.
   void HandleQuery(Connection& connection);
-  /// One incremental update epoch (v3): validated, budget-checked at its
+  /// One incremental update epoch: validated, budget-checked at its
   /// dirty-fraction price, applied under the handle's writer lock and the
   /// ledger lock (one noise stream), answered with the charged loss and
   /// remaining headroom.
-  void HandleUpdate(Socket& socket, std::span<const uint8_t> body,
-                    uint16_t version);
-  void HandleStats(Socket& socket, uint16_t version);
-  void SendError(Socket& socket, ErrorKind kind, const Status& status,
-                 uint16_t version = kProtocolVersion);
+  void HandleUpdate(Socket& socket, std::span<const uint8_t> body);
+  void HandleStats(Socket& socket);
+  /// Hands the connection's socket and decoded ReplicaSubscribe to the
+  /// replication observer under the ledger lock; returns false once the
+  /// socket is gone. Without an observer the answer is kUnsupported and
+  /// the connection keeps serving.
+  bool HandleSubscribe(Connection& connection);
+  void SendError(Socket& socket, ErrorKind kind, const Status& status);
   /// Extracts the oracle's released image and hands it to the observer
   /// (no-op without an observer or for non-persisting oracles). Call
   /// under ledger_mutex_ so the stream arrives in LSN order.
@@ -332,9 +349,10 @@ class QueryServer {
   // frames they install. Atomic so stats polls read it lock-free.
   std::atomic<uint64_t> epoch_lsn_{0};
   std::atomic<NodeRole> role_{NodeRole::kStandalone};
-  // Set under ledger_mutex_, read under it (the notify path).
+  // Set under ledger_mutex_, read under it (the notify and subscribe
+  // paths).
   ReplicationObserver* replication_observer_ = nullptr;
-  // Fills the Stats v5 aggregation fields; guarded by its own mutex (the
+  // Fills the Stats aggregation fields; guarded by its own mutex (the
   // provider is installed after Start, when stats may already be polled).
   mutable std::mutex cluster_stats_mutex_;
   ClusterStatsFn cluster_stats_fn_;

@@ -245,17 +245,13 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   header.ReadU64(&table_offset);
   header.ReadU64(&table_bytes);
   header.ReadU32(&table_crc);
-  if (magic != kSnapshotMagic) return Corrupt(path, "bad magic");
-  // The version picks the header shape (v2 inserted the epoch LSN before
-  // the header CRC), so it gates parsing; its own bytes are still under
-  // the CRC checked right after.
-  if (version < kMinSnapshotFormatVersion ||
-      version > kSnapshotFormatVersion) {
-    return Corrupt(path, StrFormat("unsupported format version %u", version));
-  }
-  if (version >= 2) header.ReadU64(&epoch_lsn);
+  header.ReadU64(&epoch_lsn);
   const size_t crc_covered = header.pos();
   header.ReadU32(&header_crc);
+  if (magic != kSnapshotMagic) return Corrupt(path, "bad magic");
+  if (version != kSnapshotFormatVersion) {
+    return Corrupt(path, StrFormat("unsupported format version %u", version));
+  }
   if (header_crc != Crc32c(data, crc_covered)) {
     return Corrupt(path, "header checksum mismatch");
   }

@@ -8,11 +8,10 @@
 //   header  (64 bytes, little-endian):
 //     u64 magic "DPSPSNP1"   u32 format_version (=2)   u32 num_sections
 //     u64 table_offset       u64 table_bytes
-//     u32 table_crc32c       u64 epoch_lsn (v2)
+//     u32 table_crc32c       u64 epoch_lsn
 //     u32 header_crc32c (over the first 44 bytes)
 //     16 zero pad bytes
-//   (format v1 had no epoch_lsn: header_crc32c sat at offset 36 over the
-//   first 36 bytes. Readers accept both; v1 snapshots read as epoch 0.)
+//   Readers accept format_version 2 only.
 //   table entry (variable, little-endian), num_sections times:
 //     u32 label_len   label bytes
 //     u64 payload_offset   u64 payload_bytes   u32 payload_crc32c
@@ -47,8 +46,6 @@ namespace store {
 
 inline constexpr uint64_t kSnapshotMagic = 0x31504E5350535044ULL;  // DPSPSNP1
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
-/// Oldest format this build still reads (v1 lacked the epoch LSN).
-inline constexpr uint32_t kMinSnapshotFormatVersion = 1;
 
 /// Atomically writes `sections` as a snapshot at `path` (temp file +
 /// fsync + rename + directory fsync). Section labels must be non-empty
@@ -77,8 +74,8 @@ class SnapshotReader {
 
   std::span<const ReleasedSectionView> sections() const { return sections_; }
 
-  /// The replication epoch stamped on the file (0 for format-v1 files and
-  /// standalone curators).
+  /// The replication epoch stamped on the file (0 for standalone
+  /// curators).
   uint64_t epoch_lsn() const { return epoch_lsn_; }
 
   /// The section labeled `label`, or nullptr.

@@ -1,6 +1,6 @@
 // Byte-range deltas between two released-state images — the replication
-// diff for the read tier. A protocol-v3 update epoch redraws only the
-// dirty dyadic blocks inside an oracle's released sections, so the
+// diff for the read tier. An update epoch redraws only the dirty dyadic
+// blocks inside an oracle's released sections, so the
 // byte-level difference between the pre- and post-epoch images is a
 // handful of contiguous runs. ComputeSectionDelta extracts those runs;
 // ApplySectionDelta patches them into a replica's copy and proves the

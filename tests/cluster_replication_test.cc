@@ -1,6 +1,8 @@
 // Tests for the replicated read tier: coordinator/replica bit-identity
 // across every registered mechanism, delta-only update epochs (byte
-// accounting), late-joiner catch-up, a SIGKILLed-mid-install replica
+// accounting), late-joiner catch-up, coordinators started over handles
+// that already exist (released earlier or recovered from disk), idle
+// dialers on the shared query port, a SIGKILLed-mid-install replica
 // resubscribing cleanly, and budget charged exactly once on the
 // coordinator no matter how many replicas serve.
 
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,16 +68,23 @@ struct ReplicaNode {
   std::unique_ptr<cluster::Replica> replica;
 };
 
-/// A coordinator (budget-holding server + replication listener) and
-/// helpers to attach replicas against the same workload.
+/// A coordinator (a budget-holding server whose query port also takes
+/// replica subscriptions) and helpers to attach replicas against the
+/// same workload. The server persists to `persistence_dir` when it is
+/// set; with `start_coordinator` false the server runs standalone until
+/// StartCoordinator().
 class ClusterFixture {
  public:
-  explicit ClusterFixture(double compaction_factor = 1e9)
+  explicit ClusterFixture(double compaction_factor = 1e9,
+                          const std::string& persistence_dir = "",
+                          bool start_coordinator = true)
       : workload_(MakeWorkload()) {
     ReleaseContext ctx =
         ReleaseContext::Create(kParams, kClusterSeed).value();
     ctx.SetTotalBudget(PrivacyParams{1e9, 0.5, 1.0});
-    server_ = std::make_unique<net::QueryServer>(net::QueryServerOptions{},
+    net::QueryServerOptions server_options;
+    server_options.persistence_dir = persistence_dir;
+    server_ = std::make_unique<net::QueryServer>(server_options,
                                                  std::move(ctx));
     EXPECT_OK(server_->AddWorkload("path", workload_.graph,
                                    workload_.weights));
@@ -85,8 +95,10 @@ class ClusterFixture {
     options.compaction_factor = compaction_factor;
     coordinator_ =
         std::make_unique<cluster::Coordinator>(options, server_.get());
-    EXPECT_OK(coordinator_->Start());
+    if (start_coordinator) StartCoordinator();
   }
+
+  void StartCoordinator() { EXPECT_OK(coordinator_->Start()); }
 
   ~ClusterFixture() {
     for (ReplicaNode& node : replicas_) node.replica->Stop();
@@ -102,7 +114,7 @@ class ClusterFixture {
                                        workload_.weights));
     EXPECT_OK(node.server->Start());
     cluster::ReplicaOptions options;
-    options.coordinator_port = coordinator_->replication_port();
+    options.coordinator_port = server_->port();
     options.name = name;
     node.replica =
         std::make_unique<cluster::Replica>(options, node.server.get());
@@ -261,6 +273,67 @@ TEST(ClusterReplicationTest, LateJoinerCatchesUpThroughDeltaReplay) {
                      "late joiner");
 }
 
+// ----------------------------------- coordinators over existing handles --
+
+TEST(ClusterReplicationTest, CoordinatorStartedAfterReleasesShipsThem) {
+  // Both handles exist before the coordinator hooks in, so no epoch after
+  // its Start carries them: Start itself must ship them, the build-once
+  // one included.
+  ClusterFixture fixture(1e9, /*persistence_dir=*/"",
+                         /*start_coordinator=*/false);
+  net::Client client = fixture.ConnectTo(fixture.server());
+  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo updatable,
+                       client.Release("path", "tree-hld", "updatable"));
+  ASSERT_OK_AND_ASSIGN(
+      net::ReleaseInfo build_once,
+      client.Release("path", "per-pair-laplace", "build-once"));
+  fixture.StartCoordinator();
+  ReplicaNode& node = fixture.AddReplica("r1");
+  fixture.AwaitConvergence(5000);
+  EXPECT_EQ(node.server->stats().open_handles, 2u);
+  ExpectBitIdentical(fixture, updatable.handle_id, kTestSeed ^ 0xea21,
+                     "tree-hld released before Start");
+  ExpectBitIdentical(fixture, build_once.handle_id, kTestSeed ^ 0xea22,
+                     "per-pair-laplace released before Start");
+}
+
+TEST(ClusterReplicationTest, WarmRestartedCoordinatorShipsRecoveredHandles) {
+  std::string dir = ::testing::TempDir() + "dpsp_cluster_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  {
+    // First life: a persistent standalone node releases, then stops.
+    ClusterFixture first(1e9, dir, /*start_coordinator=*/false);
+    net::Client client = first.ConnectTo(first.server());
+    ASSERT_OK(client.Release("path", "tree-hld", "durable").status());
+  }
+  // Second life: the handle is recovered at Start, before the coordinator
+  // exists.
+  ClusterFixture fixture(1e9, dir);
+  ASSERT_EQ(fixture.server().stats().recovered_handles, 1u);
+  fixture.AddReplica("r1");
+  fixture.AwaitConvergence(5000);
+  ExpectBitIdentical(fixture, 0, kTestSeed ^ 0x4e57, "recovered tree-hld");
+}
+
+// ------------------------------------------------------ idle dialers --
+
+TEST(ClusterReplicationTest, IdleDialersCannotDelayASubscription) {
+  ClusterFixture fixture;
+  net::Client client = fixture.ConnectTo(fixture.server());
+  ASSERT_OK(client.Release("path", "tree-hld", "live").status());
+  // Three connections to the port replicas subscribe on, each sending
+  // nothing. Each holds only its own connection thread.
+  std::vector<net::Socket> idle;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        net::Socket socket,
+        net::Connect("127.0.0.1", fixture.coordinator().replication_port()));
+    idle.push_back(std::move(socket));
+  }
+  fixture.AddReplica("r1");
+  fixture.AwaitConvergence(/*timeout_ms=*/1000);
+}
+
 // ------------------------------------------------ failure injection --
 
 TEST(ClusterReplicationTest, InstallFailureForcesACleanResync) {
@@ -308,7 +381,7 @@ TEST(ClusterReplicationTest, SigkilledMidInstallReplicaResubscribesCleanly) {
     }
     if (!server->Start().ok()) _exit(41);
     cluster::ReplicaOptions options;
-    options.coordinator_port = fixture.coordinator().replication_port();
+    options.coordinator_port = fixture.server().port();
     options.name = "doomed";
     auto* replica = new cluster::Replica(options, server);
     if (!replica->Start().ok()) _exit(43);
@@ -394,7 +467,7 @@ TEST(ClusterReplicationTest, BudgetIsChargedExactlyOnceOnTheCoordinator) {
     // The refusal is a routing answer, not an admission event.
     EXPECT_EQ(node.server->stats().budget_rejected, 0u);
   }
-  // The coordinator aggregates its read tier in Stats v5. The query
+  // The coordinator aggregates its read tier in Stats. The query
   // counters ride the replicas' periodic idle acks; poll for them.
   net::ServerStats coordinator_stats = fixture.server().stats();
   for (int i = 0; i < 500 && coordinator_stats.replica_queries_served < 2;

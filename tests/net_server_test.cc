@@ -377,52 +377,58 @@ TEST(NetServerTest, MalformedFrameGetsTypedErrorAndCloses) {
   EXPECT_FALSE(closed.ok());
 }
 
-TEST(NetProtocolTest, ServerStatsV1BodyDecodesWithoutAccounting) {
-  // Backward-compatible decode: a v1 peer's StatsResponse body ends after
-  // the counters; the accounting extension stays at its defaults.
+TEST(NetProtocolTest, ServerStatsRoundTripsEveryField) {
+  // Every field carries a distinct value, so a swapped or dropped field
+  // shows.
   net::ServerStats stats;
-  stats.queries_served = 7;
-  stats.open_handles = 2;
-  stats.accounting_policy =
-      static_cast<uint16_t>(AccountingPolicy::kZcdp);
-  stats.spent_epsilon = 1.25;
-  std::vector<uint8_t> body = net::EncodeServerStats(stats);
-  constexpr size_t kV1BodyBytes = 6 * 8 + 4;
-  body.resize(kV1BodyBytes);  // what a v1 peer would have sent
-  ASSERT_OK_AND_ASSIGN(net::ServerStats decoded,
-                       net::DecodeServerStats(body));
-  EXPECT_EQ(decoded.queries_served, 7u);
-  EXPECT_EQ(decoded.open_handles, 2u);
-  EXPECT_FALSE(decoded.has_accounting);
-  EXPECT_EQ(decoded.accounting_policy, 0u);
-  EXPECT_DOUBLE_EQ(decoded.spent_epsilon, 0.0);
-
-  // A truncated extension is still a malformed body, not a v1 peer.
-  std::vector<uint8_t> torn = net::EncodeServerStats(stats);
-  torn.pop_back();
-  EXPECT_FALSE(net::DecodeServerStats(torn).ok());
-}
-
-TEST(NetProtocolTest, ServerStatsV2RoundTripsAccounting) {
-  net::ServerStats stats;
-  stats.releases_granted = 3;
-  stats.has_accounting = true;
+  stats.connections_accepted = 1;
+  stats.queries_served = 2;
+  stats.pairs_served = 3;
+  stats.releases_granted = 4;
+  stats.budget_rejected = 5;
+  stats.overload_rejected = 6;
+  stats.open_handles = 7;
   stats.accounting_policy =
       static_cast<uint16_t>(AccountingPolicy::kAdvanced);
   stats.spent_epsilon = 0.75;
   stats.spent_delta = 1e-7;
   stats.remaining_epsilon = 1.25;
   stats.remaining_delta = 1e-5;
+  stats.warm_restart = true;
+  stats.recovered_handles = 8;
+  stats.recovered_charges = 9;
+  stats.role = static_cast<uint16_t>(net::NodeRole::kCoordinator);
+  stats.last_epoch_lsn = 10;
+  stats.num_replicas = 11;
+  stats.replica_lag = 12;
+  stats.replica_queries_served = 13;
+  stats.replica_pairs_served = 14;
   std::vector<uint8_t> body = net::EncodeServerStats(stats);
   ASSERT_OK_AND_ASSIGN(net::ServerStats decoded,
                        net::DecodeServerStats(body));
-  EXPECT_TRUE(decoded.has_accounting);
+  EXPECT_EQ(decoded.connections_accepted, 1u);
+  EXPECT_EQ(decoded.queries_served, 2u);
+  EXPECT_EQ(decoded.pairs_served, 3u);
+  EXPECT_EQ(decoded.releases_granted, 4u);
+  EXPECT_EQ(decoded.budget_rejected, 5u);
+  EXPECT_EQ(decoded.overload_rejected, 6u);
+  EXPECT_EQ(decoded.open_handles, 7u);
   EXPECT_EQ(decoded.accounting_policy,
             static_cast<uint16_t>(AccountingPolicy::kAdvanced));
   EXPECT_DOUBLE_EQ(decoded.spent_epsilon, 0.75);
   EXPECT_DOUBLE_EQ(decoded.spent_delta, 1e-7);
   EXPECT_DOUBLE_EQ(decoded.remaining_epsilon, 1.25);
   EXPECT_DOUBLE_EQ(decoded.remaining_delta, 1e-5);
+  EXPECT_TRUE(decoded.warm_restart);
+  EXPECT_EQ(decoded.recovered_handles, 8u);
+  EXPECT_EQ(decoded.recovered_charges, 9u);
+  EXPECT_EQ(decoded.role,
+            static_cast<uint16_t>(net::NodeRole::kCoordinator));
+  EXPECT_EQ(decoded.last_epoch_lsn, 10u);
+  EXPECT_EQ(decoded.num_replicas, 11u);
+  EXPECT_EQ(decoded.replica_lag, 12u);
+  EXPECT_EQ(decoded.replica_queries_served, 13u);
+  EXPECT_EQ(decoded.replica_pairs_served, 14u);
 }
 
 TEST(NetServerTest, StatsRoundTripRemainingBudgetUnderActivePolicy) {
@@ -448,7 +454,6 @@ TEST(NetServerTest, StatsRoundTripRemainingBudgetUnderActivePolicy) {
   ASSERT_OK(client.Release("path", "bounded-weight-gaussian", "g2").status());
 
   ASSERT_OK_AND_ASSIGN(net::ServerStats stats, client.Stats());
-  ASSERT_TRUE(stats.has_accounting);
   EXPECT_EQ(stats.accounting_policy,
             static_cast<uint16_t>(AccountingPolicy::kZcdp));
   // Reproduce the expected position: two GaussianFromParams charges under
@@ -460,33 +465,6 @@ TEST(NetServerTest, StatsRoundTripRemainingBudgetUnderActivePolicy) {
   EXPECT_DOUBLE_EQ(stats.remaining_epsilon, budget.epsilon - expected_eps);
   EXPECT_DOUBLE_EQ(stats.remaining_delta, budget.delta - kDeltaSlack);
   server.Stop();
-}
-
-TEST(NetServerTest, V1PeerGetsV1HeaderAndV1StatsBody) {
-  // Rolling-upgrade compatibility: a v1 client's frames carry version 1,
-  // and its ReadFrame rejects anything but version 1 — so the server must
-  // echo the request's version and encode the v1 stats body shape.
-  ServerFixture fixture;
-  ASSERT_OK_AND_ASSIGN(
-      net::Socket socket,
-      net::Connect("127.0.0.1", fixture.server().port()));
-  ASSERT_OK(net::WriteFrame(socket, net::MessageType::kStatsRequest, {},
-                            /*version=*/1));
-  ASSERT_OK_AND_ASSIGN(net::Frame response, net::ReadFrame(socket));
-  EXPECT_EQ(response.version, 1u);
-  EXPECT_EQ(response.type, net::MessageType::kStatsResponse);
-  EXPECT_EQ(response.body.size(), 6u * 8u + 4u);  // counters only
-  ASSERT_OK_AND_ASSIGN(net::ServerStats stats,
-                       net::DecodeServerStats(response.body));
-  EXPECT_FALSE(stats.has_accounting);
-
-  // The same request at v2 gets the extension on the same server.
-  ASSERT_OK(net::WriteFrame(socket, net::MessageType::kStatsRequest, {}));
-  ASSERT_OK_AND_ASSIGN(net::Frame v2_response, net::ReadFrame(socket));
-  EXPECT_EQ(v2_response.version, net::kProtocolVersion);
-  ASSERT_OK_AND_ASSIGN(net::ServerStats v2_stats,
-                       net::DecodeServerStats(v2_response.body));
-  EXPECT_TRUE(v2_stats.has_accounting);
 }
 
 TEST(NetServerTest, StatsReportInfiniteHeadroomWithoutBudget) {
@@ -501,7 +479,6 @@ TEST(NetServerTest, StatsReportInfiniteHeadroomWithoutBudget) {
   net::Client client = net::Client::Connect("127.0.0.1",
                                             server.port()).value();
   ASSERT_OK_AND_ASSIGN(net::ServerStats stats, client.Stats());
-  ASSERT_TRUE(stats.has_accounting);
   EXPECT_EQ(stats.accounting_policy,
             static_cast<uint16_t>(AccountingPolicy::kBasic));
   EXPECT_TRUE(std::isinf(stats.remaining_epsilon));

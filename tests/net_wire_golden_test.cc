@@ -115,16 +115,15 @@ TEST(NetWireGoldenTest, WrittenFramesArePinnedOnTheSocket) {
                        net::Connect("127.0.0.1", listener.port()));
   ASSERT_OK_AND_ASSIGN(net::Socket reader, listener.Accept(5000));
 
-  // A query request at the current version, then an empty-bodied v1
-  // stats request: the header alone must still go out whole.
+  // A query request, then an empty-bodied stats request: the header
+  // alone must still go out whole.
   ASSERT_OK(net::WriteFrame(writer, net::MessageType::kQueryRequest,
                             net::EncodeQueryRequest(kHandle, kPairs)));
-  ASSERT_OK(net::WriteFrame(writer, net::MessageType::kStatsRequest, {},
-                            /*version=*/1));
+  ASSERT_OK(net::WriteFrame(writer, net::MessageType::kStatsRequest, {}));
   const std::string expected = Compact(
       "50535044 0500 0300 28000000 ") +  // magic, v5, QueryRequest, 40
       Compact(kQueryRequestHex) +
-      Compact("50535044 0100 0500 00000000");  // magic, v1, Stats, 0
+      Compact("50535044 0500 0500 00000000");  // magic, v5, Stats, 0
   std::vector<uint8_t> raw(expected.size() / 2);
   ASSERT_OK(reader.ReadAll(raw.data(), raw.size()));
   EXPECT_EQ(ToHex(raw), expected);

@@ -2,12 +2,14 @@
 // single-bit flips, lying length fields, and protocol misuse (duplicate
 // commits, unknown intents, LSN regressions) must every one surface as a
 // typed error or a validated identical read — never a crash, never a
-// silently partial result. The snapshot's uncovered bytes (header pad,
+// silently partial result, and a snapshot in any format but the one this
+// build writes is refused. The snapshot's uncovered bytes (header pad,
 // alignment gaps) may absorb a flip, so the bit-flip property is
 // "rejected OR bit-identical", which is exactly the checksum contract.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -160,6 +162,29 @@ TEST(SnapshotFuzzTest, LyingHeaderLengthsAreRejected) {
   resign_and_expect_reject(24, uint64_t{1} << 40, 8, "huge table_bytes");
   resign_and_expect_reject(12, 1000000, 4, "lying num_sections");
   resign_and_expect_reject(24, 0, 8, "table_bytes too small for entries");
+}
+
+TEST(SnapshotFuzzTest, FormatV1SnapshotIsATypedError) {
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/clean.snap";
+  ASSERT_OK(store::WriteSnapshot(path, CanonicalSections()));
+  // Rewrite the clean file as a well-formed format-1 snapshot: version 1,
+  // no epoch LSN, the header CRC at offset 36 over the first 36 bytes,
+  // and zero pad to 64.
+  std::vector<uint8_t> v1 = ReadFileBytes(path);
+  v1[8] = 1;
+  v1[9] = v1[10] = v1[11] = 0;
+  std::fill(v1.begin() + 36, v1.begin() + 64, 0);
+  const uint32_t crc = Crc32c(v1.data(), 36);
+  for (int i = 0; i < 4; ++i) {
+    v1[36 + static_cast<size_t>(i)] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+  const std::string v1_path = dir + "/v1.snap";
+  WriteFileBytes(v1_path, v1);
+  Result<store::SnapshotReader> opened = store::SnapshotReader::Open(v1_path);
+  ASSERT_FALSE(opened.ok()) << "opened a format-1 snapshot at epoch "
+                            << opened->epoch_lsn();
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------ WAL corruption --

@@ -3,7 +3,8 @@
 # operator would run the tier, and checks the properties the design
 # promises.
 #
-#   1. Start a coordinator and two replicas on ephemeral ports.
+#   1. Start a coordinator and two replicas on ephemeral ports; the
+#      replicas subscribe on the coordinator's query port.
 #   2. Release an updatable oracle on the coordinator; wait until both
 #      replicas report the epoch applied; `drive query` all three nodes
 #      and diff the hex-float answers — bit-identity, not approximation.
@@ -51,17 +52,15 @@ ready_line() {  # <logfile>
 echo "== start coordinator + two replicas =="
 "${NODE}" coordinator >"${WORK}/coord.log" 2>&1 &
 PIDS+=($!); disown
-COORD_READY="$(ready_line "${WORK}/coord.log")"
-COORD_QUERY="$(sed -n 's/.*query=\([0-9]*\).*/\1/p' <<<"${COORD_READY}")"
-COORD_REPL="$(sed -n 's/.*repl=\([0-9]*\).*/\1/p' <<<"${COORD_READY}")"
-echo "   coordinator: query=${COORD_QUERY} repl=${COORD_REPL}"
+COORD_QUERY="$(ready_line "${WORK}/coord.log" | sed -n 's/.*query=\([0-9]*\).*/\1/p')"
+echo "   coordinator: query=${COORD_QUERY}"
 
-"${NODE}" replica "${COORD_REPL}" r1 >"${WORK}/r1.log" 2>&1 &
+"${NODE}" replica "${COORD_QUERY}" r1 >"${WORK}/r1.log" 2>&1 &
 R1_PID=$!
 PIDS+=("${R1_PID}"); disown
 R1_QUERY="$(ready_line "${WORK}/r1.log" | sed -n 's/.*query=\([0-9]*\).*/\1/p')"
 
-"${NODE}" replica "${COORD_REPL}" r2 >"${WORK}/r2.log" 2>&1 &
+"${NODE}" replica "${COORD_QUERY}" r2 >"${WORK}/r2.log" 2>&1 &
 R2_PID=$!
 PIDS+=("${R2_PID}"); disown
 R2_QUERY="$(ready_line "${WORK}/r2.log" | sed -n 's/.*query=\([0-9]*\).*/\1/p')"
@@ -96,7 +95,7 @@ wait "${R2_PID}" 2>/dev/null || true
 "${NODE}" drive "${COORD_QUERY}" update "${HANDLE}" >/dev/null
 "${NODE}" drive "${R1_QUERY}" wait_lsn 3 >/dev/null
 
-"${NODE}" replica "${COORD_REPL}" r2-reborn >"${WORK}/r2b.log" 2>&1 &
+"${NODE}" replica "${COORD_QUERY}" r2-reborn >"${WORK}/r2b.log" 2>&1 &
 PIDS+=($!); disown
 R2_QUERY="$(ready_line "${WORK}/r2b.log" | sed -n 's/.*query=\([0-9]*\).*/\1/p')"
 "${NODE}" drive "${R2_QUERY}" wait_lsn 3 >/dev/null
