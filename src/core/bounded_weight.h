@@ -49,8 +49,9 @@ struct BoundedWeightOptions {
 
   /// Worker threads for the Z-center multi-source Dijkstra that dominates
   /// build time at scale (one source per task, shared CSR, thread-local
-  /// heaps). 0 = hardware concurrency, 1 = serial. The released table is
-  /// identical at any thread count: noise is drawn serially afterwards.
+  /// heaps). 0 = hardware concurrency when no other ParallelFor call is
+  /// executing, else serial; 1 = serial. The released table is identical
+  /// at any thread count: noise is drawn serially afterwards.
   int build_threads = 0;
 };
 

@@ -158,8 +158,10 @@ class UpdatableDistanceOracle : public DistanceOracle {
 
 /// Answers `pairs` by running oracle.DistanceInto() chunk-wise across
 /// worker threads (the default DistanceBatch body, exposed so callers can
-/// cap the thread count). `max_threads` = 1 is the strictly serial
-/// reference path the sharded executor tests compare against.
+/// cap the thread count). With `max_threads` = 0 the chunks run inline
+/// while another ParallelFor call is executing (common/parallel.h).
+/// `max_threads` = 1 is the strictly serial reference path the sharded
+/// executor tests compare against.
 Result<std::vector<double>> DistanceBatchOf(const DistanceOracle& oracle,
                                             std::span<const VertexPair> pairs,
                                             int max_threads = 0);

@@ -53,7 +53,9 @@ class DistanceMatrix {
 };
 
 /// All-pairs distances by running Dijkstra from every vertex, sources
-/// fanned out over worker threads (shared CSR, thread-local heaps).
+/// fanned out over worker threads (shared CSR, thread-local heaps) unless
+/// another ParallelFor call is executing when it starts, in which case it
+/// runs serially throughout (common/parallel.h).
 /// O(V (V + E) log V) work. Requires non-negative weights.
 Result<DistanceMatrix> AllPairsDijkstra(const Graph& graph,
                                         const EdgeWeights& w);
@@ -66,8 +68,9 @@ Result<DistanceMatrix> FloydWarshall(const Graph& graph, const EdgeWeights& w);
 /// per source. Row i of the result corresponds to sources[i]. Validates
 /// once, then runs one source per task across worker threads over the
 /// shared CSR arrays with thread-local heaps — the bounded-weight oracle's
-/// Z-center build path. `max_threads` = 0 uses hardware concurrency; 1
-/// forces the serial build. Results are identical at any thread count.
+/// Z-center build path. `max_threads` = 0 uses hardware concurrency when
+/// no other ParallelFor call is executing, else runs serially; 1 forces
+/// the serial build. Results are identical at any thread count.
 Result<std::vector<std::vector<double>>> MultiSourceDistances(
     const Graph& graph, const EdgeWeights& w,
     const std::vector<VertexId>& sources, int max_threads = 0);

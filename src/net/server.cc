@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -407,7 +408,17 @@ void QueryServer::AcceptLoop() {
     connection->socket = std::move(accepted).value();
     Connection* raw = connection.get();
     connections_.push_back(std::move(connection));
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
+    try {
+      raw->thread = std::thread([this, raw] { ServeConnection(raw); });
+    } catch (const std::system_error&) {
+      // No thread to serve it (EAGAIN: a thread or process limit): shed
+      // it like a full table and keep accepting.
+      counters_.overload_rejected.fetch_add(1);
+      SendError(raw->socket, ErrorKind::kOverloaded,
+                Status::Unavailable("no thread to serve the connection, "
+                                    "retry later"));
+      connections_.pop_back();  // closes the socket
+    }
   }
 }
 

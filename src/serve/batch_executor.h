@@ -11,6 +11,12 @@
 // Every shard runs the same serial kernel over its own pairs, so sharded
 // and serial results are bit-identical.
 //
+// Under load the plan stays and only its placement changes: with the
+// default max_threads, a batch that starts while another ParallelFor call
+// is executing (another connection's batch, say) runs all its shards in
+// order on the calling thread instead of spawning workers, per
+// ParallelFor's fan-out rule. Its answers keep their bits either way.
+//
 // Privacy composition: serving consumes no budget (queries are
 // post-processing), but a sharded *build* pipeline constructs per-shard
 // oracles through ReleaseContext::Fork children and composes their spend
@@ -38,8 +44,9 @@ namespace dpsp {
 struct BatchExecutorOptions {
   /// Target shard count; 0 derives one shard per available worker.
   int num_shards = 0;
-  /// Worker threads the shards run across (0 = hardware concurrency,
-  /// 1 = serial execution of every shard).
+  /// Worker threads the shards run across (0 = hardware concurrency when
+  /// nothing else is executing, else the calling thread alone; 1 = serial
+  /// execution of every shard).
   int max_threads = 0;
   /// Minimum pairs per shard: small batches collapse to fewer shards so
   /// the latency path never pays fan-out overhead for a handful of
@@ -88,7 +95,9 @@ class BatchExecutor {
                                     std::span<const EdgeWeightDelta> deltas,
                                     ReleaseContext& ctx) const;
 
-  /// Shards Execute would use for a batch of `num_pairs` (for reports).
+  /// Shards Execute would use for a batch of `num_pairs` (for reports):
+  /// the plan, which an idle process runs one shard per worker and a
+  /// loaded one runs inline.
   int PlannedShardCount(size_t num_pairs) const;
 
   const BatchExecutorOptions& options() const { return options_; }

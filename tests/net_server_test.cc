@@ -1,15 +1,17 @@
 // Tests for the network front end: wire-protocol round trips, loopback
 // serving bit-identical to direct BatchExecutor calls, budget-driven
 // admission control (typed over-budget rejection), queue-depth/connection
-// backpressure, an acceptor that outlives a failed accept(2), survival
-// under 8 concurrent client connections, and one connection reusing its
-// buffers across every kind of request outcome.
+// backpressure, an acceptor that outlives a failed accept(2) and sheds a
+// connection it cannot start a thread for, survival under 8 concurrent
+// client connections, and one connection reusing its buffers across every
+// kind of request outcome.
 
 #include "net/server.h"
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -45,6 +47,14 @@ std::vector<VertexPair> SampleTestPairs(int n, int count, Rng* rng) {
     pairs.emplace_back(u, v);
   }
   return pairs;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<uint64_t>(x) ==
+                             std::bit_cast<uint64_t>(y);
+                    });
 }
 
 struct Workload {
@@ -362,6 +372,66 @@ TEST(NetServerTest, AcceptorOutlivesAFailedAccept) {
   EXPECT_TRUE(fixture.server().running());
 }
 
+/// Forked-child body: a server whose acceptor cannot start a connection
+/// thread. 0 if the refused client read a typed kOverloaded and, with the
+/// limit restored, a fresh client's Stats() counts that one rejection.
+/// noexcept, so that an escaping exception ends the child rather than
+/// reaching gtest's handler in it.
+int ShedConnectionWithoutThreads() noexcept {
+  if (!DropRootForThreadLimit()) return kThreadLimitUnavailable;
+  Workload workload = MakeWorkload();
+  net::QueryServer server(
+      net::QueryServerOptions{},
+      ReleaseContext::Create({1.0, 0.0, 1.0}, kServerSeed).value());
+  if (!server.AddWorkload("path", workload.graph, workload.weights).ok()) {
+    return 20;
+  }
+  // The server starts first, so only the connection thread is refused.
+  if (!server.Start().ok()) return 21;
+  rlimit saved{};
+  if (!LowerThreadLimit(&saved)) return kThreadLimitUnavailable;
+  int code = 0;
+  Result<net::Socket> refused = net::Connect("127.0.0.1", server.port());
+  if (!refused.ok() || !refused->WaitReadable(5000).ok()) {
+    code = 22;
+  } else {
+    Result<net::Frame> reply = net::ReadFrame(*refused);
+    Result<net::WireError> error =
+        reply.ok() && reply->type == net::MessageType::kError
+            ? net::DecodeError(reply->body)
+            : Result<net::WireError>(Status::Internal("no error frame"));
+    if (!error.ok() || error->kind != net::ErrorKind::kOverloaded) code = 23;
+  }
+  setrlimit(RLIMIT_NPROC, &saved);
+  if (code != 0) return code;
+  net::ClientOptions options;
+  options.request_timeout_ms = 5000;
+  Result<net::Client> fresh =
+      net::Client::Connect("127.0.0.1", server.port(), options);
+  if (!fresh.ok()) return 24;
+  Result<net::ServerStats> stats = fresh->Stats();
+  if (!stats.ok()) return 25;
+  if (stats->overload_rejected != 1) return 26;
+  return 0;
+}
+
+TEST(NetServerTest, AcceptorShedsAConnectionItCannotStartAThreadFor) {
+  // Regression: a failed connection-thread start threw out of the accept
+  // loop's thread, which calls std::terminate and ends the process.
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  // Child: no gtest machinery may run in here.
+  if (pid == 0) _exit(ShedConnectionWithoutThreads());
+  int wstatus = 0;
+  ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(wstatus)) << "signal " << WTERMSIG(wstatus);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  if (WEXITSTATUS(wstatus) == kThreadLimitUnavailable) {
+    GTEST_SKIP() << "RLIMIT_NPROC does not bind in this environment";
+  }
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
 TEST(NetServerTest, MalformedFrameGetsTypedErrorAndCloses) {
   ServerFixture fixture;
   ASSERT_OK_AND_ASSIGN(net::Socket raw,
@@ -499,10 +569,13 @@ TEST(NetServerTest, Survives8ConcurrentClientConnections) {
 
   std::unique_ptr<DistanceOracle> reference =
       fixture.ReplayRelease({"tree-hld"});
-  BatchExecutor executor;
+  BatchExecutor serial({.max_threads = 1});
 
   constexpr int kClients = 8;
   constexpr int kBatchesPerClient = 5;
+  // 5000 pairs is above 2 x min_shard_pairs: such a batch fans out or
+  // runs inline depending on what else is executing when it starts.
+  constexpr int kBatchSizes[] = {400, 5000};
   std::vector<std::string> failures(kClients);
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -516,19 +589,22 @@ TEST(NetServerTest, Survives8ConcurrentClientConnections) {
       }
       Rng rng(kTestSeed + static_cast<uint64_t>(c));
       for (int b = 0; b < kBatchesPerClient; ++b) {
-        std::vector<VertexPair> pairs =
-            SampleTestPairs(kNumVertices, 400, &rng);
-        Result<std::vector<double>> remote =
-            client->Query(info.handle_id, pairs);
-        if (!remote.ok()) {
-          failures[c] = remote.status().ToString();
-          return;
-        }
-        Result<std::vector<double>> direct =
-            executor.Execute(*reference, pairs);
-        if (!direct.ok() || *remote != *direct) {
-          failures[c] = "mismatch against direct executor";
-          return;
+        for (int size : kBatchSizes) {
+          std::vector<VertexPair> pairs =
+              SampleTestPairs(kNumVertices, size, &rng);
+          Result<std::vector<double>> remote =
+              client->Query(info.handle_id, pairs);
+          if (!remote.ok()) {
+            failures[c] = remote.status().ToString();
+            return;
+          }
+          Result<std::vector<double>> direct =
+              serial.Execute(*reference, pairs);
+          if (!direct.ok() || !SameBits(*remote, *direct)) {
+            failures[c] = std::to_string(size) +
+                          "-pair batch differs from the serial executor";
+            return;
+          }
         }
       }
     });
@@ -540,9 +616,9 @@ TEST(NetServerTest, Survives8ConcurrentClientConnections) {
   }
   net::ServerStats stats = fixture.server().stats();
   EXPECT_EQ(stats.queries_served,
-            static_cast<uint64_t>(kClients * kBatchesPerClient));
+            static_cast<uint64_t>(kClients * kBatchesPerClient * 2));
   EXPECT_EQ(stats.pairs_served,
-            static_cast<uint64_t>(kClients * kBatchesPerClient * 400));
+            static_cast<uint64_t>(kClients * kBatchesPerClient * 5400));
 }
 
 // -------------------------------------------------- v3 UpdateWeights --

@@ -3,9 +3,14 @@
 #ifndef DPSP_TESTS_TEST_UTIL_H_
 #define DPSP_TESTS_TEST_UTIL_H_
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +88,35 @@ inline void ExpectOutOfRangeRejectedAnywhere(
           << status.ToString();
     }
   }
+}
+
+/// Exit code of a forked child whose environment cannot refuse it threads
+/// (the parent skips the test).
+inline constexpr int kThreadLimitUnavailable = 77;
+
+/// For a forked child only. Root is exempt from RLIMIT_NPROC, so a child
+/// running as root becomes the nobody user first. False if it cannot.
+inline bool DropRootForThreadLimit() {
+  return geteuid() != 0 || setuid(65534) == 0;
+}
+
+/// For a forked child only: lowers the soft RLIMIT_NPROC to 1, so that
+/// starting a thread fails with EAGAIN, and checks that it does. `saved`
+/// receives the limits to restore before _exit, so that no exit-time work
+/// runs under the lowered limit. False (with the limit restored) if
+/// threads still start.
+inline bool LowerThreadLimit(rlimit* saved) {
+  if (getrlimit(RLIMIT_NPROC, saved) != 0) return false;
+  rlimit lowered = *saved;
+  lowered.rlim_cur = 1;
+  if (setrlimit(RLIMIT_NPROC, &lowered) != 0) return false;
+  try {
+    std::thread([] {}).join();
+  } catch (const std::system_error&) {
+    return true;
+  }
+  setrlimit(RLIMIT_NPROC, saved);
+  return false;
 }
 
 }  // namespace dpsp
