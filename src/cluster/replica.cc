@@ -5,9 +5,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/table.h"
+#include "store/oracle_store.h"
 
 namespace dpsp {
 namespace cluster {
@@ -82,6 +82,10 @@ void Replica::SyncLoop() {
       std::lock_guard<std::mutex> lock(socket_mutex_);
       active_socket_ = nullptr;
     }
+    // What this replica applied belongs to the session that ended. The
+    // next one may reach another life of the coordinator, whose LSNs
+    // restart or repeat, so no barrier may pass on the old value.
+    PublishLsn(0);
     connected_.store(false);
     if (stopping_.load()) return;
     if (!SleepBackoff(&backoff_ms)) return;
@@ -90,7 +94,6 @@ void Replica::SyncLoop() {
 
 Status Replica::RunSession(net::Socket& socket) {
   net::ReplicaSubscribe subscribe;
-  subscribe.last_epoch_lsn = last_applied_.load();
   subscribe.replica_name = options_.name;
   std::vector<uint8_t> body = net::EncodeReplicaSubscribe(subscribe);
   DPSP_RETURN_IF_ERROR(
@@ -100,6 +103,9 @@ Status Replica::RunSession(net::Socket& socket) {
   // and are not bounded.
   DPSP_RETURN_IF_ERROR(socket.SetRecvTimeout(options_.read_timeout_ms));
   connected_.store(true);
+  // The catch-up replaces every image an earlier session left.
+  images_.clear();
+  bool caught_up = false;  // the marker arrived; frames now advance the LSN
   for (;;) {
     if (stopping_.load()) return Status::Ok();
     Status readable = socket.WaitReadable(500);
@@ -120,39 +126,42 @@ Status Replica::RunSession(net::Socket& socket) {
       case net::MessageType::kSnapshotChunk: {
         Result<uint64_t> installed = InstallChunk(frame);
         if (!installed.ok()) {
-          Resync();
+          resyncs_.fetch_add(1);
           return installed.status();
         }
-        // Counter before LSN: a WaitForLsn waiter woken by AdvanceLsn
+        // Counter before LSN: a WaitForLsn waiter woken by PublishLsn
         // must already see this install reflected in full_installs().
         full_installs_.fetch_add(1);
-        AdvanceLsn(installed.value());
+        if (caught_up) PublishLsn(installed.value());
         DPSP_RETURN_IF_ERROR(SendAck(socket));
         break;
       }
       case net::MessageType::kDeltaFrame: {
         Result<uint64_t> applied = ApplyDeltaFrame(frame);
         if (!applied.ok()) {
-          Resync();
+          resyncs_.fetch_add(1);
           return applied.status();
         }
         deltas_applied_.fetch_add(1);
-        AdvanceLsn(applied.value());
+        if (caught_up) PublishLsn(applied.value());
         DPSP_RETURN_IF_ERROR(SendAck(socket));
         break;
       }
       case net::MessageType::kReplicaStats: {
-        // The coordinator's catch-up marker: its LSN at subscribe time.
+        // The catch-up marker: every image the coordinator holds is
+        // installed, so this replica stands at the coordinator's LSN —
+        // adopted even when below an earlier session's.
         DPSP_ASSIGN_OR_RETURN(net::ReplicaStatsFrame marker,
                               net::DecodeReplicaStatsFrame(frame.body));
-        uint64_t seen = coordinator_lsn_.load();
-        while (marker.last_epoch_lsn > seen &&
-               !coordinator_lsn_.compare_exchange_weak(
-                   seen, marker.last_epoch_lsn)) {
-        }
-        // The marker may BE the convergence point (catch-up with no new
-        // frames); wake WaitForLsn waiters either way.
-        cv_.notify_all();
+        // A handle the catch-up did not ship is not the coordinator's
+        // (an earlier life's): stop serving it.
+        std::vector<uint32_t> live;
+        for (const auto& [id, image] : images_) live.push_back(id);
+        server_->RetainReplicaHandles(live);
+        coordinator_lsn_.store(marker.last_epoch_lsn);
+        PublishLsn(marker.last_epoch_lsn);
+        caught_up = true;
+        DPSP_RETURN_IF_ERROR(SendAck(socket));
         break;
       }
       case net::MessageType::kError: {
@@ -172,28 +181,22 @@ Result<uint64_t> Replica::InstallChunk(const net::Frame& frame) {
   DPSP_RETURN_IF_ERROR(EvalFailpoint(failpoints::kClusterInstallSnapshot));
   DPSP_ASSIGN_OR_RETURN(net::SnapshotChunk chunk,
                         net::DecodeSnapshotChunk(frame.body));
-  // The wire CRCs were computed by the encoder; recompute from the bytes
-  // that actually arrived so in-flight corruption fails the install.
-  if (chunk.section_crcs.size() != chunk.sections.size()) {
-    return Status::InvalidArgument(
-        "snapshot chunk CRC list does not match its sections");
+  DPSP_ASSIGN_OR_RETURN(store::OracleSnapshotMeta meta,
+                        store::ReadOracleSnapshotMeta(chunk.image));
+  // The container's payloads are not aligned inside the frame body: copy
+  // them into the image rather than hand a restore factory views there.
+  std::vector<ReleasedSection> sections;
+  sections.reserve(chunk.image.sections().size());
+  for (const ReleasedSectionView& view : chunk.image.sections()) {
+    sections.push_back({std::string(view.label),
+                        {view.bytes.begin(), view.bytes.end()}});
   }
-  for (size_t i = 0; i < chunk.sections.size(); ++i) {
-    const std::vector<uint8_t>& bytes = chunk.sections[i].bytes;
-    uint32_t crc = Crc32c(bytes.data(), bytes.size());
-    if (crc != chunk.section_crcs[i]) {
-      return Status::InvalidArgument(
-          StrFormat("snapshot chunk section '%s' failed its CRC32C check",
-                    chunk.sections[i].label.c_str()));
-    }
-  }
-  const uint32_t handle_id = chunk.handle_id;
-  const uint64_t epoch_lsn = chunk.epoch_lsn;
-  serve::HandleImage& image = images_[handle_id];
-  image.InstallFull(std::move(chunk.handle_name), std::move(chunk.mechanism),
-                    std::move(chunk.workload), std::move(chunk.sections),
+  const uint64_t epoch_lsn = chunk.image.epoch_lsn();
+  serve::HandleImage& image = images_[chunk.handle_id];
+  image.InstallFull(std::move(meta.handle), std::move(meta.mechanism),
+                    std::move(meta.workload), std::move(sections),
                     epoch_lsn);
-  DPSP_RETURN_IF_ERROR(MaterializeAndInstall(handle_id, image));
+  DPSP_RETURN_IF_ERROR(MaterializeAndInstall(chunk.handle_id, image));
   return epoch_lsn;
 }
 
@@ -223,11 +226,9 @@ Status Replica::MaterializeAndInstall(uint32_t handle_id,
   }
   DPSP_ASSIGN_OR_RETURN(std::shared_ptr<DistanceOracle> oracle,
                         image.Materialize(*graph, *weights));
-  DPSP_RETURN_IF_ERROR(server_->InstallReplicaHandle(
-      handle_id, image.name(), image.mechanism(), image.workload(),
-      std::move(oracle)));
-  server_->BumpEpochLsn(image.epoch_lsn());
-  return Status::Ok();
+  return server_->InstallReplicaHandle(handle_id, image.name(),
+                                      image.mechanism(), image.workload(),
+                                      std::move(oracle));
 }
 
 Status Replica::SendAck(net::Socket& socket) {
@@ -241,26 +242,14 @@ Status Replica::SendAck(net::Socket& socket) {
   return net::WriteFrame(socket, net::MessageType::kReplicaStats, body);
 }
 
-void Replica::Resync() {
-  // The image set is suspect; forget it and resubscribe from LSN 0 so
-  // the coordinator ships fresh full chunks. Installed oracles keep
-  // serving (stale) until their replacements land.
-  images_.clear();
-  last_applied_.store(0);
-  resyncs_.fetch_add(1);
-}
-
-void Replica::AdvanceLsn(uint64_t lsn) {
+void Replica::PublishLsn(uint64_t lsn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    uint64_t current = last_applied_.load();
-    last_applied_.store(std::max(current, lsn));
+    last_applied_.store(lsn);
+    server_->SetEpochLsn(lsn);
     // An applied frame at LSN x is proof the coordinator reached x —
     // don't wait for the next catch-up marker to say so.
-    uint64_t seen = coordinator_lsn_.load();
-    while (lsn > seen &&
-           !coordinator_lsn_.compare_exchange_weak(seen, lsn)) {
-    }
+    if (lsn > coordinator_lsn_.load()) coordinator_lsn_.store(lsn);
   }
   cv_.notify_all();
 }

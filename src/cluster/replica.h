@@ -3,23 +3,28 @@
 // handle table bit-identical to the coordinator's.
 //
 // The sync loop is a single thread: connect to the coordinator's query
-// port, subscribe with the last applied LSN, then apply whatever arrives
-// — a SnapshotChunk replaces a handle's image wholesale (per-section
-// CRC32C verified against freshly computed ones first), a DeltaFrame
+// port, subscribe, then apply whatever arrives. Each subscription starts
+// with the coordinator's current image of every live handle, one
+// SnapshotChunk each, validated by the same store::SnapshotReader::Parse
+// that opens snapshot files, then a ReplicaStats marker carrying the
+// coordinator's LSN, which becomes this replica's applied LSN even when
+// it is lower than before (a restarted coordinator). After the marker, a
+// SnapshotChunk replaces a handle's image wholesale and a DeltaFrame
 // patches the dirty byte ranges in place (post-CRC verified by
-// store::ApplySectionDelta). Every applied
-// frame re-materializes the oracle through the registry loader and swaps
-// it into the server, then acks the LSN back with the node's serve
-// counters (the coordinator's lag/aggregation input).
+// store::ApplySectionDelta), each advancing the applied LSN. Every
+// applied frame re-materializes the oracle through the registry loader
+// and swaps it into the server, then acks the LSN back with the node's
+// serve counters (the coordinator's lag/aggregation input).
 //
-// Failure policy: any install failure — CRC mismatch, a delta for a
-// handle this replica never saw, a failpoint — resets the replica to
-// LSN 0 and reconnects, so the coordinator answers the resubscribe with
-// a full resync. Already-installed oracles keep serving (stale) until
-// their replacement lands; queries never observe a half-applied image
-// because the server swap is a whole-oracle pointer swap. A torn frame
-// (header arrives, body stalls) trips the socket's receive timeout
-// instead of hanging the loop forever.
+// Failure policy: any install failure — a corrupt chunk, a delta for a
+// handle this replica never saw, a failpoint — counts a resync and
+// reconnects; a session that ends for any reason drops the applied LSN
+// to 0 until the next marker, so a convergence barrier never passes on
+// an epoch of a previous session. Already-installed oracles keep serving
+// (stale) until their replacement lands; queries never observe a
+// half-applied image because the server swap is a whole-oracle pointer
+// swap. A torn frame (header arrives, body stalls) trips the socket's
+// receive timeout instead of hanging the loop forever.
 
 #ifndef DPSP_CLUSTER_REPLICA_H_
 #define DPSP_CLUSTER_REPLICA_H_
@@ -74,17 +79,19 @@ class Replica {
   /// destructor. Installed handles keep serving.
   void Stop();
 
-  /// Highest epoch applied and acked (0 after a resync).
+  /// The coordinator epoch this replica's images correspond to: the
+  /// current session's catch-up marker or its latest frame since; 0
+  /// between sessions and during catch-up.
   uint64_t last_applied_lsn() const { return last_applied_.load(); }
 
-  /// The coordinator LSN last heard of (the catch-up marker) — the
-  /// target last_applied_lsn converges to.
+  /// The coordinator LSN last heard of (the catch-up marker or a later
+  /// frame) — the target last_applied_lsn converges to.
   uint64_t coordinator_lsn() const { return coordinator_lsn_.load(); }
 
   uint64_t deltas_applied() const { return deltas_applied_.load(); }
   uint64_t full_installs() const { return full_installs_.load(); }
 
-  /// Times this replica reset to LSN 0 after an install failure.
+  /// Times an install failure made this replica resubscribe.
   uint64_t resyncs() const { return resyncs_.load(); }
 
   bool connected() const { return connected_.load(); }
@@ -99,25 +106,25 @@ class Replica {
   /// errors or Stop shuts the socket down.
   Status RunSession(net::Socket& socket);
   /// Both return the applied frame's epoch LSN. The caller bumps the
-  /// public counters BEFORE publishing the LSN (AdvanceLsn wakes
+  /// public counters BEFORE publishing the LSN (PublishLsn wakes
   /// WaitForLsn waiters, who may read those counters immediately).
   Result<uint64_t> InstallChunk(const net::Frame& frame);
   Result<uint64_t> ApplyDeltaFrame(const net::Frame& frame);
   /// Rebuilds the handle's oracle from `image` and swaps it into the
-  /// server, bumping the server's epoch clock.
+  /// server.
   Status MaterializeAndInstall(uint32_t handle_id,
                                const serve::HandleImage& image);
   Status SendAck(net::Socket& socket);
-  /// Forget everything and resubscribe from scratch.
-  void Resync();
-  void AdvanceLsn(uint64_t lsn);
+  /// Sets the applied LSN (here and on the server's epoch clock), raises
+  /// the coordinator LSN to it, and wakes WaitForLsn waiters.
+  void PublishLsn(uint64_t lsn);
   /// Interruptible reconnect backoff; returns false when stopping.
   bool SleepBackoff(int* backoff_ms);
 
   const ReplicaOptions options_;
   net::QueryServer* const server_;
 
-  /// Ground-truth images per handle id (sync thread only).
+  /// This session's images per handle id (sync thread only).
   std::unordered_map<uint32_t, serve::HandleImage> images_;
 
   std::atomic<uint64_t> last_applied_{0};
@@ -129,7 +136,7 @@ class Replica {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> running_{false};
 
-  // WaitForLsn and the backoff sleeper wait here; AdvanceLsn and Stop
+  // WaitForLsn and the backoff sleeper wait here; PublishLsn and Stop
   // notify.
   mutable std::mutex mu_;
   std::condition_variable cv_;

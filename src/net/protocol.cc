@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstring>
 
-#include "common/crc32c.h"
 #include "common/table.h"
 
 namespace dpsp {
@@ -498,7 +497,6 @@ Status WireError::ToStatus() const {
 
 std::vector<uint8_t> EncodeReplicaSubscribe(const ReplicaSubscribe& sub) {
   WireWriter w;
-  w.U64(sub.last_epoch_lsn);
   w.Str(sub.replica_name);
   return w.Take();
 }
@@ -507,56 +505,28 @@ Result<ReplicaSubscribe> DecodeReplicaSubscribe(
     std::span<const uint8_t> body) {
   WireReader r(body);
   ReplicaSubscribe sub;
-  DPSP_RETURN_IF_ERROR(r.U64(&sub.last_epoch_lsn));
   DPSP_RETURN_IF_ERROR(r.Str(&sub.replica_name));
   DPSP_RETURN_IF_ERROR(r.ExpectEnd());
   return sub;
 }
 
-std::vector<uint8_t> EncodeSnapshotChunk(const SnapshotChunk& chunk) {
+std::vector<uint8_t> EncodeSnapshotChunk(uint32_t handle_id,
+                                         std::span<const uint8_t> container) {
   WireWriter w;
-  size_t payload = 0;
-  for (const ReleasedSection& s : chunk.sections) payload += s.bytes.size();
-  w.Reserve(64 + payload);
-  w.U32(chunk.handle_id);
-  w.U64(chunk.epoch_lsn);
-  w.Str(chunk.handle_name);
-  w.Str(chunk.mechanism);
-  w.Str(chunk.workload);
-  w.U32(static_cast<uint32_t>(chunk.sections.size()));
-  for (const ReleasedSection& s : chunk.sections) {
-    w.Str(s.label);
-    w.Bytes(s.bytes);
-    w.U32(Crc32c(s.bytes.data(), s.bytes.size()));
-  }
+  w.Reserve(sizeof(handle_id) + container.size());
+  w.U32(handle_id);
+  w.Raw(container.data(), container.size());
   return w.Take();
 }
 
 Result<SnapshotChunk> DecodeSnapshotChunk(std::span<const uint8_t> body) {
   WireReader r(body);
-  SnapshotChunk chunk;
-  uint32_t count = 0;
-  DPSP_RETURN_IF_ERROR(r.U32(&chunk.handle_id));
-  DPSP_RETURN_IF_ERROR(r.U64(&chunk.epoch_lsn));
-  DPSP_RETURN_IF_ERROR(r.Str(&chunk.handle_name));
-  DPSP_RETURN_IF_ERROR(r.Str(&chunk.mechanism));
-  DPSP_RETURN_IF_ERROR(r.Str(&chunk.workload));
-  DPSP_RETURN_IF_ERROR(r.U32(&count));
-  // Each section costs at least label-len + bytes-len + crc on the wire,
-  // so a lying count is refused before any per-section allocation.
-  if (static_cast<size_t>(count) * 16 > r.remaining()) {
-    return Status::InvalidArgument(
-        "snapshot-chunk section count disagrees with body size");
-  }
-  chunk.sections.resize(count);
-  chunk.section_crcs.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    DPSP_RETURN_IF_ERROR(r.Str(&chunk.sections[i].label));
-    DPSP_RETURN_IF_ERROR(r.Bytes(&chunk.sections[i].bytes));
-    DPSP_RETURN_IF_ERROR(r.U32(&chunk.section_crcs[i]));
-  }
-  DPSP_RETURN_IF_ERROR(r.ExpectEnd());
-  return chunk;
+  uint32_t handle_id = 0;
+  DPSP_RETURN_IF_ERROR(r.U32(&handle_id));
+  DPSP_ASSIGN_OR_RETURN(
+      store::SnapshotReader image,
+      store::SnapshotReader::Parse(body.subspan(sizeof(handle_id))));
+  return SnapshotChunk{handle_id, std::move(image)};
 }
 
 std::vector<uint8_t> EncodeDeltaFrame(const DeltaFrame& frame) {

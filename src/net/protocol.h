@@ -33,11 +33,9 @@
 //   UpdateResponse   f64 charged_epsilon, f64 charged_delta,
 //                    f64 remaining_epsilon, f64 remaining_delta,
 //                    u32 dirty_blocks, f64 wall_ms
-//   ReplicaSubscribe u64 last_epoch_lsn, str replica_name
-//   SnapshotChunk    u32 handle_id, u64 epoch_lsn, str handle_name,
-//                    str mechanism, str workload, u32 num_sections,
-//                    num_sections x (str label, u64 bytes_len, raw bytes,
-//                    u32 crc32c)
+//   ReplicaSubscribe str replica_name
+//   SnapshotChunk    u32 handle_id, then one snapshot container
+//                    (store/snapshot.h: epoch LSN, sections, CRC32Cs)
 //   DeltaFrame       u32 handle_id, u64 epoch_lsn, u32 num_patches,
 //                    num_patches x (str label, u64 section_bytes,
 //                    u32 post_crc32c, u32 num_ranges,
@@ -81,13 +79,14 @@
 #include "common/status.h"
 #include "core/distance_oracle.h"
 #include "net/socket.h"
+#include "store/snapshot.h"
 #include "store/snapshot_delta.h"
 
 namespace dpsp {
 namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x44505350u;  // "DPSP"
-inline constexpr uint16_t kProtocolVersion = 5;
+inline constexpr uint16_t kProtocolVersion = 6;
 /// Frames above this body size are rejected before allocation: 1M pairs.
 inline constexpr uint32_t kMaxBodyBytes = 16u << 20;
 /// Body-size ceiling on a replication stream, where one SnapshotChunk
@@ -270,29 +269,22 @@ struct ServerStats {
 // --------------------------------------------------- replication frames --
 
 /// A replica's request on the coordinator's query port; the connection
-/// it arrives on becomes that replica's replication stream.
+/// it arrives on becomes that replica's replication stream, which starts
+/// from the coordinator's current image of every live handle.
 struct ReplicaSubscribe {
-  /// Highest epoch the replica has already applied; 0 subscribes from
-  /// scratch. The coordinator replies with whatever closes the gap: base
-  /// snapshot chunks + delta replay, or just the missed deltas.
-  uint64_t last_epoch_lsn = 0;
   /// Operator-visible name for logs and lag reports.
   std::string replica_name;
 };
 
-/// One handle's complete released image: the PR 7 snapshot sections with
-/// a per-section CRC32C the installer must verify before materializing.
+/// One handle's complete released image: the handle's snapshot container
+/// (the bytes of its snapshot file), validated on decode by the same
+/// store::SnapshotReader::Parse that opens files.
 struct SnapshotChunk {
   uint32_t handle_id = 0;
-  uint64_t epoch_lsn = 0;
-  std::string handle_name;
-  std::string mechanism;
-  std::string workload;
-  std::vector<ReleasedSection> sections;
-  /// Parallel to `sections`. The encoder recomputes these from the bytes;
-  /// the decoder returns what the wire carried, so an installer comparing
-  /// them against freshly computed CRCs catches in-flight corruption.
-  std::vector<uint32_t> section_crcs;
+  /// Views into the decoded frame body, which must outlive it. The
+  /// container starts 4 bytes into the body, so its payloads are not
+  /// aligned there: copy them out before a restore factory sees them.
+  store::SnapshotReader image;
 };
 
 /// One update epoch as byte-range patches against the previous image
@@ -373,9 +365,9 @@ Result<WireError> DecodeError(std::span<const uint8_t> body);
 std::vector<uint8_t> EncodeReplicaSubscribe(const ReplicaSubscribe& sub);
 Result<ReplicaSubscribe> DecodeReplicaSubscribe(std::span<const uint8_t> body);
 
-/// Encodes the chunk, recomputing each section's CRC32C from its bytes
-/// (the `section_crcs` field on the argument is ignored).
-std::vector<uint8_t> EncodeSnapshotChunk(const SnapshotChunk& chunk);
+/// `container` is a store::EncodeSnapshot result.
+std::vector<uint8_t> EncodeSnapshotChunk(uint32_t handle_id,
+                                         std::span<const uint8_t> container);
 Result<SnapshotChunk> DecodeSnapshotChunk(std::span<const uint8_t> body);
 
 std::vector<uint8_t> EncodeDeltaFrame(const DeltaFrame& frame);

@@ -63,6 +63,18 @@ ErrorKind ReleaseErrorKind(const Status& status) {
   }
 }
 
+/// `oracle`'s released image as one snapshot container stamped
+/// `epoch_lsn`: the bytes of its snapshot file and of its SnapshotChunk.
+/// Unimplemented when the mechanism has no released-state serialization
+/// (it can be neither snapshotted nor replicated).
+Result<std::vector<uint8_t>> EncodeImage(const DistanceOracle& oracle,
+                                         const store::OracleSnapshotMeta& meta,
+                                         uint64_t epoch_lsn) {
+  DPSP_ASSIGN_OR_RETURN(std::vector<ReleasedSection> sections,
+                        store::OracleSnapshotSections(oracle, meta));
+  return store::EncodeSnapshot(sections, epoch_lsn);
+}
+
 }  // namespace
 
 QueryServer::QueryServer(QueryServerOptions options, ReleaseContext context)
@@ -224,7 +236,7 @@ Status QueryServer::RecoverPersistentState() {
                         reader.epoch_lsn()});
     // The epoch clock resumes past everything recovered, so post-restart
     // releases stamp fresh LSNs.
-    BumpEpochLsn(reader.epoch_lsn());
+    epoch_lsn_.store(std::max(epoch_lsn_.load(), reader.epoch_lsn()));
   }
   recovered_handles_ = static_cast<uint32_t>(snapshot_files.size());
   warm_restart_ = recovery.records > 0 || recovered_handles_ > 0;
@@ -288,54 +300,14 @@ ServerStats QueryServer::stats() const {
   return stats;
 }
 
-void QueryServer::BumpEpochLsn(uint64_t lsn) {
-  uint64_t current = epoch_lsn_.load();
-  while (lsn > current &&
-         !epoch_lsn_.compare_exchange_weak(current, lsn)) {
-  }
-}
-
 void QueryServer::SetReplicationObserver(ReplicationObserver* observer) {
   std::lock_guard<std::mutex> ledger_lock(ledger_mutex_);
   replication_observer_ = observer;
-  if (observer == nullptr) return;
-  // Handles recovered at Start or released before this call produced no
-  // image for the new observer yet. Holding the ledger lock, no epoch can
-  // run, so each one ships as a release at the epoch that produced its
-  // image: distinct LSNs, so a replica reaches the server's LSN only
-  // once it holds every handle.
-  std::vector<std::pair<uint32_t, HandleEntry>> live;
-  {
-    std::lock_guard<std::mutex> lock(handles_mutex_);
-    for (uint32_t id = 0; id < handles_.size(); ++id) {
-      if (handles_[id].oracle != nullptr) live.emplace_back(id, handles_[id]);
-    }
-  }
-  for (const auto& [id, entry] : live) {
-    NotifyReplication(id, entry.epoch_lsn, /*is_update=*/false, entry.name,
-                      entry.mechanism, entry.workload, *entry.oracle);
-  }
 }
 
 void QueryServer::SetClusterStatsProvider(ClusterStatsFn fn) {
   std::lock_guard<std::mutex> lock(cluster_stats_mutex_);
   cluster_stats_fn_ = std::move(fn);
-}
-
-void QueryServer::NotifyReplication(uint32_t handle_id, uint64_t epoch_lsn,
-                                    bool is_update, const std::string& name,
-                                    const std::string& mechanism,
-                                    const std::string& workload,
-                                    const DistanceOracle& oracle) {
-  if (replication_observer_ == nullptr) return;
-  std::vector<ReleasedSection> sections;
-  // Unimplemented: the mechanism has no released-state serialization, so
-  // it cannot be replicated (exactly the handles that also cannot be
-  // snapshotted — replicas answer kNotFound for them).
-  if (!oracle.SaveReleasedState(&sections).ok()) return;
-  replication_observer_->OnHandleImage(handle_id, epoch_lsn, is_update,
-                                       name, mechanism, workload,
-                                       std::move(sections));
 }
 
 Status QueryServer::InstallReplicaHandle(
@@ -367,6 +339,15 @@ Status QueryServer::InstallReplicaHandle(
   // the new one on their next LookupHandle.
   entry.oracle = std::move(oracle);
   return Status::Ok();
+}
+
+void QueryServer::RetainReplicaHandles(std::span<const uint32_t> live) {
+  std::lock_guard<std::mutex> lock(handles_mutex_);
+  for (uint32_t id = 0; id < handles_.size(); ++id) {
+    if (std::find(live.begin(), live.end(), id) == live.end()) {
+      handles_[id].oracle = nullptr;
+    }
+  }
 }
 
 const Graph* QueryServer::WorkloadGraph(const std::string& name) const {
@@ -588,15 +569,45 @@ void QueryServer::HandleRelease(Socket& socket,
       info.wall_ms = t->wall_ms;
     }
     std::shared_ptr<DistanceOracle> oracle(std::move(built).value());
-    // Each granted release is one replication epoch (bumped under the
-    // ledger lock, so LSNs assign in the same order observers see them).
-    const uint64_t epoch_lsn = epoch_lsn_.fetch_add(1) + 1;
+    // Each granted release is one replication epoch, assigned under the
+    // ledger lock so LSNs assign in the same order observers see them.
+    // The LSN is taken only once the snapshot has landed: a withdrawn
+    // release must leave no epoch that no frame will ever carry.
+    const uint64_t epoch_lsn = epoch_lsn_.load() + 1;
+    const store::OracleSnapshotMeta meta{request->mechanism, workload->name,
+                                         request->handle_name};
+    // The image is extracted and encoded once: the snapshot file and the
+    // replication chunk are the same container. Empty when the mechanism
+    // cannot be snapshotted: it is served, but neither survives a restart
+    // (its budget charge, already in the WAL, does — conservative) nor
+    // replicates.
+    std::vector<uint8_t> image;
     std::string snapshot_path;
-    if (wal_ != nullptr) {
-      snapshot_path = StrFormat("%s/handle-%06u.snap",
-                                options_.persistence_dir.c_str(),
-                                next_snapshot_file_++);
+    if (wal_ != nullptr || replication_observer_ != nullptr) {
+      Result<std::vector<uint8_t>> encoded =
+          EncodeImage(*oracle, meta, epoch_lsn);
+      Status saved = encoded.status();
+      if (encoded.ok()) {
+        image = std::move(encoded).value();
+        if (wal_ != nullptr) {
+          snapshot_path = StrFormat("%s/handle-%06u.snap",
+                                    options_.persistence_dir.c_str(),
+                                    next_snapshot_file_++);
+          saved = store::WriteEncodedSnapshot(snapshot_path, image);
+        }
+      }
+      if (wal_ != nullptr && !saved.ok() &&
+          saved.code() != StatusCode::kUnimplemented) {
+        // Durability was promised and could not be delivered: refuse the
+        // release before it takes a handle id or an LSN. The budget stays
+        // spent (the intent is logged; the noise was drawn) —
+        // over-charging is safe, resurrecting is not.
+        RefreshBudgetSnapshot();
+        SendError(socket, ErrorKind::kInternal, saved);
+        return;
+      }
     }
+    epoch_lsn_.store(epoch_lsn);
     {
       std::lock_guard<std::mutex> lock(handles_mutex_);
       info.handle_id = static_cast<uint32_t>(handles_.size());
@@ -605,35 +616,13 @@ void QueryServer::HandleRelease(Socket& socket,
                           std::make_shared<std::shared_mutex>(),
                           snapshot_path, epoch_lsn});
     }
-    if (!snapshot_path.empty()) {
-      store::OracleSnapshotMeta meta{request->mechanism, workload->name,
-                                     request->handle_name};
-      Status saved = store::SaveOracleSnapshot(snapshot_path, *oracle, meta,
-                                               epoch_lsn);
-      if (saved.code() == StatusCode::kUnimplemented) {
-        // The mechanism has no released-state serialization: serve it,
-        // but it will not survive a restart (its budget charge, already
-        // in the WAL, will — conservative).
-        std::lock_guard<std::mutex> lock(handles_mutex_);
-        handles_.back().snapshot_path.clear();
-      } else if (!saved.ok()) {
-        // Durability was promised and could not be delivered: withdraw
-        // the handle. The budget stays spent (the intent is logged; the
-        // noise was drawn) — over-charging is safe, resurrecting is not.
-        {
-          std::lock_guard<std::mutex> lock(handles_mutex_);
-          handles_.pop_back();
-        }
-        RefreshBudgetSnapshot();
-        SendError(socket, ErrorKind::kInternal, saved);
-        return;
-      }
-    }
     // Durability first, then replication: the observer ships an image the
     // coordinator has already made crash-safe.
-    NotifyReplication(info.handle_id, epoch_lsn, /*is_update=*/false,
-                      request->handle_name, request->mechanism,
-                      workload->name, *oracle);
+    if (replication_observer_ != nullptr && !image.empty()) {
+      replication_observer_->OnFrame(
+          MessageType::kSnapshotChunk,
+          EncodeSnapshotChunk(info.handle_id, image));
+    }
     RefreshBudgetSnapshot();  // still under the ledger lock
   }
   counters_.releases_granted.fetch_add(1);
@@ -762,6 +751,21 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body) {
     // matching HandleRelease's ledger-then-handles discipline.
     std::lock_guard<std::mutex> ledger_lock(ledger_mutex_);
     std::unique_lock<std::shared_mutex> write_lock(*guard);
+    std::string snapshot_path;
+    store::OracleSnapshotMeta meta;
+    {
+      std::lock_guard<std::mutex> lock(handles_mutex_);
+      const HandleEntry& entry = handles_[request->handle_id];
+      snapshot_path = entry.snapshot_path;
+      meta = {entry.mechanism, entry.workload, entry.name};
+    }
+    // Replicas receive the epoch as the diff between the image before it,
+    // which every subscribed replica holds, and the image after it.
+    Result<std::vector<ReleasedSection>> before =
+        Status::Unimplemented("no replication observer");
+    if (replication_observer_ != nullptr) {
+      before = store::OracleSnapshotSections(*oracle, meta);
+    }
     Status applied = updatable->ApplyWeightUpdates(request->deltas,
                                                    *context_);
     if (!applied.ok()) {
@@ -785,30 +789,43 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body) {
     info.remaining_delta = remaining.delta;
     RefreshBudgetSnapshot();  // still under the ledger lock
     const uint64_t epoch_lsn = epoch_lsn_.fetch_add(1) + 1;
-    std::string snapshot_path;
-    store::OracleSnapshotMeta meta;
     {
       std::lock_guard<std::mutex> lock(handles_mutex_);
-      HandleEntry& entry = handles_[request->handle_id];
-      entry.epoch_lsn = epoch_lsn;
-      snapshot_path = entry.snapshot_path;
-      meta = {entry.mechanism, entry.workload, entry.name};
+      handles_[request->handle_id].epoch_lsn = epoch_lsn;
     }
-    if (!snapshot_path.empty()) {
+    Result<std::vector<ReleasedSection>> after =
+        Status::Unimplemented("neither persisted nor replicated");
+    if (!snapshot_path.empty() || before.ok()) {
+      after = store::OracleSnapshotSections(*oracle, meta);
+    }
+    if (after.ok() && !snapshot_path.empty()) {
       // Rewrite under the write lock so the snapshot is a consistent
       // post-epoch image. Failure is a durability DEGRADATION, not an
       // update failure: the atomic-write protocol leaves the previous
       // epoch's complete file, so a crash now recovers the pre-update
       // oracle while the WAL still charges the epoch — conservative, and
       // the client's update already took effect in memory.
-      (void)store::SaveOracleSnapshot(snapshot_path, *oracle, meta,
-                                      epoch_lsn);
+      (void)store::WriteSnapshot(snapshot_path, *after, epoch_lsn);
     }
-    // Ship the post-epoch image while the writer lock still excludes
-    // queries: the observer diffs it against the previous epoch to build
-    // the dirty-block delta replicas apply.
-    NotifyReplication(request->handle_id, epoch_lsn, /*is_update=*/true,
-                      meta.handle, meta.mechanism, meta.workload, *oracle);
+    if (after.ok() && before.ok()) {
+      // Ship while the writer lock still excludes queries.
+      Result<std::vector<store::SectionPatch>> patches =
+          store::ComputeSectionDelta(*before, *after);
+      if (patches.ok()) {
+        DeltaFrame frame{request->handle_id, epoch_lsn,
+                         std::move(patches).value()};
+        replication_observer_->OnFrame(MessageType::kDeltaFrame,
+                                       EncodeDeltaFrame(frame));
+      } else if (Result<std::vector<uint8_t>> whole =
+                     store::EncodeSnapshot(*after, epoch_lsn);
+                 whole.ok()) {
+        // The epoch reshaped the image (labels, counts, sizes), which a
+        // delta cannot express: ship it whole.
+        replication_observer_->OnFrame(
+            MessageType::kSnapshotChunk,
+            EncodeSnapshotChunk(request->handle_id, *whole));
+      }
+    }
   }
   std::vector<uint8_t> response = EncodeUpdateInfo(info);
   WriteFrame(socket, MessageType::kUpdateResponse, response);
@@ -842,9 +859,9 @@ bool QueryServer::HandleSubscribe(Connection& connection) {
   }
   {
     // The ledger lock orders the subscription against every epoch: each
-    // one is either in the observer's catch-up replay or broadcast to the
-    // new session, never both. It also makes unhooking the observer wait
-    // for this hand-off to finish.
+    // one is either in the catch-up images or broadcast to the new
+    // session, never both. It also makes unhooking the observer wait for
+    // this hand-off to finish.
     std::lock_guard<std::mutex> ledger_lock(ledger_mutex_);
     if (replication_observer_ != nullptr) {
       Socket socket;
@@ -853,7 +870,7 @@ bool QueryServer::HandleSubscribe(Connection& connection) {
         socket = std::move(connection.socket);
       }
       replication_observer_->OnSubscribe(std::move(subscribe).value(),
-                                         std::move(socket));
+                                         std::move(socket), CatchUpChunks());
       return false;
     }
   }
@@ -862,6 +879,27 @@ bool QueryServer::HandleSubscribe(Connection& connection) {
                 "this node is not a coordinator; replicas subscribe to "
                 "the coordinator's query port"));
   return true;
+}
+
+std::vector<std::vector<uint8_t>> QueryServer::CatchUpChunks() const {
+  std::vector<std::pair<uint32_t, HandleEntry>> live;
+  {
+    std::lock_guard<std::mutex> lock(handles_mutex_);
+    for (uint32_t id = 0; id < handles_.size(); ++id) {
+      if (handles_[id].oracle != nullptr) live.emplace_back(id, handles_[id]);
+    }
+  }
+  std::stable_sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
+    return a.second.epoch_lsn < b.second.epoch_lsn;
+  });
+  std::vector<std::vector<uint8_t>> chunks;
+  for (const auto& [id, entry] : live) {
+    Result<std::vector<uint8_t>> image = EncodeImage(
+        *entry.oracle, {entry.mechanism, entry.workload, entry.name},
+        entry.epoch_lsn);
+    if (image.ok()) chunks.push_back(EncodeSnapshotChunk(id, *image));
+  }
+  return chunks;
 }
 
 void QueryServer::SendError(Socket& socket, ErrorKind kind,

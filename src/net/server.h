@@ -20,13 +20,16 @@
 //
 // Threading model: one acceptor thread polls the listener; each accepted
 // connection gets a reader/writer thread running the frame dispatch loop.
-// A ReplicaSubscribe hands the connection's socket to the replication
-// observer (cluster::Coordinator) and ends that thread; a server with no
-// observer answers it kUnsupported. Releases are serialized on the single
-// ReleaseContext ledger (its Rng is one stream); queries run concurrently
-// — oracle query methods are const and concurrency-safe by the
-// DistanceOracle contract, and the handle table hands out shared_ptrs so
-// a handle stays alive for the duration of any in-flight batch.
+// A ReplicaSubscribe hands the connection's socket, with a catch-up of
+// every live handle's current image, to the replication observer
+// (cluster::Coordinator) and ends that thread; a server with no observer
+// answers it kUnsupported. The server is the only owner of released
+// images: the observer keeps no copy of them. Releases are serialized on
+// the single ReleaseContext ledger (its Rng is one stream); queries run
+// concurrently — oracle query methods are const and concurrency-safe by
+// the DistanceOracle contract, and the handle table hands out
+// shared_ptrs so a handle stays alive for the duration of any in-flight
+// batch.
 
 // Replica mode: a QueryServer constructed WITHOUT a ReleaseContext is a
 // read replica. It holds no ledger, no accountant, and no noise stream —
@@ -45,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,23 +99,23 @@ struct QueryServerOptions {
 class QueryServer {
  public:
   /// Ordered feed of every granted release and applied update epoch, as
-  /// the released image it produced, plus the replicas subscribing to
-  /// that feed. Both calls run under the ledger lock, so images arrive in
+  /// the replication frame it produced, plus the replicas subscribing to
+  /// that feed. Both calls run under the ledger lock, so frames arrive in
   /// epoch-LSN order — exactly the stream replicas must apply to stay
   /// bit-identical — and each subscription lands between two epochs.
-  /// Oracles that do not implement SaveReleasedState produce no image
+  /// Oracles that do not implement SaveReleasedState produce no frame
   /// (they cannot be replicated).
   class ReplicationObserver {
    public:
     virtual ~ReplicationObserver() = default;
-    virtual void OnHandleImage(uint32_t handle_id, uint64_t epoch_lsn,
-                               bool is_update, const std::string& name,
-                               const std::string& mechanism,
-                               const std::string& workload,
-                               std::vector<ReleasedSection> sections) = 0;
+    /// A release's SnapshotChunk, or an update epoch's DeltaFrame (a
+    /// SnapshotChunk when the epoch reshaped the image), as a frame body.
+    virtual void OnFrame(MessageType type, std::vector<uint8_t> body) = 0;
     /// A replica subscribed on `socket`, which the observer now owns: it
-    /// streams the replica's catch-up and every later image over it.
-    virtual void OnSubscribe(ReplicaSubscribe subscribe, Socket socket) = 0;
+    /// sends `catch_up` — one SnapshotChunk body per live handle, its
+    /// current image, in epoch-LSN order — then every later frame.
+    virtual void OnSubscribe(ReplicaSubscribe subscribe, Socket socket,
+                             std::vector<std::vector<uint8_t>> catch_up) = 0;
   };
 
   /// The context is the server's single budget ledger: install a total
@@ -170,20 +174,20 @@ class QueryServer {
   NodeRole role() const { return role_.load(); }
 
   /// Highest replication epoch this node has assigned (coordinator) or
-  /// applied (replica). Monotone; 0 before any release.
+  /// applied (replica); 0 before any release. A coordinator's is
+  /// monotone; a replica's restarts with each subscription.
   uint64_t last_epoch_lsn() const { return epoch_lsn_.load(); }
 
-  /// Raises last_epoch_lsn to `lsn` (monotone max — replay of an older
-  /// frame never moves it backwards). The replica install path.
-  void BumpEpochLsn(uint64_t lsn);
+  /// Sets last_epoch_lsn to `lsn`: the replica's applied epoch, published
+  /// by cluster::Replica.
+  void SetEpochLsn(uint64_t lsn) { epoch_lsn_.store(lsn); }
 
-  /// Subscribes `observer` to the release/update image stream and routes
+  /// Subscribes `observer` to the release/update frame stream and routes
   /// ReplicaSubscribe requests to it (nullptr unsubscribes, after any
-  /// in-flight subscribe). A new observer is first fed every live
-  /// handle's image as a release at the LSN of the epoch that produced
-  /// it, so handles recovered at Start or released before it replicate
-  /// too. The pointer is non-owning and must outlive the server or be
-  /// cleared first.
+  /// in-flight subscribe). Handles recovered at Start or released before
+  /// this call reach replicas through each subscription's catch-up. The
+  /// pointer is non-owning and must outlive the server or be cleared
+  /// first.
   void SetReplicationObserver(ReplicationObserver* observer);
 
   /// Installs `fn` to fill the Stats cluster aggregation fields
@@ -202,6 +206,11 @@ class QueryServer {
                               const std::string& mechanism,
                               const std::string& workload,
                               std::shared_ptr<DistanceOracle> oracle);
+
+  /// Withdraws every replicated handle whose id `live` does not list; it
+  /// answers kNotFound like an id never installed. The replica calls it
+  /// after a catch-up, which lists every handle the coordinator holds.
+  void RetainReplicaHandles(std::span<const uint32_t> live);
 
   /// The named workload's topology/weights, or nullptr. Workloads are
   /// fixed after Start, so the returned pointers stay valid while the
@@ -295,20 +304,16 @@ class QueryServer {
   /// remaining headroom.
   void HandleUpdate(Socket& socket, std::span<const uint8_t> body);
   void HandleStats(Socket& socket);
-  /// Hands the connection's socket and decoded ReplicaSubscribe to the
-  /// replication observer under the ledger lock; returns false once the
-  /// socket is gone. Without an observer the answer is kUnsupported and
-  /// the connection keeps serving.
+  /// Hands the connection's socket, decoded ReplicaSubscribe and
+  /// CatchUpChunks() to the replication observer under the ledger lock;
+  /// returns false once the socket is gone. Without an observer the
+  /// answer is kUnsupported and the connection keeps serving.
   bool HandleSubscribe(Connection& connection);
+  /// One SnapshotChunk body per live, replicable handle — its current
+  /// image, stamped with the epoch that produced it — in epoch-LSN order.
+  /// Call with ledger_mutex_ held, so no epoch changes an image meanwhile.
+  std::vector<std::vector<uint8_t>> CatchUpChunks() const;
   void SendError(Socket& socket, ErrorKind kind, const Status& status);
-  /// Extracts the oracle's released image and hands it to the observer
-  /// (no-op without an observer or for non-persisting oracles). Call
-  /// under ledger_mutex_ so the stream arrives in LSN order.
-  void NotifyReplication(uint32_t handle_id, uint64_t epoch_lsn,
-                         bool is_update, const std::string& name,
-                         const std::string& mechanism,
-                         const std::string& workload,
-                         const DistanceOracle& oracle);
 
   const QueryServerOptions options_;
   const int inflight_limit_;
@@ -345,12 +350,12 @@ class QueryServer {
   uint64_t recovered_charges_ = 0;
 
   // Replication epoch clock: bumped under the ledger lock for every
-  // granted release and applied update epoch; replicas set it from the
-  // frames they install. Atomic so stats polls read it lock-free.
+  // granted release and applied update epoch; replicas set it to the
+  // epoch they applied. Atomic so stats polls read it lock-free.
   std::atomic<uint64_t> epoch_lsn_{0};
   std::atomic<NodeRole> role_{NodeRole::kStandalone};
-  // Set under ledger_mutex_, read under it (the notify and subscribe
-  // paths).
+  // Set under ledger_mutex_, read under it (the release, update and
+  // subscribe paths).
   ReplicationObserver* replication_observer_ = nullptr;
   // Fills the Stats aggregation fields; guarded by its own mutex (the
   // provider is installed after Start, when stats may already be polled).

@@ -1,14 +1,18 @@
 // A replica's in-memory copy of one released handle: the snapshot
-// sections the coordinator shipped, the epoch they correspond to, and
-// the install/apply entry points that turn them into a serving oracle.
+// sections the coordinator shipped (its "__meta__" section included),
+// the epoch they correspond to, and the install/apply entry points that
+// turn them into a serving oracle.
 //
-// The image is the replication ground truth — a full SnapshotChunk
-// replaces it wholesale (InstallFull) and a DeltaFrame patches it in
-// place (ApplyDelta, CRC-verified per section), after which Materialize
-// rebuilds the oracle through the registry loader. Loaders never see a
-// ReleaseContext: a replica draws no noise and consumes no budget, it
-// only re-hosts released (post-DP) bytes, which is the whole trust
-// argument for scaling the read tier horizontally.
+// The image is the replica's ground truth for the handle. A
+// SnapshotChunk's container, validated by store::SnapshotReader::Parse,
+// replaces it wholesale (InstallFull): the sections are copied out of
+// the frame body, where the container's payloads are not aligned. A
+// DeltaFrame patches it in place (ApplyDelta, CRC-verified per section),
+// after which Materialize rebuilds the oracle through the registry
+// loader. Loaders never see a ReleaseContext: a replica draws no noise
+// and consumes no budget, it only re-hosts released (post-DP) bytes,
+// which is the whole trust argument for scaling the read tier
+// horizontally.
 
 #ifndef DPSP_SERVE_HANDLE_IMAGE_H_
 #define DPSP_SERVE_HANDLE_IMAGE_H_

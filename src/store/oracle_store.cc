@@ -37,10 +37,8 @@ Status ReadString(std::span<const uint8_t> bytes, size_t* pos,
 
 }  // namespace
 
-Status SaveOracleSnapshot(const std::string& path,
-                          const DistanceOracle& oracle,
-                          const OracleSnapshotMeta& meta,
-                          uint64_t epoch_lsn) {
+Result<std::vector<ReleasedSection>> OracleSnapshotSections(
+    const DistanceOracle& oracle, const OracleSnapshotMeta& meta) {
   if (meta.mechanism.empty()) {
     return Status::InvalidArgument("snapshot meta needs a mechanism name");
   }
@@ -59,6 +57,15 @@ Status SaveOracleSnapshot(const std::string& path,
                     meta.mechanism.c_str(), kOracleMetaLabel));
     }
   }
+  return sections;
+}
+
+Status SaveOracleSnapshot(const std::string& path,
+                          const DistanceOracle& oracle,
+                          const OracleSnapshotMeta& meta,
+                          uint64_t epoch_lsn) {
+  DPSP_ASSIGN_OR_RETURN(std::vector<ReleasedSection> sections,
+                        OracleSnapshotSections(oracle, meta));
   return WriteSnapshot(path, sections, epoch_lsn);
 }
 

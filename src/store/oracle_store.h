@@ -3,8 +3,9 @@
 //  * SaveOracleSnapshot / LoadOracleSnapshot round-trip a released oracle
 //    through the snapshot format. The store prepends a "__meta__" section
 //    (mechanism name, workload name, serving handle) so a recovering
-//    server can rebind each file to its registry entry and workload
-//    without trusting filenames.
+//    server, or a replica installing a shipped chunk, can rebind each
+//    image to its registry entry and workload without trusting
+//    filenames.
 //  * WalDurabilityHook adapts a BudgetWal to the
 //    ReleaseContext::DurabilityHook interface, so every metered charge
 //    writes an intent/commit pair around the in-memory ledger mutation.
@@ -42,7 +43,13 @@ struct OracleSnapshotMeta {
 /// not emit a section with this label from SaveReleasedState.
 inline constexpr const char* kOracleMetaLabel = "__meta__";
 
-/// Saves `oracle`'s released state plus `meta` atomically at `path`,
+/// `oracle`'s released image as snapshot sections: the "__meta__" section
+/// holding `meta`, then its SaveReleasedState output. Unimplemented for
+/// oracles that do not persist released state.
+Result<std::vector<ReleasedSection>> OracleSnapshotSections(
+    const DistanceOracle& oracle, const OracleSnapshotMeta& meta);
+
+/// Saves OracleSnapshotSections(oracle, meta) atomically at `path`,
 /// stamping `epoch_lsn` (the curator's release/update epoch) on the
 /// container header. Fails with Unimplemented for oracles that do not
 /// persist released state, without touching the destination file.

@@ -30,7 +30,7 @@ void PutU64(std::vector<uint8_t>* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(uint8_t(v >> (8 * i)));
 }
 
-// Bounds-checked little-endian cursor over the mapped file.
+// Bounds-checked little-endian cursor over a container.
 class Cursor {
  public:
   Cursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
@@ -72,9 +72,8 @@ Status ErrnoStatus(const char* op, const std::string& path) {
       StrFormat("%s(%s): %s", op, path.c_str(), std::strerror(errno)));
 }
 
-Status Corrupt(const std::string& path, const std::string& what) {
-  return Status::InvalidArgument(
-      StrFormat("snapshot %s: %s", path.c_str(), what.c_str()));
+Status Corrupt(const std::string& what) {
+  return Status::InvalidArgument("snapshot container: " + what);
 }
 
 Status WriteAllFd(int fd, const uint8_t* data, size_t len,
@@ -92,9 +91,10 @@ Status WriteAllFd(int fd, const uint8_t* data, size_t len,
 }
 
 Status FsyncDirOf(const std::string& path) {
-  size_t slash = path.rfind('/');
-  std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
   int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return ErrnoStatus("open", dir);
   int rc = fsync(fd);
@@ -105,9 +105,8 @@ Status FsyncDirOf(const std::string& path) {
 
 }  // namespace
 
-Status WriteSnapshot(const std::string& path,
-                     std::span<const ReleasedSection> sections,
-                     uint64_t epoch_lsn) {
+Result<std::vector<uint8_t>> EncodeSnapshot(
+    std::span<const ReleasedSection> sections, uint64_t epoch_lsn) {
   std::set<std::string_view> labels;
   for (const ReleasedSection& section : sections) {
     if (section.label.empty()) {
@@ -160,11 +159,23 @@ Status WriteSnapshot(const std::string& path,
     }
   }
   std::memcpy(file.data() + table_offset, table.data(), table.size());
+  return file;
+}
 
+Status WriteSnapshot(const std::string& path,
+                     std::span<const ReleasedSection> sections,
+                     uint64_t epoch_lsn) {
+  DPSP_ASSIGN_OR_RETURN(std::vector<uint8_t> container,
+                        EncodeSnapshot(sections, epoch_lsn));
+  return WriteEncodedSnapshot(path, container);
+}
+
+Status WriteEncodedSnapshot(const std::string& path,
+                            std::span<const uint8_t> container) {
   const std::string tmp = path + ".tmp";
   int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoStatus("open", tmp);
-  Status wrote = WriteAllFd(fd, file.data(), file.size(), tmp);
+  Status wrote = WriteAllFd(fd, container.data(), container.size(), tmp);
   if (wrote.ok()) {
     wrote = EvalFailpoint(failpoints::kSnapshotAfterTempWrite);
   }
@@ -221,21 +232,33 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
     return status;
   }
   const size_t file_bytes = static_cast<size_t>(st.st_size);
-  if (file_bytes < kHeaderBytes) {
-    close(fd);
-    return Corrupt(path, StrFormat("file is %zu bytes, smaller than the "
-                                   "64-byte header",
-                                   file_bytes));
+  // mmap refuses an empty mapping; Parse rejects the empty span instead.
+  void* map = nullptr;
+  if (file_bytes > 0) {
+    map = mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   }
-  void* map = mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   close(fd);
   if (map == MAP_FAILED) return ErrnoStatus("mmap", path);
 
-  SnapshotReader reader;
-  reader.map_ = map;
-  reader.map_bytes_ = file_bytes;
-  const uint8_t* data = static_cast<const uint8_t*>(map);
+  Result<SnapshotReader> parsed =
+      Parse({static_cast<const uint8_t*>(map), file_bytes});
+  if (!parsed.ok()) {
+    if (map != nullptr) munmap(map, file_bytes);
+    return Status::InvalidArgument(path + ": " + parsed.status().message());
+  }
+  parsed->map_ = map;
+  parsed->map_bytes_ = file_bytes;
+  return parsed;
+}
 
+Result<SnapshotReader> SnapshotReader::Parse(std::span<const uint8_t> bytes) {
+  const uint8_t* data = bytes.data();
+  const size_t size = bytes.size();
+  if (size < kHeaderBytes) {
+    return Corrupt(StrFormat("%zu bytes, smaller than the 64-byte header",
+                             size));
+  }
+  SnapshotReader reader;
   Cursor header(data, kHeaderBytes);
   uint64_t magic = 0, table_offset = 0, table_bytes = 0, epoch_lsn = 0;
   uint32_t version = 0, num_sections = 0, table_crc = 0, header_crc = 0;
@@ -248,22 +271,31 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
   header.ReadU64(&epoch_lsn);
   const size_t crc_covered = header.pos();
   header.ReadU32(&header_crc);
-  if (magic != kSnapshotMagic) return Corrupt(path, "bad magic");
+  if (magic != kSnapshotMagic) return Corrupt("bad magic");
   if (version != kSnapshotFormatVersion) {
-    return Corrupt(path, StrFormat("unsupported format version %u", version));
+    return Corrupt(StrFormat("unsupported format version %u", version));
   }
   if (header_crc != Crc32c(data, crc_covered)) {
-    return Corrupt(path, "header checksum mismatch");
+    return Corrupt("header checksum mismatch");
   }
   reader.epoch_lsn_ = epoch_lsn;
-  if (table_offset < kHeaderBytes || table_offset > file_bytes ||
-      table_bytes > file_bytes - table_offset) {
-    return Corrupt(path, "section table lies outside the file");
+  // The table must end the container exactly: bytes past it would be
+  // neither read nor checksummed.
+  if (table_offset < kHeaderBytes || table_offset > size ||
+      table_bytes != size - table_offset) {
+    return Corrupt("section table does not end the container");
   }
   if (table_crc != Crc32c(data + table_offset, table_bytes)) {
-    return Corrupt(path, "section table checksum mismatch");
+    return Corrupt("section table checksum mismatch");
   }
 
+  // An entry takes at least 24 bytes (empty label), so a lying count is
+  // refused before it sizes an allocation.
+  if (num_sections > table_bytes / 24) {
+    return Corrupt(StrFormat("%u sections cannot fit a %llu-byte table",
+                             num_sections,
+                             static_cast<unsigned long long>(table_bytes)));
+  }
   Cursor table(data + table_offset, table_bytes);
   reader.sections_.reserve(num_sections);
   for (uint32_t i = 0; i < num_sections; ++i) {
@@ -273,27 +305,24 @@ Result<SnapshotReader> SnapshotReader::Open(const std::string& path) {
     if (!table.ReadU32(&label_len) || !table.ReadBytes(label_len, &label) ||
         !table.ReadU64(&payload_offset) || !table.ReadU64(&payload_bytes) ||
         !table.ReadU32(&payload_crc)) {
-      return Corrupt(path, StrFormat("truncated table entry %u", i));
+      return Corrupt(StrFormat("truncated table entry %u", i));
     }
-    if (payload_offset > file_bytes ||
-        payload_bytes > file_bytes - payload_offset ||
+    if (payload_offset > size || payload_bytes > size - payload_offset ||
         payload_offset % kAlign != 0) {
-      return Corrupt(path,
-                     StrFormat("section %u payload lies outside the file or "
-                               "is misaligned",
+      return Corrupt(StrFormat("section %u payload lies outside the "
+                               "container or is misaligned",
                                i));
     }
     if (payload_crc != Crc32c(data + payload_offset, payload_bytes)) {
-      return Corrupt(
-          path, StrFormat("section '%.*s' payload checksum mismatch",
-                          static_cast<int>(label_len), label));
+      return Corrupt(StrFormat("section '%.*s' payload checksum mismatch",
+                               static_cast<int>(label_len), label));
     }
     reader.sections_.push_back(ReleasedSectionView{
         std::string_view(reinterpret_cast<const char*>(label), label_len),
         std::span<const uint8_t>(data + payload_offset, payload_bytes)});
   }
   if (table.pos() != table_bytes) {
-    return Corrupt(path, "section table holds trailing bytes");
+    return Corrupt("section table holds trailing bytes");
   }
   return reader;
 }

@@ -1,7 +1,9 @@
 // Versioned, checksummed snapshot container for released oracle state.
 //
-// A snapshot is one file holding labeled byte sections (the output of
-// DistanceOracle::SaveReleasedState plus a store-level meta section):
+// A snapshot is one container of labeled byte sections (the output of
+// DistanceOracle::SaveReleasedState plus a store-level meta section). The
+// same bytes are a handle's snapshot file and, behind the handle id, the
+// body of the SnapshotChunk that ships it to replicas:
 //
 //   [ 64-byte header | section payloads, each 64-byte aligned | table ]
 //
@@ -21,8 +23,9 @@
 // released buffers, which lets loaders hand mapped spans straight to the
 // unpack helpers. Every region is covered by a CRC32C: the header protects
 // the table location, the table CRC protects the entries, and each payload
-// carries its own checksum, all verified eagerly at Open so a reader never
-// serves bytes it has not validated.
+// carries its own checksum, all verified eagerly by Parse (and so by Open)
+// so a reader never serves bytes it has not validated. The table ends the
+// container: a byte past it is corruption, not slack.
 //
 // Durability: WriteSnapshot writes `path + ".tmp"`, fsyncs it, renames it
 // over `path`, and fsyncs the directory — a crash at any point leaves
@@ -47,23 +50,37 @@ namespace store {
 inline constexpr uint64_t kSnapshotMagic = 0x31504E5350535044ULL;  // DPSPSNP1
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
-/// Atomically writes `sections` as a snapshot at `path` (temp file +
-/// fsync + rename + directory fsync). Section labels must be non-empty
-/// and unique. `epoch_lsn` stamps the replication epoch the image
-/// corresponds to (0 for a standalone curator's releases).
+/// Encodes `sections` as one snapshot container. Section labels must be
+/// non-empty and unique. `epoch_lsn` stamps the replication epoch the
+/// image corresponds to (0 for a standalone curator's releases).
+Result<std::vector<uint8_t>> EncodeSnapshot(
+    std::span<const ReleasedSection> sections, uint64_t epoch_lsn = 0);
+
+/// Atomically writes an encoded container at `path` (temp file + fsync +
+/// rename + directory fsync).
+Status WriteEncodedSnapshot(const std::string& path,
+                            std::span<const uint8_t> container);
+
+/// EncodeSnapshot, then WriteEncodedSnapshot.
 Status WriteSnapshot(const std::string& path,
                      std::span<const ReleasedSection> sections,
                      uint64_t epoch_lsn = 0);
 
-/// Maps a snapshot file read-only and validates every checksum eagerly.
-/// sections() are zero-copy views into the mapping, valid while the
-/// reader lives. Movable, not copyable.
+/// A validated snapshot container. sections() are zero-copy views into
+/// the bytes it was parsed from, valid while those bytes and the reader
+/// live. Movable, not copyable.
 class SnapshotReader {
  public:
-  /// NotFound when the file does not exist; InvalidArgument for any
-  /// malformed or corrupt content (bad magic/version, truncation, lying
-  /// lengths, checksum mismatch) — corruption is always a typed error,
-  /// never a crash or a silently partial read.
+  /// Validates every checksum of the container in `bytes`, which must
+  /// outlive the reader. InvalidArgument for any malformed or corrupt
+  /// content (bad magic/version, truncation, lying lengths, checksum
+  /// mismatch, bytes after the table) — corruption is always a typed
+  /// error, never a crash or a silently partial read.
+  static Result<SnapshotReader> Parse(std::span<const uint8_t> bytes);
+
+  /// Maps a snapshot file read-only and Parses it; the reader owns the
+  /// mapping. NotFound when the file does not exist, otherwise Parse's
+  /// errors.
   static Result<SnapshotReader> Open(const std::string& path);
 
   SnapshotReader(SnapshotReader&& other) noexcept { *this = std::move(other); }

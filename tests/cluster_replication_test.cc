@@ -1,10 +1,12 @@
 // Tests for the replicated read tier: coordinator/replica bit-identity
 // across every registered mechanism, delta-only update epochs (byte
-// accounting), late-joiner catch-up, coordinators started over handles
-// that already exist (released earlier or recovered from disk), idle
-// dialers on the shared query port, a SIGKILLed-mid-install replica
-// resubscribing cleanly, and budget charged exactly once on the
-// coordinator no matter how many replicas serve.
+// accounting), catch-up from current images (late joiners,
+// resubscribers), coordinators started over handles that already exist
+// (released earlier or recovered from disk), coordinators that restart
+// with fresh or reused LSNs, failed release snapshots, idle dialers on
+// the shared query port, ship and install failures, a
+// SIGKILLed-mid-install replica resubscribing cleanly, and budget charged
+// exactly once on the coordinator no matter how many replicas serve.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -49,6 +51,24 @@ Workload MakeWorkload() {
   return {std::move(g), std::move(w)};
 }
 
+std::string MakeTempDir() {
+  std::string dir = ::testing::TempDir() + "dpsp_cluster_XXXXXX";
+  EXPECT_NE(mkdtemp(dir.data()), nullptr);
+  return dir;
+}
+
+/// Runs `count` one-delta update epochs against `handle_id`.
+void RunUpdateEpochs(net::Client& client, uint32_t handle_id, int count,
+                     uint64_t seed) {
+  Rng rng(seed);
+  for (int epoch = 0; epoch < count; ++epoch) {
+    std::vector<EdgeWeightDelta> deltas = {
+        {static_cast<EdgeId>(rng.UniformInt(0, kNumVertices - 2)),
+         rng.Uniform(0.1, 0.9)}};
+    ASSERT_OK(client.UpdateWeights(handle_id, deltas).status());
+  }
+}
+
 std::vector<VertexPair> SamplePairs(int count, uint64_t seed) {
   Rng rng(seed);
   std::vector<VertexPair> pairs;
@@ -75,30 +95,25 @@ struct ReplicaNode {
 /// StartCoordinator().
 class ClusterFixture {
  public:
-  explicit ClusterFixture(double compaction_factor = 1e9,
-                          const std::string& persistence_dir = "",
+  explicit ClusterFixture(const std::string& persistence_dir = "",
                           bool start_coordinator = true)
-      : workload_(MakeWorkload()) {
-    ReleaseContext ctx =
-        ReleaseContext::Create(kParams, kClusterSeed).value();
-    ctx.SetTotalBudget(PrivacyParams{1e9, 0.5, 1.0});
-    net::QueryServerOptions server_options;
-    server_options.persistence_dir = persistence_dir;
-    server_ = std::make_unique<net::QueryServer>(server_options,
-                                                 std::move(ctx));
-    EXPECT_OK(server_->AddWorkload("path", workload_.graph,
-                                   workload_.weights));
-    EXPECT_OK(server_->Start());
-    cluster::CoordinatorOptions options;
-    // A huge factor by default: tests that assert on the delta log's
-    // replay behavior must not race an implicit compaction.
-    options.compaction_factor = compaction_factor;
-    coordinator_ =
-        std::make_unique<cluster::Coordinator>(options, server_.get());
-    if (start_coordinator) StartCoordinator();
+      : workload_(MakeWorkload()), persistence_dir_(persistence_dir) {
+    StartServer(kClusterSeed, /*port=*/0, start_coordinator);
   }
 
   void StartCoordinator() { EXPECT_OK(coordinator_->Start()); }
+
+  /// Stops the coordinator and its server, then starts their next life
+  /// on the same port and persistence directory with a new noise seed.
+  /// Replicas keep running and find it by reconnecting.
+  void RestartCoordinator(uint64_t seed, bool start_coordinator) {
+    const uint16_t port = server_->port();
+    coordinator_->Stop();
+    server_->Stop();
+    coordinator_.reset();
+    server_.reset();
+    StartServer(seed, port, start_coordinator);
+  }
 
   ~ClusterFixture() {
     for (ReplicaNode& node : replicas_) node.replica->Stop();
@@ -141,7 +156,24 @@ class ClusterFixture {
   const Workload& workload() const { return workload_; }
 
  private:
+  void StartServer(uint64_t seed, uint16_t port, bool start_coordinator) {
+    ReleaseContext ctx = ReleaseContext::Create(kParams, seed).value();
+    ctx.SetTotalBudget(PrivacyParams{1e9, 0.5, 1.0});
+    net::QueryServerOptions server_options;
+    server_options.persistence_dir = persistence_dir_;
+    server_options.port = port;
+    server_ = std::make_unique<net::QueryServer>(server_options,
+                                                 std::move(ctx));
+    EXPECT_OK(server_->AddWorkload("path", workload_.graph,
+                                   workload_.weights));
+    EXPECT_OK(server_->Start());
+    coordinator_ = std::make_unique<cluster::Coordinator>(
+        cluster::CoordinatorOptions{}, server_.get());
+    if (start_coordinator) StartCoordinator();
+  }
+
   Workload workload_;
+  std::string persistence_dir_;
   std::unique_ptr<net::QueryServer> server_;
   std::unique_ptr<cluster::Coordinator> coordinator_;
   std::vector<ReplicaNode> replicas_;
@@ -218,13 +250,7 @@ TEST(ClusterReplicationTest, UpdateEpochsShipDeltasNotFullImages) {
   ASSERT_GT(after_release.full_bytes, 0u);
 
   constexpr int kEpochs = 3;
-  Rng rng(kTestSeed ^ 0xeb0c);
-  for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    std::vector<EdgeWeightDelta> deltas = {
-        {static_cast<EdgeId>(rng.UniformInt(0, kNumVertices - 2)),
-         rng.Uniform(0.1, 0.9)}};
-    ASSERT_OK(client.UpdateWeights(info.handle_id, deltas).status());
-  }
+  RunUpdateEpochs(client, info.handle_id, kEpochs, kTestSeed ^ 0xeb0c);
   fixture.AwaitConvergence();
 
   cluster::ShipStats after_epochs = fixture.coordinator().ship_stats();
@@ -245,42 +271,57 @@ TEST(ClusterReplicationTest, UpdateEpochsShipDeltasNotFullImages) {
 
 // ---------------------------------------------------- late joiners --
 
-TEST(ClusterReplicationTest, LateJoinerCatchesUpThroughDeltaReplay) {
+TEST(ClusterReplicationTest, LateJoinerCatchesUpFromTheCurrentImage) {
   ClusterFixture fixture;
   net::Client client = fixture.ConnectTo(fixture.server());
   ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
                        client.Release("path", "tree-hld", "live"));
   constexpr int kEpochs = 4;
-  Rng rng(kTestSeed ^ 0x1a7e);
-  for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    std::vector<EdgeWeightDelta> deltas = {
-        {static_cast<EdgeId>(rng.UniformInt(0, kNumVertices - 2)),
-         rng.Uniform(0.1, 0.9)}};
-    ASSERT_OK(client.UpdateWeights(info.handle_id, deltas).status());
-  }
+  RunUpdateEpochs(client, info.handle_id, kEpochs, kTestSeed ^ 0x1a7e);
 
   // The replica joins AFTER the release and all four epochs: catch-up
-  // must replay the base chunk plus the logged deltas, not one frame per
-  // live broadcast (there were none for this subscriber).
+  // ships the handle's current image once, with no delta replay.
   ReplicaNode& joiner = fixture.AddReplica("late");
   fixture.AwaitConvergence();
   EXPECT_EQ(joiner.replica->full_installs(), 1u);
-  EXPECT_GE(joiner.replica->deltas_applied(),
-            static_cast<uint64_t>(kEpochs));
+  EXPECT_EQ(joiner.replica->deltas_applied(), 0u);
   EXPECT_GE(joiner.replica->coordinator_lsn(),
             static_cast<uint64_t>(1 + kEpochs));
   ExpectBitIdentical(fixture, info.handle_id, kTestSeed ^ 0x10af,
                      "late joiner");
 }
 
+TEST(ClusterReplicationTest, ResubscribeShipsEveryLiveHandleOnce) {
+  ClusterFixture fixture;
+  ReplicaNode& node = fixture.AddReplica("r1");
+  net::Client client = fixture.ConnectTo(fixture.server());
+  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo a,
+                       client.Release("path", "tree-hld", "a"));
+  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo b,
+                       client.Release("path", "tree-hld", "b"));
+  fixture.AwaitConvergence();
+  const uint64_t installs = node.replica->full_installs();
+  const uint64_t deltas = node.replica->deltas_applied();
+
+  // Two epochs on one handle while the replica is away: its resubscribe
+  // gets each live handle's current image once, not the missed deltas.
+  node.replica->Stop();
+  RunUpdateEpochs(client, a.handle_id, 2, kTestSeed ^ 0x5e5);
+  ASSERT_OK(node.replica->Start());
+  fixture.AwaitConvergence();
+  EXPECT_EQ(node.replica->full_installs(), installs + 2);
+  EXPECT_EQ(node.replica->deltas_applied(), deltas);
+  ExpectBitIdentical(fixture, a.handle_id, kTestSeed ^ 0x5e6, "updated a");
+  ExpectBitIdentical(fixture, b.handle_id, kTestSeed ^ 0x5e7, "untouched b");
+}
+
 // ----------------------------------- coordinators over existing handles --
 
 TEST(ClusterReplicationTest, CoordinatorStartedAfterReleasesShipsThem) {
   // Both handles exist before the coordinator hooks in, so no epoch after
-  // its Start carries them: Start itself must ship them, the build-once
-  // one included.
-  ClusterFixture fixture(1e9, /*persistence_dir=*/"",
-                         /*start_coordinator=*/false);
+  // its Start carries them: the subscription's catch-up must ship them,
+  // the build-once one included.
+  ClusterFixture fixture(/*persistence_dir=*/"", /*start_coordinator=*/false);
   net::Client client = fixture.ConnectTo(fixture.server());
   ASSERT_OK_AND_ASSIGN(net::ReleaseInfo updatable,
                        client.Release("path", "tree-hld", "updatable"));
@@ -298,21 +339,132 @@ TEST(ClusterReplicationTest, CoordinatorStartedAfterReleasesShipsThem) {
 }
 
 TEST(ClusterReplicationTest, WarmRestartedCoordinatorShipsRecoveredHandles) {
-  std::string dir = ::testing::TempDir() + "dpsp_cluster_XXXXXX";
-  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  const std::string dir = MakeTempDir();
   {
     // First life: a persistent standalone node releases, then stops.
-    ClusterFixture first(1e9, dir, /*start_coordinator=*/false);
+    ClusterFixture first(dir, /*start_coordinator=*/false);
     net::Client client = first.ConnectTo(first.server());
     ASSERT_OK(client.Release("path", "tree-hld", "durable").status());
   }
   // Second life: the handle is recovered at Start, before the coordinator
   // exists.
-  ClusterFixture fixture(1e9, dir);
+  ClusterFixture fixture(dir);
   ASSERT_EQ(fixture.server().stats().recovered_handles, 1u);
   fixture.AddReplica("r1");
   fixture.AwaitConvergence(5000);
   ExpectBitIdentical(fixture, 0, kTestSeed ^ 0x4e57, "recovered tree-hld");
+}
+
+/// Gives the replica time to see its session to a stopped coordinator
+/// end, after which it claims no epoch until its next catch-up.
+void AwaitSessionLoss(ReplicaNode& node) {
+  for (int i = 0; i < 500 && node.replica->last_applied_lsn() != 0; ++i) {
+    usleep(10000);
+  }
+}
+
+TEST(ClusterReplicationTest, ReplicaFollowsARestartedCoordinator) {
+  // Life 1, without persistence: three releases and three update epochs.
+  ClusterFixture fixture;
+  ReplicaNode& node = fixture.AddReplica("r1");
+  {
+    net::Client client = fixture.ConnectTo(fixture.server());
+    ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
+                         client.Release("path", "tree-hld", "live"));
+    ASSERT_OK(
+        client.Release("path", "per-pair-laplace", "build-once").status());
+    ASSERT_OK(client.Release("path", "tree-hld", "life-1 only").status());
+    RunUpdateEpochs(client, info.handle_id, 3, kTestSeed ^ 0x11fe);
+  }
+  fixture.AwaitConvergence();
+
+  // Life 2 starts its LSNs from 0 with new noise, and releases the first
+  // two handle ids before its coordinator hooks in. The replica, at life
+  // 1's LSN 6, must still install life 2's images and drop the third.
+  fixture.RestartCoordinator(kClusterSeed ^ 0x2, /*start_coordinator=*/false);
+  AwaitSessionLoss(node);
+  net::Client client = fixture.ConnectTo(fixture.server());
+  ASSERT_OK(client.Release("path", "tree-hld", "live").status());
+  ASSERT_OK(
+      client.Release("path", "per-pair-laplace", "build-once").status());
+  fixture.StartCoordinator();
+  fixture.AwaitConvergence();
+  EXPECT_EQ(node.replica->last_applied_lsn(),
+            fixture.server().last_epoch_lsn());
+  ExpectBitIdentical(fixture, 0, kTestSeed ^ 0x2e1, "life-2 tree-hld");
+  ExpectBitIdentical(fixture, 1, kTestSeed ^ 0x2e2,
+                     "life-2 per-pair-laplace");
+  EXPECT_EQ(node.server->stats().open_handles, 2u);
+  net::Client replica_client = fixture.ConnectTo(*node.server);
+  Result<std::vector<double>> gone =
+      replica_client.Query(2, SamplePairs(4, kTestSeed));
+  EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ClusterReplicationTest,
+     ReplicaFollowsAPersistentCoordinatorThatLostAnEpoch) {
+  ClusterFixture fixture(MakeTempDir());
+  ReplicaNode& node = fixture.AddReplica("r1");
+  {
+    net::Client client = fixture.ConnectTo(fixture.server());
+    ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
+                         client.Release("path", "tree-hld", "live"));
+    RunUpdateEpochs(client, info.handle_id, 1, kTestSeed ^ 0x105e);
+    // Life 1's last epoch applies and replicates, but its snapshot
+    // rewrite fails: the file keeps the previous epoch's image.
+    SetFailpoint(failpoints::kSnapshotBeforeRename, FailpointAction::kError);
+    RunUpdateEpochs(client, info.handle_id, 1, kTestSeed ^ 0x105f);
+    ClearFailpoint(failpoints::kSnapshotBeforeRename);
+  }
+  fixture.AwaitConvergence();
+  ASSERT_EQ(node.replica->last_applied_lsn(), 3u);
+
+  // Life 2 recovers the LSN-2 image, and its first epoch reuses LSN 3
+  // before its coordinator hooks in.
+  fixture.RestartCoordinator(kClusterSeed ^ 0x3, /*start_coordinator=*/false);
+  AwaitSessionLoss(node);
+  net::Client client = fixture.ConnectTo(fixture.server());
+  RunUpdateEpochs(client, 0, 1, kTestSeed ^ 0x1060);
+  ASSERT_EQ(fixture.server().last_epoch_lsn(), 3u);
+  fixture.StartCoordinator();
+  fixture.AwaitConvergence();
+  EXPECT_EQ(node.replica->last_applied_lsn(),
+            fixture.server().last_epoch_lsn());
+  ExpectBitIdentical(fixture, 0, kTestSeed ^ 0x3e1, "life-2 epoch at LSN 3");
+}
+
+TEST(ClusterReplicationTest, FailedReleaseSnapshotConsumesNoEpoch) {
+  ClusterFixture fixture(MakeTempDir());
+  fixture.AddReplica("r1");
+  net::Client client = fixture.ConnectTo(fixture.server());
+  ASSERT_OK(client.Release("path", "tree-hld", "first").status());
+  fixture.AwaitConvergence();
+  ASSERT_EQ(fixture.server().last_epoch_lsn(), 1u);
+
+  // The release's snapshot cannot land, so the release is refused: it
+  // must take no epoch, which no frame would ever carry to replicas.
+  SetFailpoint(failpoints::kSnapshotBeforeRename, FailpointAction::kError);
+  Result<net::ReleaseInfo> refused =
+      client.Release("path", "tree-hld", "second");
+  ClearFailpoint(failpoints::kSnapshotBeforeRename);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(fixture.server().last_epoch_lsn(), 1u);
+  fixture.AwaitConvergence(/*timeout_ms=*/2000);
+  net::ServerStats stats = fixture.server().stats();
+  for (int i = 0; i < 500 && stats.replica_lag != 0; ++i) {
+    usleep(10000);
+    stats = fixture.server().stats();
+  }
+  EXPECT_EQ(stats.replica_lag, 0u);
+
+  // The retry takes the next handle id and epoch, and replicates.
+  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo retried,
+                       client.Release("path", "tree-hld", "second"));
+  EXPECT_EQ(retried.handle_id, 1u);
+  EXPECT_EQ(fixture.server().last_epoch_lsn(), 2u);
+  fixture.AwaitConvergence();
+  ExpectBitIdentical(fixture, retried.handle_id, kTestSeed ^ 0xfa1,
+                     "retried release");
 }
 
 // ------------------------------------------------------ idle dialers --
@@ -359,6 +511,30 @@ TEST(ClusterReplicationTest, InstallFailureForcesACleanResync) {
   fixture.AwaitConvergence();
   ExpectBitIdentical(fixture, info.handle_id, kTestSeed ^ 0xf41,
                      "post-resync");
+}
+
+TEST(ClusterReplicationTest, ShipFailureDropsSessionsAndReplicasResync) {
+  ClusterFixture fixture;
+  fixture.AddReplica("r1");
+  fixture.AddReplica("r2");
+  net::Client client = fixture.ConnectTo(fixture.server());
+  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
+                       client.Release("path", "tree-hld", "live"));
+  fixture.AwaitConvergence();
+
+  // The epoch's delta fails to ship: the coordinator drops every session,
+  // and each replica resubscribes and starts again from the current
+  // image, so the epoch still reaches it.
+  SetFailpoint(failpoints::kClusterShipDelta, FailpointAction::kError);
+  RunUpdateEpochs(client, info.handle_id, 1, kTestSeed ^ 0x5417);
+  ClearFailpoint(failpoints::kClusterShipDelta);
+  fixture.AwaitConvergence();
+  for (ReplicaNode& node : fixture.replicas()) {
+    EXPECT_EQ(node.replica->full_installs(), 2u);
+    EXPECT_EQ(node.replica->deltas_applied(), 0u);
+  }
+  ExpectBitIdentical(fixture, info.handle_id, kTestSeed ^ 0x5418,
+                     "post-ship-failure");
 }
 
 TEST(ClusterReplicationTest, SigkilledMidInstallReplicaResubscribesCleanly) {

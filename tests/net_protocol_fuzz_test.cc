@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "store/snapshot.h"
 #include "store/snapshot_delta.h"
 #include "test_util.h"
 
@@ -88,24 +89,19 @@ std::vector<DecoderCase> AllDecoderCases() {
        }});
   // -- the replication frames --
   net::ReplicaSubscribe subscribe;
-  subscribe.last_epoch_lsn = 41;
   subscribe.replica_name = "replica-a";
   cases.push_back({"replica-subscribe",
                    net::EncodeReplicaSubscribe(subscribe),
                    [](std::span<const uint8_t> b) {
                      return net::DecodeReplicaSubscribe(b).status();
                    }});
-  net::SnapshotChunk chunk;
-  chunk.handle_id = 2;
-  chunk.epoch_lsn = 7;
-  chunk.handle_name = "live";
-  chunk.mechanism = "tree-hld";
-  chunk.workload = "path";
-  ReleasedSection section;
-  section.label = "blocks";
-  section.bytes = {1, 2, 3, 4, 5, 6, 7, 8};
-  chunk.sections = {section};
-  cases.push_back({"snapshot-chunk", net::EncodeSnapshotChunk(chunk),
+  // A chunk's container decodes through store::SnapshotReader::Parse.
+  std::vector<ReleasedSection> sections = {
+      {"__meta__", {4, 0, 0, 0, 'l', 'i', 'v', 'e'}},
+      {"blocks", {1, 2, 3, 4, 5, 6, 7, 8}}};
+  cases.push_back({"snapshot-chunk",
+                   net::EncodeSnapshotChunk(
+                       2, store::EncodeSnapshot(sections, 7).value()),
                    [](std::span<const uint8_t> b) {
                      return net::DecodeSnapshotChunk(b).status();
                    }});
@@ -240,7 +236,7 @@ TEST(NetServerFuzzTest, WrongVersionHeadersGetTypedErrorsAndServerSurvives) {
   // Every version but the one this build speaks is refused before
   // dispatch, older ones included.
   FuzzServerFixture fixture;
-  for (uint16_t version : {0, 1, 4, 6, 99}) {
+  for (uint16_t version : {0, 1, 4, 5, 99}) {
     ASSERT_OK_AND_ASSIGN(net::Socket raw,
                          net::Connect("127.0.0.1", fixture.port()));
     std::vector<uint8_t> header = RawHeader(

@@ -121,9 +121,9 @@ TEST(NetWireGoldenTest, WrittenFramesArePinnedOnTheSocket) {
                             net::EncodeQueryRequest(kHandle, kPairs)));
   ASSERT_OK(net::WriteFrame(writer, net::MessageType::kStatsRequest, {}));
   const std::string expected = Compact(
-      "50535044 0500 0300 28000000 ") +  // magic, v5, QueryRequest, 40
+      "50535044 0600 0300 28000000 ") +  // magic, v6, QueryRequest, 40
       Compact(kQueryRequestHex) +
-      Compact("50535044 0500 0500 00000000");  // magic, v5, Stats, 0
+      Compact("50535044 0600 0500 00000000");  // magic, v6, Stats, 0
   std::vector<uint8_t> raw(expected.size() / 2);
   ASSERT_OK(reader.ReadAll(raw.data(), raw.size()));
   EXPECT_EQ(ToHex(raw), expected);

@@ -1,9 +1,12 @@
 // Adversarial corruption tables for the store layer: truncations,
-// single-bit flips, lying length fields, and protocol misuse (duplicate
-// commits, unknown intents, LSN regressions) must every one surface as a
-// typed error or a validated identical read — never a crash, never a
-// silently partial result, and a snapshot in any format but the one this
-// build writes is refused. The snapshot's uncovered bytes (header pad,
+// single-bit flips, lying length fields, bytes past the snapshot table,
+// and protocol misuse (duplicate commits, unknown intents, LSN
+// regressions) must every one surface as a typed error or a validated
+// identical read — never a crash, never a silently partial result, and a
+// snapshot in any format but the one this build writes is refused. The
+// snapshot tables run through both ways a container arrives: a file
+// (SnapshotReader::Open) and a replication chunk's memory
+// (SnapshotReader::Parse). The snapshot's uncovered bytes (header pad,
 // alignment gaps) may absorb a flip, so the bit-flip property is
 // "rejected OR bit-identical", which is exactly the checksum contract.
 
@@ -78,6 +81,16 @@ bool SectionsMatch(const store::SnapshotReader& reader,
   return true;
 }
 
+/// Reads `bytes` as a file at `path` through Open, then from memory
+/// through Parse, handing each result to `check` with the reader's name.
+template <typename Check>
+void ReadBothWays(const std::string& path, const std::vector<uint8_t>& bytes,
+                  Check check) {
+  WriteFileBytes(path, bytes);
+  check(store::SnapshotReader::Open(path), "Open");
+  check(store::SnapshotReader::Parse(bytes), "Parse");
+}
+
 // ------------------------------------------------- snapshot corruption --
 
 TEST(SnapshotFuzzTest, EveryTruncationIsATypedError) {
@@ -89,12 +102,15 @@ TEST(SnapshotFuzzTest, EveryTruncationIsATypedError) {
   for (size_t len = 0; len < clean.size(); ++len) {
     std::vector<uint8_t> prefix(clean.begin(),
                                 clean.begin() + static_cast<long>(len));
-    WriteFileBytes(mangled, prefix);
-    Result<store::SnapshotReader> opened =
-        store::SnapshotReader::Open(mangled);
-    ASSERT_FALSE(opened.ok()) << "accepted a " << len << "-byte truncation";
-    EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
-        << "truncation to " << len;
+    ReadBothWays(mangled, prefix,
+                 [len](const Result<store::SnapshotReader>& opened,
+                       const char* via) {
+                   ASSERT_FALSE(opened.ok()) << via << " accepted a " << len
+                                             << "-byte truncation";
+                   EXPECT_EQ(opened.status().code(),
+                             StatusCode::kInvalidArgument)
+                       << via << " truncation to " << len;
+                 });
   }
 }
 
@@ -109,20 +125,44 @@ TEST(SnapshotFuzzTest, EveryBitFlipIsRejectedOrHarmless) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> flipped = clean;
       flipped[byte] ^= static_cast<uint8_t>(1u << bit);
-      WriteFileBytes(mangled, flipped);
-      Result<store::SnapshotReader> opened =
-          store::SnapshotReader::Open(mangled);
-      if (!opened.ok()) {
-        EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
-            << "byte " << byte << " bit " << bit;
-        continue;
-      }
-      // The flip landed in padding no checksum covers: the validated
-      // content must still be bit-identical to what was written.
-      EXPECT_TRUE(SectionsMatch(*opened, sections))
-          << "accepted DIFFERENT content after flipping byte " << byte
-          << " bit " << bit;
+      ReadBothWays(
+          mangled, flipped,
+          [&](const Result<store::SnapshotReader>& opened, const char* via) {
+            if (!opened.ok()) {
+              EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+                  << via << " byte " << byte << " bit " << bit;
+              return;
+            }
+            // The flip landed in padding no checksum covers: the
+            // validated content must still be bit-identical to what was
+            // written.
+            EXPECT_TRUE(SectionsMatch(*opened, sections))
+                << via << " accepted DIFFERENT content after flipping byte "
+                << byte << " bit " << bit;
+          });
     }
+  }
+}
+
+TEST(SnapshotFuzzTest, BytesAfterTheTableAreRejected) {
+  // The table ends the container: appended bytes would be neither read
+  // nor checksummed, so a chunk or file carrying them is corrupt.
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/clean.snap";
+  ASSERT_OK(store::WriteSnapshot(path, CanonicalSections()));
+  const std::vector<uint8_t> clean = ReadFileBytes(path);
+  for (size_t extra : {1, 64}) {
+    std::vector<uint8_t> padded = clean;
+    padded.resize(clean.size() + extra, 0);
+    ReadBothWays(dir + "/padded.snap", padded,
+                 [extra](const Result<store::SnapshotReader>& opened,
+                         const char* via) {
+                   ASSERT_FALSE(opened.ok())
+                       << via << " accepted " << extra << " trailing bytes";
+                   EXPECT_EQ(opened.status().code(),
+                             StatusCode::kInvalidArgument)
+                       << via;
+                 });
   }
 }
 

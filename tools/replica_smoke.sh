@@ -11,8 +11,8 @@
 #   3. Apply a weight-update epoch (ships as a delta) and re-check
 #      three-way bit-identity at the new epoch.
 #   4. kill -9 one replica mid-service, run another update epoch while
-#      it is down, restart it (late joiner: base chunk + delta replay),
-#      and check bit-identity again.
+#      it is down, restart it (late joiner: its catch-up is the handle's
+#      current image), and check bit-identity again.
 #
 # Usage: tools/replica_smoke.sh [build-dir]   (default: build)
 
