@@ -14,7 +14,6 @@ namespace dpsp {
 
 Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Decompose(
     const Graph& graph, const EdgeWeights& w, VertexId root,
-    std::vector<std::vector<double>>* chain_weights,
     std::vector<double>* light_weights) {
   DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   if (root == -1) root = 0;
@@ -38,63 +37,64 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Decompose(
     }
   }
 
-  // Assign chains in BFS order (parents first).
-  std::vector<std::vector<VertexId>> members;  // chain -> vertices by pos
+  // Assign chains in BFS order (parents first), counting each chain's
+  // members into chain_member_offset_[c + 1].
+  std::vector<uint32_t>& offset = oracle->chain_member_offset_;
+  offset.push_back(0);
   for (VertexId v : tree.bfs_order()) {
     VertexId p = tree.parent(v);
     if (p == -1 || heavy[static_cast<size_t>(p)] != v) {
       oracle->chain_of_[static_cast<size_t>(v)] =
-          static_cast<int>(members.size());
+          static_cast<int>(offset.size()) - 1;
       oracle->pos_in_chain_[static_cast<size_t>(v)] = 0;
-      oracle->chain_head_.push_back(v);
       oracle->head_depth_.push_back(tree.depth(v));
-      members.emplace_back(1, v);
+      oracle->head_parent_.push_back(p);
+      offset.push_back(1);
     } else {
       int c = oracle->chain_of_[static_cast<size_t>(p)];
       oracle->chain_of_[static_cast<size_t>(v)] = c;
       oracle->pos_in_chain_[static_cast<size_t>(v)] =
           oracle->pos_in_chain_[static_cast<size_t>(p)] + 1;
-      members[static_cast<size_t>(c)].push_back(v);
+      ++offset[static_cast<size_t>(c) + 1];
     }
   }
+  const size_t num_chains = offset.size() - 1;
+  for (size_t c = 0; c < num_chains; ++c) offset[c + 1] += offset[c];
 
-  // The values each chain's release covers: its heavy edges by position,
-  // and the light edge above its head (none at the root chain).
-  chain_weights->assign(members.size(), {});
-  light_weights->assign(members.size(), 0.0);
-  oracle->head_parent_.resize(members.size());
-  for (size_t c = 0; c < members.size(); ++c) {
-    const std::vector<VertexId>& chain = members[c];
-    std::vector<double>& values = (*chain_weights)[c];
-    values.reserve(chain.size() - 1);
-    for (size_t p = 1; p < chain.size(); ++p) {
-      values.push_back(w[static_cast<size_t>(tree.parent_edge(chain[p]))]);
-    }
-    VertexId head = chain[0];
-    oracle->head_parent_[c] = tree.parent(head);
-    if (tree.parent(head) != -1) {
-      (*light_weights)[c] = w[static_cast<size_t>(tree.parent_edge(head))];
-    }
-  }
-
-  // Update-path indexes: dirty edge -> child endpoint, and flat chain
-  // membership (for recomputing ascent caches of dirty chains).
+  // Membership by position, the edge -> child map, and the values each
+  // chain's release covers: its heavy edges by position, and the light
+  // edge above its head (none at the root chain).
+  oracle->chain_member_list_.resize(static_cast<size_t>(n));
   oracle->edge_child_.assign(static_cast<size_t>(graph.num_edges()), -1);
+  oracle->heavy_weight_.assign(static_cast<size_t>(n), 0.0);
+  if (light_weights != nullptr) light_weights->assign(num_chains, 0.0);
   for (VertexId v = 0; v < n; ++v) {
-    EdgeId e = tree.parent_edge(v);
-    if (e != -1) oracle->edge_child_[static_cast<size_t>(e)] = v;
+    const int c = oracle->chain_of_[static_cast<size_t>(v)];
+    const int pos = oracle->pos_in_chain_[static_cast<size_t>(v)];
+    const size_t i = offset[static_cast<size_t>(c)] + static_cast<size_t>(pos);
+    oracle->chain_member_list_[i] = v;
+    const EdgeId e = tree.parent_edge(v);
+    if (e == -1) continue;
+    oracle->edge_child_[static_cast<size_t>(e)] = v;
+    if (pos > 0) {
+      oracle->heavy_weight_[i] = w[static_cast<size_t>(e)];
+    } else if (light_weights != nullptr) {
+      (*light_weights)[static_cast<size_t>(c)] = w[static_cast<size_t>(e)];
+    }
   }
-  oracle->chain_member_offset_.assign(members.size() + 1, 0);
-  for (size_t c = 0; c < members.size(); ++c) {
-    oracle->chain_member_offset_[c + 1] =
-        oracle->chain_member_offset_[c] +
-        static_cast<uint32_t>(members[c].size());
+
+  // Every chain's level table, its blocks following the previous chain's.
+  oracle->level_index_.reserve(num_chains + 1);
+  uint32_t next_block = 0;
+  for (size_t c = 0; c < num_chains; ++c) {
+    oracle->level_index_.push_back(
+        static_cast<uint32_t>(oracle->level_offset_.size()));
+    next_block = dyadic::AppendLevelOffsets(
+        static_cast<int>(offset[c + 1] - offset[c]) - 1, next_block,
+        &oracle->level_offset_);
   }
-  oracle->chain_member_list_.reserve(static_cast<size_t>(n));
-  for (const std::vector<VertexId>& chain : members) {
-    oracle->chain_member_list_.insert(oracle->chain_member_list_.end(),
-                                      chain.begin(), chain.end());
-  }
+  oracle->level_index_.push_back(
+      static_cast<uint32_t>(oracle->level_offset_.size()));
   oracle->ascent_cost_.assign(static_cast<size_t>(n), 0.0);
   return oracle;
 }
@@ -103,19 +103,18 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
     Rng* rng, VertexId root) {
   DPSP_RETURN_IF_ERROR(params.Validate());
-  std::vector<std::vector<double>> chain_weights;
   std::vector<double> light_weights;
-  DPSP_ASSIGN_OR_RETURN(
-      std::unique_ptr<HldTreeOracle> oracle,
-      Decompose(graph, w, root, &chain_weights, &light_weights));
+  DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
+                        Decompose(graph, w, root, &light_weights));
+  const int num_chains = oracle->num_chains();
 
   // Joint sensitivity: an edge is either heavy (one block per level of its
   // chain's structure) or light (one released scalar), so the release's
   // sensitivity is max over chains of #levels, at least 1.
   int max_levels = 1;
-  for (const std::vector<double>& values : chain_weights) {
-    max_levels = std::max(max_levels, NoisyDyadicRangeSums::LevelsForSize(
-                                          static_cast<int>(values.size())));
+  for (int c = 0; c < num_chains; ++c) {
+    max_levels =
+        std::max(max_levels, dyadic::NumLevels(oracle->ChainLevels(c)));
   }
   DPSP_ASSIGN_OR_RETURN(
       double scale,
@@ -127,12 +126,16 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
   // Released structures: per-chain dyadic sums over the heavy edges, plus
   // one noisy scalar per light (chain-head parent) edge, drawn chain by
   // chain.
-  oracle->light_noisy_.assign(chain_weights.size(), 0.0);
-  for (size_t c = 0; c < chain_weights.size(); ++c) {
-    oracle->chains_.emplace_back(chain_weights[c], scale, rng);
-    oracle->num_noisy_values_ += oracle->chains_.back().num_blocks();
-    if (oracle->head_parent_[c] != -1) {
-      oracle->light_noisy_[c] = light_weights[c] + rng->Laplace(scale);
+  oracle->blocks_.resize(dyadic::NumBlocks(oracle->level_offset_));
+  oracle->num_noisy_values_ = static_cast<int>(oracle->blocks_.size());
+  oracle->light_noisy_.assign(static_cast<size_t>(num_chains), 0.0);
+  std::vector<double> prefix;
+  for (int c = 0; c < num_chains; ++c) {
+    dyadic::DrawBlocks(oracle->ChainValues(c), oracle->ChainLevels(c), scale,
+                       rng, oracle->blocks_, &prefix);
+    if (oracle->head_parent_[static_cast<size_t>(c)] != -1) {
+      oracle->light_noisy_[static_cast<size_t>(c)] =
+          light_weights[static_cast<size_t>(c)] + rng->Laplace(scale);
       ++oracle->num_noisy_values_;
     }
   }
@@ -140,9 +143,7 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
   // Ascent caches (post-processing of the released blocks, no new noise):
   // climbing off the top of v's chain costs the chain prefix up to v plus
   // the light edge above the head, and lands on the head's parent.
-  for (size_t c = 0; c < chain_weights.size(); ++c) {
-    oracle->RecomputeAscentCosts(static_cast<int>(c));
-  }
+  for (int c = 0; c < num_chains; ++c) oracle->RecomputeAscentCosts(c);
   return oracle;
 }
 
@@ -180,7 +181,8 @@ Status HldTreeOracle::ApplyWeightUpdates(
     final_weight[d.edge] = d.new_weight;
   }
 
-  std::map<int, std::vector<std::pair<int, double>>> heavy;  // chain -> ups
+  // chain -> its dirty value indices (heavy-edge positions), ascending
+  std::map<int, std::vector<int>> heavy;
   std::map<int, double> light;  // chain -> new light-edge weight
   for (const auto& [edge, weight] : final_weight) {
     VertexId v = edge_child_[static_cast<size_t>(edge)];
@@ -189,9 +191,10 @@ Status HldTreeOracle::ApplyWeightUpdates(
     if (pos == 0) {
       light[c] = weight;  // the edge above the chain head: one scalar
     } else {
-      heavy[c].emplace_back(pos - 1, weight);
+      heavy[c].push_back(pos - 1);
     }
   }
+  for (auto& [c, indices] : heavy) std::sort(indices.begin(), indices.end());
 
   // Planning pass (no mutation): the epoch's sensitivity g is the deepest
   // dirty stack — every dirty heavy edge sits in one block per level of
@@ -201,13 +204,10 @@ Status HldTreeOracle::ApplyWeightUpdates(
   // exactly (eps * g / L)-DP.
   int g = light.empty() ? 0 : 1;
   int dirty_blocks = static_cast<int>(light.size());
-  for (const auto& [c, updates] : heavy) {
-    const NoisyDyadicRangeSums& chain = chains_[static_cast<size_t>(c)];
-    g = std::max(g, chain.num_levels());
-    std::vector<int> indices;
-    indices.reserve(updates.size());
-    for (const auto& [index, weight] : updates) indices.push_back(index);
-    dirty_blocks += chain.DirtyBlockCount(indices);
+  for (const auto& [c, indices] : heavy) {
+    const int levels = dyadic::NumLevels(ChainLevels(c));
+    g = std::max(g, levels);
+    dirty_blocks += dyadic::CountDirtyBlocks(levels, indices);
   }
   double charged_epsilon =
       release_epsilon_ * static_cast<double>(g) / sensitivity_;
@@ -216,9 +216,17 @@ Status HldTreeOracle::ApplyWeightUpdates(
   Status metered = ctx.MeteredUpdate(
       std::string(kName) + "-update", loss,
       [&] {
-        for (const auto& [c, updates] : heavy) {
-          chains_[static_cast<size_t>(c)].ApplyPointUpdates(updates,
-                                                            ctx.rng());
+        for (const auto& [edge, weight] : final_weight) {
+          const VertexId v = edge_child_[static_cast<size_t>(edge)];
+          const int c = chain_of_[static_cast<size_t>(v)];
+          const int pos = pos_in_chain_[static_cast<size_t>(v)];
+          if (pos == 0) continue;
+          heavy_weight_[chain_member_offset_[static_cast<size_t>(c)] +
+                        static_cast<size_t>(pos)] = weight;
+        }
+        for (const auto& [c, indices] : heavy) {
+          dyadic::RedrawDirtyBlocks(ChainValues(c), ChainLevels(c), indices,
+                                    noise_scale_, ctx.rng(), blocks_);
         }
         for (const auto& [c, weight] : light) {
           light_noisy_[static_cast<size_t>(c)] =
@@ -228,7 +236,7 @@ Status HldTreeOracle::ApplyWeightUpdates(
         // redrawn blocks, no new noise. (std::map iteration keeps the
         // chain walk ordered; a chain dirty in both ways is recomputed
         // once — the second pass overwrites with identical values.)
-        for (const auto& [c, updates] : heavy) RecomputeAscentCosts(c);
+        for (const auto& [c, indices] : heavy) RecomputeAscentCosts(c);
         for (const auto& [c, weight] : light) {
           if (heavy.find(c) == heavy.end()) RecomputeAscentCosts(c);
         }
@@ -250,14 +258,15 @@ Status HldTreeOracle::ApplyWeightUpdates(
 void HldTreeOracle::RecomputeAscentCosts(int c) {
   const uint32_t begin = chain_member_offset_[static_cast<size_t>(c)];
   const uint32_t end = chain_member_offset_[static_cast<size_t>(c) + 1];
-  const NoisyDyadicRangeSums& chain = chains_[static_cast<size_t>(c)];
+  const std::span<const uint32_t> levels = ChainLevels(c);
   const double light = light_noisy_[static_cast<size_t>(c)];
   // Chain member p sits at position p: climbing off the top from it costs
   // the chain prefix [0, p) plus the light edge above the head.
   for (uint32_t i = begin; i < end; ++i) {
     VertexId v = chain_member_list_[i];
     ascent_cost_[static_cast<size_t>(v)] =
-        chain.PrefixSumUnchecked(static_cast<int>(i - begin)) + light;
+        dyadic::PrefixSum(levels, blocks_, static_cast<int>(i - begin)) +
+        light;
   }
 }
 
@@ -315,35 +324,32 @@ double HldTreeOracle::DistanceUnchecked(VertexId u, VertexId v) const {
   const int pu = pos_in_chain_[static_cast<size_t>(u)];
   const int pv = pos_in_chain_[static_cast<size_t>(v)];
   const int pz = std::min(pu, pv);
-  const NoisyDyadicRangeSums& chain = chains_[static_cast<size_t>(cu)];
-  return (up_u + chain.RangeSumUnchecked(pz, pu)) +
-         (up_v + chain.RangeSumUnchecked(pz, pv));
+  const std::span<const uint32_t> levels = ChainLevels(cu);
+  return (up_u + dyadic::RangeSum(levels, blocks_, pz, pu)) +
+         (up_v + dyadic::RangeSum(levels, blocks_, pz, pv));
 }
 
 Status HldTreeOracle::SaveReleasedState(
     std::vector<ReleasedSection>* out) const {
-  // Every noisy value of the release: the per-chain dyadic blocks
-  // (concatenated in chain order, with per-chain counts so restore can
-  // slice them back), and the light-edge scalars. Everything else —
-  // chains, head depths, membership, ascent caches — is deterministic
+  // Every noisy value of the release: the per-chain dyadic blocks (the
+  // buffer itself, with per-chain counts so restore can check them against
+  // the topology), and the light-edge scalars. Everything else — chains,
+  // head depths, membership, ascent caches — is deterministic
   // post-processing of the public topology and the blocks.
-  std::vector<double> blocks;
-  std::vector<double> counts;
-  counts.reserve(chains_.size());
-  for (const NoisyDyadicRangeSums& chain : chains_) {
-    std::span<const double> chain_blocks = chain.blocks();
-    counts.push_back(static_cast<double>(chain_blocks.size()));
-    blocks.insert(blocks.end(), chain_blocks.begin(), chain_blocks.end());
+  const int num_chains = this->num_chains();
+  std::vector<double> counts(static_cast<size_t>(num_chains));
+  for (int c = 0; c < num_chains; ++c) {
+    counts[static_cast<size_t>(c)] = dyadic::NumBlocks(ChainLevels(c));
   }
   out->push_back(released_state::Pack<double>(
-      "chain-blocks", std::span<const double>(blocks)));
+      "chain-blocks", std::span<const double>(blocks_.data(), blocks_.size())));
   out->push_back(released_state::Pack<double>(
       "chain-block-counts", std::span<const double>(counts)));
   out->push_back(released_state::Pack<double>(
       "light-noisy",
       std::span<const double>(light_noisy_.data(), light_noisy_.size())));
   out->push_back(released_state::PackScalars(
-      "meta", {static_cast<double>(chain_head_[0]), noise_scale_,
+      "meta", {static_cast<double>(chain_member_list_[0]), noise_scale_,
                static_cast<double>(sensitivity_),
                static_cast<double>(num_noisy_values_), release_epsilon_}));
   return Status::Ok();
@@ -375,16 +381,13 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
     return Status::InvalidArgument("snapshot hld release epsilon must be > 0");
   }
 
-  // Rebuild the public skeleton (chains, membership), which depends only on
-  // the topology, then install every chain's persisted blocks at the
+  // Rebuild the public skeleton (chains, membership, level tables), which
+  // depends only on the topology, then install the persisted blocks at the
   // persisted scale, so later update epochs redraw at the release's scale.
-  std::vector<std::vector<double>> chain_weights;
-  std::vector<double> light_weights;
-  DPSP_ASSIGN_OR_RETURN(
-      std::unique_ptr<HldTreeOracle> oracle,
-      Decompose(graph, w, root, &chain_weights, &light_weights));
+  DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
+                        Decompose(graph, w, root, nullptr));
 
-  const size_t num_chains = chain_weights.size();
+  const int num_chains = oracle->num_chains();
   DPSP_ASSIGN_OR_RETURN(
       std::span<const double> counts,
       released_state::Require<double>(sections, "chain-block-counts",
@@ -397,36 +400,32 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
                         released_state::Require<double>(sections,
                                                         "chain-blocks"));
 
-  size_t offset = 0;
-  oracle->chains_.reserve(num_chains);
-  for (size_t c = 0; c < num_chains; ++c) {
+  for (int c = 0; c < num_chains; ++c) {
     int count;
     DPSP_ASSIGN_OR_RETURN(
-        count, released_state::AsInt(counts[c], "chain block count"));
-    if (count < 0 || static_cast<size_t>(count) > blocks.size() - offset) {
-      return Status::InvalidArgument(
-          "snapshot chain-blocks section is shorter than its counts imply");
+        count, released_state::AsInt(counts[static_cast<size_t>(c)],
+                                     "chain block count"));
+    const uint32_t shape = dyadic::NumBlocks(oracle->ChainLevels(c));
+    if (count < 0 || static_cast<uint32_t>(count) != shape) {
+      return Status::InvalidArgument(StrFormat(
+          "snapshot chain %d holds %d blocks, its topology implies %u", c,
+          count, shape));
     }
-    DPSP_ASSIGN_OR_RETURN(
-        NoisyDyadicRangeSums chain,
-        NoisyDyadicRangeSums::Restore(
-            chain_weights[c], noise_scale,
-            blocks.subspan(offset, static_cast<size_t>(count))));
-    oracle->chains_.push_back(std::move(chain));
-    offset += static_cast<size_t>(count);
   }
-  if (offset != blocks.size()) {
-    return Status::InvalidArgument(
-        "snapshot chain-blocks section is longer than its counts imply");
+  const uint32_t total = dyadic::NumBlocks(oracle->level_offset_);
+  if (blocks.size() != total) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot chain-blocks section holds %zu blocks, its counts imply %u",
+        blocks.size(), total));
   }
+  // Built from the section, not zero-filled and then overwritten.
+  oracle->blocks_.assign(blocks.begin(), blocks.end());
   oracle->light_noisy_.assign(light.begin(), light.end());
   oracle->noise_scale_ = noise_scale;
   oracle->sensitivity_ = sensitivity;
   oracle->num_noisy_values_ = num_noisy_values;
   oracle->release_epsilon_ = release_epsilon;
-  for (size_t c = 0; c < num_chains; ++c) {
-    oracle->RecomputeAscentCosts(static_cast<int>(c));
-  }
+  for (int c = 0; c < num_chains; ++c) oracle->RecomputeAscentCosts(c);
   return std::unique_ptr<DistanceOracle>(std::move(oracle));
 }
 

@@ -24,7 +24,9 @@
 #ifndef DPSP_CORE_HLD_ORACLE_H_
 #define DPSP_CORE_HLD_ORACLE_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/aligned.h"
@@ -85,7 +87,7 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   Status ApplyWeightUpdates(std::span<const EdgeWeightDelta> deltas,
                             ReleaseContext& ctx) override;
 
-  int num_chains() const { return static_cast<int>(chains_.size()); }
+  int num_chains() const { return static_cast<int>(head_depth_.size()); }
   double noise_scale() const { return noise_scale_; }
   /// Release sensitivity (max chain levels) and total noise draws, for
   /// telemetry.
@@ -98,21 +100,22 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
                            double gamma);
 
   /// Persists the released noisy state: every chain's dyadic blocks
-  /// (concatenated, with per-chain counts), the light-edge scalars, and
-  /// the release calibration. The decomposition itself (chains, head
-  /// depths, membership) is deterministic post-processing of the public
-  /// topology and is rebuilt at restore.
+  /// (back to back in chain order, as the oracle holds them, with
+  /// per-chain counts), the light-edge scalars, and the release
+  /// calibration. The decomposition itself (chains, head depths,
+  /// membership) is deterministic post-processing of the public topology
+  /// and is rebuilt at restore.
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
   /// OracleLoader counterpart: rebuilds the deterministic skeleton from
-  /// the public tree, installs every chain's persisted blocks at the
-  /// persisted noise scale (no noise drawn), and recomputes the ascent
-  /// caches. Queries and later update epochs are
-  /// bit-identical to the saved instance. Post-restart update epochs
-  /// recompute dirty block sums from the CURRENT workload weights — if
-  /// updates had drifted the weights before the snapshot, the first
-  /// post-restart epoch re-bases those sums (documented warm-restart
-  /// semantic; privacy is unaffected).
+  /// the public tree, checks every chain's persisted block count against
+  /// the shape its topology implies, installs the blocks at the persisted
+  /// noise scale (no noise drawn), and recomputes the ascent caches.
+  /// Queries and later update epochs are bit-identical to the saved
+  /// instance. Post-restart update epochs recompute dirty block sums from
+  /// the CURRENT workload weights — if updates had drifted the weights
+  /// before the snapshot, the first post-restart epoch re-bases those sums
+  /// (documented warm-restart semantic; privacy is unaffected).
   static Result<std::unique_ptr<DistanceOracle>> FromReleasedState(
       const Graph& graph, const EdgeWeights& w,
       std::span<const ReleasedSectionView> sections);
@@ -120,15 +123,28 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
  private:
   HldTreeOracle() = default;
 
-  // The public skeleton: chains, positions, head depths and parents,
-  // membership and the edge -> child map, all determined by the topology.
-  // Fills `chain_weights` with each chain's heavy-edge weights by position
-  // and `light_weights` with the weight of the edge above each chain head
-  // (0 at the root chain). Draws no noise and releases nothing.
+  // The public skeleton, determined by the topology: chains, positions,
+  // head depths and parents, CSR membership, the edge -> child map and
+  // every chain's dyadic level table. Fills heavy_weight_ from `w` and, if
+  // non-null, `light_weights` with the weight of the edge above each chain
+  // head (0 at the root chain). Draws no noise and releases nothing.
   static Result<std::unique_ptr<HldTreeOracle>> Decompose(
       const Graph& graph, const EdgeWeights& w, VertexId root,
-      std::vector<std::vector<double>>* chain_weights,
       std::vector<double>* light_weights);
+
+  // Chain c's dyadic level table, its slots into blocks_.
+  std::span<const uint32_t> ChainLevels(int c) const {
+    const uint32_t begin = level_index_[static_cast<size_t>(c)];
+    return {level_offset_.data() + begin,
+            level_index_[static_cast<size_t>(c) + 1] - begin};
+  }
+
+  // Chain c's private values: its heavy-edge weights by position.
+  std::span<const double> ChainValues(int c) const {
+    const uint32_t head = chain_member_offset_[static_cast<size_t>(c)];
+    return {heavy_weight_.data() + head + 1,
+            chain_member_offset_[static_cast<size_t>(c) + 1] - head - 1};
+  }
 
   // Noisy u-v distance; both must be valid vertices. Each endpoint sums
   // its own chain crossings bottom-up, then its range on the meeting
@@ -146,20 +162,32 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   // The per-release epsilon the noise scale was calibrated to at build;
   // incremental epochs charge their dirty fraction of it.
   double release_epsilon_ = 0.0;
-  // Heavy-chain bookkeeping. The per-vertex arrays are on the query hot
+  // Heavy-chain bookkeeping. The arrays a query reads are on the hot
   // path, hence cache-line aligned.
   AlignedVector<int> chain_of_;      // vertex -> chain index
   AlignedVector<int> pos_in_chain_;  // vertex -> position along its chain
-  std::vector<VertexId> chain_head_;  // chain -> shallowest vertex
-  AlignedVector<int> head_depth_;     // chain -> hop depth of its head
+  AlignedVector<int> head_depth_;    // chain -> hop depth of its head
   // edge id -> the child endpoint whose parent edge it is; the update
   // path's dirty-edge -> (chain, position) map.
   std::vector<VertexId> edge_child_;
-  // Flat CSR chain membership (chain -> vertices by position), for
-  // recomputing the ascent caches of dirty chains.
+  // CSR chain membership: chain c's vertices, by position, are
+  // chain_member_list_[chain_member_offset_[c], chain_member_offset_[c+1]).
+  // Chain 0 is the root's, so chain_member_list_[0] is the root.
   std::vector<uint32_t> chain_member_offset_;
   std::vector<VertexId> chain_member_list_;
-  std::vector<NoisyDyadicRangeSums> chains_;  // chain -> released structure
+  // The private heavy-edge weights by member index: entry i holds the
+  // weight of the edge above chain_member_list_[i] (0 at a chain head),
+  // so a chain's values are its members' entries after its head. Kept to
+  // re-sum dirty blocks; never released.
+  std::vector<double> heavy_weight_;
+  // The release: every chain's noisy dyadic blocks, back to back in chain
+  // order and level-major within a chain, byte for byte the chain-blocks
+  // section. Chain c's level table, its slots into blocks_ and derived
+  // from the topology, is level_offset_[level_index_[c], level_index_[c+1])
+  // (empty for a chain with no heavy edge).
+  AlignedVector<double> blocks_;
+  AlignedVector<uint32_t> level_offset_;
+  AlignedVector<uint32_t> level_index_;
   // chain -> noisy weight of the light edge above its head (0 at the root
   // chain).
   AlignedVector<double> light_noisy_;

@@ -8,6 +8,95 @@
 
 namespace dpsp {
 
+namespace dyadic {
+
+namespace {
+
+// Distinct block ids `i >> level` of the (sorted, deduplicated) dirty
+// indices, ascending.
+std::vector<int> DirtyBlocksAtLevel(std::span<const int> indices, int level) {
+  std::vector<int> blocks;
+  blocks.reserve(indices.size());
+  for (int i : indices) {
+    int j = i >> level;
+    if (blocks.empty() || blocks.back() != j) blocks.push_back(j);
+  }
+  return blocks;
+}
+
+}  // namespace
+
+uint32_t AppendLevelOffsets(int size, uint32_t base,
+                            AlignedVector<uint32_t>* level_offset) {
+  // Level l holds ceil(size / 2^l) blocks.
+  const int num_levels = NoisyDyadicRangeSums::LevelsForSize(size);
+  if (num_levels == 0) return base;
+  level_offset->push_back(base);
+  for (int l = 0; l < num_levels; ++l) {
+    const int width = 1 << l;
+    base += static_cast<uint32_t>((size + width - 1) / width);
+    level_offset->push_back(base);
+  }
+  return base;
+}
+
+void DrawBlocks(std::span<const double> values,
+                std::span<const uint32_t> level_offset, double noise_scale,
+                Rng* rng, std::span<double> blocks,
+                std::vector<double>* prefix) {
+  if (values.empty()) return;
+  DPSP_CHECK_MSG(noise_scale > 0.0, "noise scale must be positive");
+  prefix->assign(values.size() + 1, 0.0);
+  for (size_t i = 0; i < values.size(); ++i) {
+    (*prefix)[i + 1] = (*prefix)[i] + values[i];
+  }
+  const int size = static_cast<int>(values.size());
+  for (int l = 0; l < NumLevels(level_offset); ++l) {
+    const int width = 1 << l;
+    const uint32_t begin = level_offset[static_cast<size_t>(l)];
+    const int count =
+        static_cast<int>(level_offset[static_cast<size_t>(l) + 1] - begin);
+    for (int j = 0; j < count; ++j) {
+      const int lo = j * width;
+      const int hi = std::min(size, lo + width);
+      blocks[begin + static_cast<size_t>(j)] =
+          (*prefix)[static_cast<size_t>(hi)] -
+          (*prefix)[static_cast<size_t>(lo)] + rng->Laplace(noise_scale);
+    }
+  }
+}
+
+int RedrawDirtyBlocks(std::span<const double> values,
+                      std::span<const uint32_t> level_offset,
+                      std::span<const int> indices, double noise_scale,
+                      Rng* rng, std::span<double> blocks) {
+  const int size = static_cast<int>(values.size());
+  int redrawn = 0;
+  for (int l = 0; l < NumLevels(level_offset); ++l) {
+    const int width = 1 << l;
+    for (int j : DirtyBlocksAtLevel(indices, l)) {
+      const int lo = j * width;
+      const int hi = std::min(size, lo + width);
+      double sum = 0.0;
+      for (int i = lo; i < hi; ++i) sum += values[static_cast<size_t>(i)];
+      blocks[level_offset[static_cast<size_t>(l)] + static_cast<size_t>(j)] =
+          sum + rng->Laplace(noise_scale);
+      ++redrawn;
+    }
+  }
+  return redrawn;
+}
+
+int CountDirtyBlocks(int levels, std::span<const int> indices) {
+  int count = 0;
+  for (int l = 0; l < levels; ++l) {
+    count += static_cast<int>(DirtyBlocksAtLevel(indices, l).size());
+  }
+  return count;
+}
+
+}  // namespace dyadic
+
 int NoisyDyadicRangeSums::LevelsForSize(int size) {
   DPSP_CHECK_MSG(size >= 0, "size must be non-negative");
   if (size == 0) return 0;
@@ -21,44 +110,17 @@ NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
     : size_(static_cast<int>(values.size())),
       noise_scale_(noise_scale),
       values_(values) {
-  if (size_ == 0) return;
-  // One flat level-major buffer: level l holds ceil(size / 2^l) blocks.
-  int num_levels = LevelsForSize(size_);
-  level_offset_.assign(static_cast<size_t>(num_levels) + 1, 0);
-  for (int l = 0; l < num_levels; ++l) {
-    int width = 1 << l;
-    int count = (size_ + width - 1) / width;
-    level_offset_[static_cast<size_t>(l) + 1] =
-        level_offset_[static_cast<size_t>(l)] + static_cast<uint32_t>(count);
-  }
-  blocks_.resize(level_offset_.back());
+  blocks_.resize(dyadic::AppendLevelOffsets(size_, 0, &level_offset_));
 }
 
 NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
                                            double noise_scale, Rng* rng)
     : NoisyDyadicRangeSums(values, noise_scale) {
-  if (size_ == 0) return;
-  DPSP_CHECK_MSG(noise_scale > 0.0, "noise scale must be positive");
-
-  std::vector<double> prefix(values.size() + 1, 0.0);
-  for (size_t i = 0; i < values.size(); ++i) {
-    prefix[i + 1] = prefix[i] + values[i];
-  }
-
   // Every block sum + Laplace draw in (level, block) order — the same Rng
   // walk as a per-level layout, so fixed seeds reproduce.
-  for (int l = 0; l < num_levels(); ++l) {
-    int width = 1 << l;
-    int count = static_cast<int>(level_offset_[static_cast<size_t>(l) + 1] -
-                                 level_offset_[static_cast<size_t>(l)]);
-    for (int j = 0; j < count; ++j) {
-      int lo = j * width;
-      int hi = std::min(size_, lo + width);
-      blocks_[BlockSlot(l, j)] =
-          prefix[static_cast<size_t>(hi)] - prefix[static_cast<size_t>(lo)] +
-          rng->Laplace(noise_scale);
-    }
-  }
+  std::vector<double> prefix;
+  dyadic::DrawBlocks(values, level_offset_, noise_scale, rng, blocks_,
+                     &prefix);
 }
 
 Result<NoisyDyadicRangeSums> NoisyDyadicRangeSums::Restore(
@@ -79,23 +141,6 @@ Result<NoisyDyadicRangeSums> NoisyDyadicRangeSums::Restore(
   return sums;
 }
 
-namespace {
-
-// Distinct block ids `i >> level` of the (sorted, deduplicated) dirty
-// indices, ascending.
-std::vector<int> DirtyBlocksAtLevel(const std::vector<int>& indices,
-                                    int level) {
-  std::vector<int> blocks;
-  blocks.reserve(indices.size());
-  for (int i : indices) {
-    int j = i >> level;
-    if (blocks.empty() || blocks.back() != j) blocks.push_back(j);
-  }
-  return blocks;
-}
-
-}  // namespace
-
 int NoisyDyadicRangeSums::ApplyPointUpdates(
     std::span<const std::pair<int, double>> updates, Rng* rng) {
   if (updates.empty()) return 0;
@@ -112,19 +157,8 @@ int NoisyDyadicRangeSums::ApplyPointUpdates(
 
   // Redraw in (level, block) order — the deterministic walk the planning
   // pass counts, so a fixed Rng stream replays to an identical structure.
-  int redrawn = 0;
-  for (int l = 0; l < num_levels(); ++l) {
-    int width = 1 << l;
-    for (int j : DirtyBlocksAtLevel(indices, l)) {
-      int lo = j * width;
-      int hi = std::min(size_, lo + width);
-      double sum = 0.0;
-      for (int i = lo; i < hi; ++i) sum += values_[static_cast<size_t>(i)];
-      blocks_[BlockSlot(l, j)] = sum + rng->Laplace(noise_scale_);
-      ++redrawn;
-    }
-  }
-  return redrawn;
+  return dyadic::RedrawDirtyBlocks(values_, level_offset_, indices,
+                                   noise_scale_, rng, blocks_);
 }
 
 int NoisyDyadicRangeSums::DirtyBlockCount(std::span<const int> indices) const {
@@ -134,15 +168,11 @@ int NoisyDyadicRangeSums::DirtyBlockCount(std::span<const int> indices) const {
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   DPSP_CHECK_MSG(sorted.front() >= 0 && sorted.back() < size_,
                  "dirty index out of range");
-  int count = 0;
-  for (int l = 0; l < num_levels(); ++l) {
-    count += static_cast<int>(DirtyBlocksAtLevel(sorted, l).size());
-  }
-  return count;
+  return dyadic::CountDirtyBlocks(num_levels(), sorted);
 }
 
 int NoisyDyadicRangeSums::num_blocks() const {
-  return level_offset_.empty() ? 0 : static_cast<int>(level_offset_.back());
+  return static_cast<int>(blocks_.size());
 }
 
 Result<double> NoisyDyadicRangeSums::RangeSum(int lo, int hi,
@@ -153,23 +183,11 @@ Result<double> NoisyDyadicRangeSums::RangeSum(int lo, int hi,
   }
   double sum = 0.0;
   int count = 0;
-  WalkRange(lo, hi, [&](size_t slot) {
+  dyadic::WalkRange(level_offset_, lo, hi, [&](size_t slot) {
     sum += blocks_[slot];
     ++count;
   });
   if (segments != nullptr) *segments += count;
-  return sum;
-}
-
-double NoisyDyadicRangeSums::PrefixSumUnchecked(int hi) const {
-  // Clearing the lowest set bit each round walks the blocks back to front:
-  // the block of width 2^l ending at i starts at i - 2^l, which is
-  // 2^l-aligned, so it is dyadic block (i >> l) - 1 of level l.
-  double sum = 0.0;
-  for (unsigned i = static_cast<unsigned>(hi); i != 0; i &= i - 1) {
-    int l = std::countr_zero(i);
-    sum += blocks_[BlockSlot(l, (i >> l) - 1)];
-  }
   return sum;
 }
 

@@ -8,8 +8,9 @@
 #ifndef DPSP_CORE_RELEASED_STATE_H_
 #define DPSP_CORE_RELEASED_STATE_H_
 
-#include <cstring>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -25,13 +26,10 @@ namespace released_state {
 template <typename T>
 ReleasedSection Pack(std::string label, std::span<const T> values) {
   static_assert(std::is_trivially_copyable_v<T>);
-  ReleasedSection section;
-  section.label = std::move(label);
-  section.bytes.resize(values.size() * sizeof(T));
-  if (!values.empty()) {
-    std::memcpy(section.bytes.data(), values.data(), section.bytes.size());
-  }
-  return section;
+  // Copied straight from the array: no zero-filled buffer to overwrite.
+  const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+  return {std::move(label),
+          std::vector<uint8_t>(bytes, bytes + values.size_bytes())};
 }
 
 inline ReleasedSection PackScalars(std::string label,
@@ -87,6 +85,13 @@ Result<std::span<const T>> Require(
 /// An int stored as a double in a scalar-metadata section; rejects values
 /// that do not round-trip (corrupt or lying metadata).
 inline Result<int> AsInt(double value, const char* what) {
+  // Converting a double outside int's range (or NaN) is undefined, so the
+  // range is checked first.
+  if (!(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument(
+        StrFormat("%s is out of range (%g)", what, value));
+  }
   int as_int = static_cast<int>(value);
   if (static_cast<double>(as_int) != value) {
     return Status::InvalidArgument(

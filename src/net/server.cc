@@ -325,6 +325,10 @@ Status QueryServer::InstallReplicaHandle(
         StrFormat("replicated handle id %u exceeds the sanity ceiling",
                   handle_id));
   }
+  // Declared before the lock, so the replaced image is freed after the
+  // lock is released: a large oracle takes milliseconds to tear down, and
+  // every lookup waits on this lock meanwhile.
+  std::shared_ptr<DistanceOracle> replaced;
   std::lock_guard<std::mutex> lock(handles_mutex_);
   while (handles_.size() <= handle_id) {
     handles_.push_back({"", "", "", nullptr,
@@ -337,15 +341,18 @@ Status QueryServer::InstallReplicaHandle(
   // Swap, don't mutate: in-flight batches hold the old oracle via their
   // shared_ptr and finish against a consistent image; new batches pick up
   // the new one on their next LookupHandle.
-  entry.oracle = std::move(oracle);
+  replaced = std::exchange(entry.oracle, std::move(oracle));
   return Status::Ok();
 }
 
 void QueryServer::RetainReplicaHandles(std::span<const uint32_t> live) {
+  // Freed after the lock is released, as in InstallReplicaHandle.
+  std::vector<std::shared_ptr<DistanceOracle>> withdrawn;
   std::lock_guard<std::mutex> lock(handles_mutex_);
   for (uint32_t id = 0; id < handles_.size(); ++id) {
-    if (std::find(live.begin(), live.end(), id) == live.end()) {
-      handles_[id].oracle = nullptr;
+    if (std::find(live.begin(), live.end(), id) == live.end() &&
+        handles_[id].oracle != nullptr) {
+      withdrawn.push_back(std::move(handles_[id].oracle));
     }
   }
 }

@@ -1,20 +1,23 @@
 // Pins the fixed-seed answers of the two mechanisms that release noisy
 // dyadic range sums (core/range_sums.h): tree-hld over heavy chains and
-// path-hierarchy over the path graph. A refactor of the shared structure,
-// of the HLD chain climb, or of either save format must not move a single
-// bit, so the expected answers are hex-float literals captured from a
-// reference build and compared bit for bit. A mismatch is a behaviour
+// path-hierarchy over the path graph, and the CRC32C of every section of
+// a tree-hld saved image. A refactor of the shared structure, of the HLD
+// chain climb, or of either save format must not move a single bit, so
+// the expected answers are hex-float literals captured from a reference
+// build and compared bit for bit. A mismatch is a behaviour
 // change, not a stale constant: every seeded release in the repo would
 // move with it.
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <ios>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "core/hld_oracle.h"
 #include "core/path_graph.h"
 #include "dp/release_context.h"
@@ -148,6 +151,69 @@ TEST(DyadicGoldenTest, TreeHldUpdateEpochIsPinned) {
                  -0x1.24d8dd1cfb696p+3},
                 0xa72e215f345552f5ULL},
                "random after epoch");
+}
+
+// One section of a saved release: its byte count and CRC32C.
+struct SectionPin {
+  const char* label;
+  size_t bytes;
+  uint32_t crc;
+};
+
+void ExpectImage(const DistanceOracle& oracle,
+                 const std::vector<SectionPin>& pins,
+                 const std::string& label) {
+  std::vector<ReleasedSection> saved;
+  ASSERT_OK(oracle.SaveReleasedState(&saved));
+  ASSERT_EQ(saved.size(), pins.size()) << label;
+  for (size_t i = 0; i < pins.size(); ++i) {
+    const uint32_t crc = Crc32c(saved[i].bytes.data(), saved[i].bytes.size());
+    EXPECT_EQ(saved[i].label, pins[i].label) << label;
+    EXPECT_EQ(saved[i].bytes.size(), pins[i].bytes)
+        << label << " section " << saved[i].label;
+    EXPECT_EQ(crc, pins[i].crc)
+        << label << " section " << saved[i].label << ": got 0x" << std::hex
+        << crc;
+  }
+}
+
+// The tree-hld image is the snapshot file and the replication chunk: old
+// snapshot files must keep loading and a coordinator and replica built
+// from different revisions must hold the same bytes, so every section of
+// a many-chain release is pinned, before and after an update epoch.
+const std::vector<SectionPin> kHldReleaseImagePins = {
+    {"chain-blocks", 38624, 0x08f32792},
+    {"chain-block-counts", 11944, 0x44fb53dd},
+    {"light-noisy", 11944, 0x7ec1ba2e},
+    {"meta", 40, 0x14327885},
+};
+const std::vector<SectionPin> kHldEpochImagePins = {
+    {"chain-blocks", 38624, 0x1b52e631},
+    {"chain-block-counts", 11944, 0x44fb53dd},
+    {"light-noisy", 11944, 0x3fff6068},
+    {"meta", 40, 0x14327885},
+};
+
+TEST(DyadicGoldenTest, TreeHldReleasedImageIsPinned) {
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(4096, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &rng);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(kParams, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
+  ASSERT_GE(oracle->num_chains(), 1000);
+  ExpectImage(*oracle, kHldReleaseImagePins, "release");
+
+  // 64 random edges, heavy and light: the epoch redraws blocks across
+  // many chains, in (chain, level, block) order, and light scalars.
+  std::vector<EdgeWeightDelta> deltas;
+  for (int i = 0; i < 64; ++i) {
+    deltas.push_back(
+        {static_cast<EdgeId>(rng.UniformInt(0, g.num_edges() - 1)),
+         rng.Uniform(0.0, 10.0)});
+  }
+  ASSERT_OK(oracle->ApplyWeightUpdates(deltas, ctx));
+  ExpectImage(*oracle, kHldEpochImagePins, "after epoch");
 }
 
 TEST(DyadicGoldenTest, PathHierarchyAnswersArePinned) {

@@ -271,5 +271,155 @@ TEST(HldOracleTest, RestoreRejectsAnUnusableNoiseScale) {
   }
 }
 
+// Views over saved sections, as the snapshot reader hands them to restore.
+std::vector<ReleasedSectionView> Views(
+    const std::vector<ReleasedSection>& sections) {
+  std::vector<ReleasedSectionView> views;
+  for (const ReleasedSection& s : sections) views.push_back({s.label, s.bytes});
+  return views;
+}
+
+// `saved` with the doubles of section `label` passed through `edit`.
+template <typename Edit>
+std::vector<ReleasedSection> EditDoubles(std::vector<ReleasedSection> saved,
+                                         const std::string& label,
+                                         Edit edit) {
+  for (ReleasedSection& s : saved) {
+    if (s.label != label) continue;
+    std::vector<double> values(s.bytes.size() / sizeof(double));
+    std::memcpy(values.data(), s.bytes.data(), s.bytes.size());
+    edit(values);
+    s.bytes.resize(values.size() * sizeof(double));
+    std::memcpy(s.bytes.data(), values.data(), s.bytes.size());
+  }
+  return saved;
+}
+
+std::vector<uint64_t> AnswerBits(const DistanceOracle& oracle,
+                                 const std::vector<VertexPair>& pairs) {
+  std::vector<double> out(pairs.size());
+  EXPECT_OK(oracle.DistanceInto(pairs, out.data()));
+  std::vector<uint64_t> bits;
+  for (double d : out) bits.push_back(std::bit_cast<uint64_t>(d));
+  return bits;
+}
+
+// A random tree splits into hundreds of chains, so restore slices one
+// shared block section by every chain's count.
+class HldManyChainRestoreTest : public ::testing::Test {
+ protected:
+  HldManyChainRestoreTest()
+      : rng_(kTestSeed),
+        graph_(MakeRandomTree(3000, &rng_).value()),
+        weights_(MakeUniformWeights(graph_, 0.0, 10.0, &rng_)) {}
+
+  void SetUp() override {
+    ReleaseContext ctx = ReleaseContext::Create(kParams, kTestSeed).value();
+    built_ = HldTreeOracle::Build(graph_, weights_, ctx).value();
+    ASSERT_GE(built_->num_chains(), 500);
+    ASSERT_OK(built_->SaveReleasedState(&saved_));
+    for (int i = 0; i < 64; ++i) {
+      epoch_.push_back(
+          {static_cast<EdgeId>(rng_.UniformInt(0, graph_.num_edges() - 1)),
+           rng_.Uniform(0.0, 10.0)});
+    }
+    for (int i = 0; i < 5000; ++i) {
+      const int n = graph_.num_vertices();
+      pairs_.emplace_back(static_cast<VertexId>(rng_.UniformInt(0, n - 1)),
+                          static_cast<VertexId>(rng_.UniformInt(0, n - 1)));
+    }
+  }
+
+  Result<std::unique_ptr<DistanceOracle>> Restore(
+      const std::vector<ReleasedSection>& sections) const {
+    return HldTreeOracle::FromReleasedState(graph_, weights_,
+                                            Views(sections));
+  }
+
+  static constexpr PrivacyParams kParams{1.0, 0.0, 1.0};
+  Rng rng_;
+  Graph graph_;
+  EdgeWeights weights_;
+  std::unique_ptr<HldTreeOracle> built_;
+  std::vector<ReleasedSection> saved_;
+  std::vector<EdgeWeightDelta> epoch_;
+  std::vector<VertexPair> pairs_;
+};
+
+TEST_F(HldManyChainRestoreTest, SaveRestoreSaveIsByteIdentical) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DistanceOracle> restored,
+                       Restore(saved_));
+  std::vector<ReleasedSection> resaved;
+  ASSERT_OK(restored->SaveReleasedState(&resaved));
+  ASSERT_EQ(resaved.size(), saved_.size());
+  for (size_t i = 0; i < saved_.size(); ++i) {
+    EXPECT_EQ(resaved[i].label, saved_[i].label);
+    EXPECT_TRUE(resaved[i].bytes == saved_[i].bytes) << saved_[i].label;
+  }
+}
+
+TEST_F(HldManyChainRestoreTest, AnswersMatchBeforeAndAfterAnEpoch) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DistanceOracle> restored,
+                       Restore(saved_));
+  ASSERT_NE(restored->AsUpdatable(), nullptr);
+  EXPECT_EQ(AnswerBits(*restored, pairs_), AnswerBits(*built_, pairs_));
+  for (UpdatableDistanceOracle* oracle :
+       {static_cast<UpdatableDistanceOracle*>(built_.get()),
+        restored->AsUpdatable()}) {
+    ASSERT_OK_AND_ASSIGN(ReleaseContext epoch_ctx,
+                         ReleaseContext::Create(kParams, kTestSeed ^ 1));
+    ASSERT_OK(oracle->ApplyWeightUpdates(epoch_, epoch_ctx));
+  }
+  EXPECT_GT(built_->last_update().dirty_blocks, 64);
+  EXPECT_EQ(AnswerBits(*restored, pairs_), AnswerBits(*built_, pairs_));
+}
+
+TEST_F(HldManyChainRestoreTest, InconsistentBlockImagesAreTypedErrors) {
+  std::vector<double> counts;
+  EditDoubles(saved_, "chain-block-counts",
+              [&](std::vector<double>& values) { counts = values; });
+  // Two chains with blocks: moving one block of count between them keeps
+  // the total, so only the per-chain check catches it.
+  std::vector<size_t> with_blocks;
+  for (size_t c = 0; c < counts.size(); ++c) {
+    if (counts[c] > 0.0) with_blocks.push_back(c);
+  }
+  ASSERT_GE(with_blocks.size(), 2u);
+  const size_t a = with_blocks[0];
+  const size_t b = with_blocks[1];
+  const std::pair<const char*, std::vector<ReleasedSection>> cases[] = {
+      {"counts shifted between two chains",
+       EditDoubles(saved_, "chain-block-counts",
+                   [&](std::vector<double>& v) {
+                     v[a] -= 1.0;
+                     v[b] += 1.0;
+                   })},
+      {"negative count", EditDoubles(saved_, "chain-block-counts",
+                                     [&](std::vector<double>& v) {
+                                       v[a] = -v[a];
+                                     })},
+      {"non-integral count", EditDoubles(saved_, "chain-block-counts",
+                                         [&](std::vector<double>& v) {
+                                           v[b] += 0.5;
+                                         })},
+      {"count beyond int", EditDoubles(saved_, "chain-block-counts",
+                                       [&](std::vector<double>& v) {
+                                         v[b] = 1e300;
+                                       })},
+      {"one block short",
+       EditDoubles(saved_, "chain-blocks",
+                   [](std::vector<double>& v) { v.pop_back(); })},
+      {"one block long",
+       EditDoubles(saved_, "chain-blocks",
+                   [](std::vector<double>& v) { v.push_back(0.0); })},
+  };
+  for (const auto& [name, sections] : cases) {
+    Result<std::unique_ptr<DistanceOracle>> restored = Restore(sections);
+    ASSERT_FALSE(restored.ok()) << name;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << name << ": " << restored.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace dpsp

@@ -20,6 +20,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
+#include <latch>
 #include <span>
 #include <string>
 #include <thread>
@@ -865,6 +867,79 @@ TEST(NetServerTest, ConcurrentQueriesAndUpdatesStaySane) {
   for (int c = 0; c < kQueryThreads; ++c) {
     EXPECT_TRUE(failures[c].empty()) << "client " << c << ": "
                                      << failures[c];
+  }
+}
+
+// ------------------------------------------------------ replica handles --
+
+// A replicated image that answers u + v. If given latches, its destructor
+// signals `dropping` and then blocks until `release` opens: it stands in
+// for a large oracle whose teardown takes milliseconds.
+class SlowToDropOracle final : public DistanceOracle {
+ public:
+  SlowToDropOracle(std::latch* dropping, std::latch* release)
+      : dropping_(dropping), release_(release) {}
+  ~SlowToDropOracle() override {
+    if (dropping_ == nullptr) return;
+    dropping_->count_down();
+    release_->wait();
+  }
+  Result<double> Distance(VertexId u, VertexId v) const override {
+    return static_cast<double>(u + v);
+  }
+  Status DistanceInto(std::span<const VertexPair> pairs,
+                      double* out) const override {
+    for (const auto& [u, v] : pairs) *out++ = static_cast<double>(u + v);
+    return Status::Ok();
+  }
+  std::string Name() const override { return "slow-to-drop"; }
+
+ private:
+  std::latch* dropping_;
+  std::latch* release_;
+};
+
+TEST(NetServerTest, DroppingAReplicaImageDoesNotStallOtherHandles) {
+  // A replaced or withdrawn image is freed after the handle table's lock
+  // is released, so lookups of every other handle go on while it tears
+  // down.
+  for (bool withdraw : {false, true}) {
+    SCOPED_TRACE(withdraw ? "withdrawn" : "replaced");
+    net::QueryServer server(net::QueryServerOptions{});
+    ASSERT_OK(server.Start());
+    std::latch dropping(1);
+    std::latch release(1);
+    ASSERT_OK(server.InstallReplicaHandle(
+        0, "slow", "slow-to-drop", "path",
+        std::make_shared<SlowToDropOracle>(&dropping, &release)));
+    ASSERT_OK(server.InstallReplicaHandle(
+        1, "other", "slow-to-drop", "path",
+        std::make_shared<SlowToDropOracle>(nullptr, nullptr)));
+    ASSERT_OK_AND_ASSIGN(net::Client client,
+                         net::Client::Connect("127.0.0.1", server.port()));
+
+    std::thread dropper([&] {
+      if (withdraw) {
+        const uint32_t live[] = {1};
+        server.RetainReplicaHandles(live);
+      } else {
+        EXPECT_OK(server.InstallReplicaHandle(
+            0, "slow", "slow-to-drop", "path",
+            std::make_shared<SlowToDropOracle>(nullptr, nullptr)));
+      }
+    });
+    dropping.wait();  // the old image is being torn down
+    const std::vector<VertexPair> pairs = {{1, 2}, {3, 4}};
+    std::future<Result<std::vector<double>>> query = std::async(
+        std::launch::async, [&] { return client.Query(1, pairs); });
+    const bool answered =
+        query.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+    release.count_down();
+    dropper.join();
+    EXPECT_TRUE(answered) << "a query to another handle waited out the "
+                             "teardown";
+    ASSERT_OK_AND_ASSIGN(std::vector<double> answers, query.get());
+    EXPECT_EQ(answers, (std::vector<double>{3.0, 7.0}));
   }
 }
 
