@@ -27,9 +27,11 @@ void Run() {
       DistanceMatrix exact = OrDie(AllPairsDijkstra(er, w));
       for (double delta : {0.0, 1e-6}) {
         BoundedWeightOptions options;
-        options.params = PrivacyParams{1.0, delta, 1.0};
         options.max_weight = m;
-        auto oracle = OrDie(BoundedWeightOracle::Build(er, w, options, &rng));
+        auto oracle = ReleaseOnStream(
+            PrivacyParams{1.0, delta, 1.0}, &rng, [&](ReleaseContext& ctx) {
+              return BoundedWeightOracle::Build(er, w, ctx, options);
+            });
         OracleErrorReport report =
             OrDie(EvaluateOracleAllPairs(er, exact, *oracle));
         table.Row()
@@ -67,13 +69,14 @@ void Run() {
     for (auto noise : {BoundedWeightOptions::NoiseKind::kLaplace,
                        BoundedWeightOptions::NoiseKind::kGaussian}) {
       BoundedWeightOptions options;
-      options.params = PrivacyParams{0.9, 1e-6, 1.0};
       options.max_weight = 1.0;
       options.k = k;
       options.strategy = BoundedWeightOptions::CoveringStrategy::kGreedy;
       options.noise = noise;
-      auto oracle =
-          OrDie(BoundedWeightOracle::Build(geo.graph, geo_w, options, &rng));
+      auto oracle = ReleaseOnStream(
+          PrivacyParams{0.9, 1e-6, 1.0}, &rng, [&](ReleaseContext& ctx) {
+            return BoundedWeightOracle::Build(geo.graph, geo_w, ctx, options);
+          });
       OracleErrorReport report =
           OrDie(EvaluateOracleAllPairs(geo.graph, geo_exact, *oracle));
       tradeoff.Row()

@@ -56,13 +56,19 @@ void Run() {
           .Add(bound > 0 ? StrFormat("%.4g", bound) : std::string("-"));
     };
 
-    auto hierarchy = OrDie(PathGraphOracle::Build(g, w, pure, &rng));
+    auto hierarchy = ReleaseOnStream(pure, &rng, [&](ReleaseContext& ctx) {
+      return PathGraphOracle::Build(g, w, ctx);
+    });
     evaluate(*hierarchy,
              PathGraphErrorBound(n, pure, 0.05 / pairs.size()));
-    auto tree = OrDie(TreeAllPairsOracle::Build(g, w, pure, &rng));
+    auto tree = ReleaseOnStream(pure, &rng, [&](ReleaseContext& ctx) {
+      return TreeAllPairsOracle::Build(g, w, ctx);
+    });
     evaluate(*tree, TreeAllPairsErrorBound(n, pure, 0.05 / pairs.size()));
     if (n <= 1024) {  // dense baselines are quadratic in memory/time
-      auto per_pair = OrDie(MakePerPairLaplaceOracle(g, w, approx, &rng));
+      auto per_pair = ReleaseOnStream(approx, &rng, [&](ReleaseContext& ctx) {
+        return MakePerPairLaplaceOracle(g, w, ctx);
+      });
       evaluate(*per_pair, 0.0);
     }
   }

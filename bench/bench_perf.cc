@@ -84,9 +84,10 @@ void BM_PathOracleBuild(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Graph g = OrDie(MakePathGraph(n));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
+  ReleaseContext ctx =
+      OrDie(ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kBenchSeed));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PathGraphOracle::Build(g, w, params, &rng));
+    benchmark::DoNotOptimize(PathGraphOracle::Build(g, w, ctx));
   }
 }
 BENCHMARK(BM_PathOracleBuild)->Arg(4096)->Arg(65536);
@@ -96,8 +97,9 @@ void BM_PathOracleQuery(benchmark::State& state) {
   int n = 65536;
   Graph g = OrDie(MakePathGraph(n));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-  auto oracle = OrDie(PathGraphOracle::Build(g, w, params, &rng));
+  ReleaseContext ctx =
+      OrDie(ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kBenchSeed));
+  auto oracle = OrDie(PathGraphOracle::Build(g, w, ctx));
   VertexId u = 0;
   for (auto _ : state) {
     u = (u + 9973) % n;
@@ -127,10 +129,11 @@ void BM_BoundedWeightBuild(benchmark::State& state) {
   Graph g = OrDie(MakeConnectedErdosRenyi(n, 6.0 / n, &rng));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
   BoundedWeightOptions options;
-  options.params = PrivacyParams{1.0, 1e-6, 1.0};
   options.max_weight = 1.0;
+  ReleaseContext ctx =
+      OrDie(ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kBenchSeed));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedWeightOracle::Build(g, w, options, &rng));
+    benchmark::DoNotOptimize(BoundedWeightOracle::Build(g, w, ctx, options));
   }
 }
 BENCHMARK(BM_BoundedWeightBuild)->Arg(200)->Arg(800);

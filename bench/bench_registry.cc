@@ -391,7 +391,6 @@ void Run(const char* csv_path, const char* json_path) {
   Graph grid = OrDie(MakeGridGraph(grid_side, grid_side));
   EdgeWeights grid_w = MakeUniformWeights(grid, 0.1, 1.0, &rng);
   BoundedWeightOptions bw;
-  bw.params = PrivacyParams{1.0, 0.0, 1.0};
   bw.k = scaling_k;
   std::vector<ScalingRun> scaling;
   Table scaling_table(
@@ -407,9 +406,10 @@ void Run(const char* csv_path, const char* json_path) {
   }
   for (int threads : thread_counts) {
     bw.build_threads = threads;
-    Rng noise_rng(kBenchNoiseSeed);
+    ReleaseContext noise_ctx = OrDie(
+        ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kBenchNoiseSeed));
     WallTimer timer;
-    OrDie(BoundedWeightOracle::Build(grid, grid_w, bw, &noise_rng));
+    OrDie(BoundedWeightOracle::Build(grid, grid_w, noise_ctx, bw));
     ScalingRun run;
     run.threads = threads;
     run.build_ms = timer.Ms();

@@ -33,8 +33,9 @@ void Run() {
 
     OnlineStats tree_err;
     for (int t = 0; t < 3; ++t) {
-      auto oracle = OrDie(TreeAllPairsOracle::Build(tree, tree_w, params,
-                                                    &rng));
+      auto oracle = ReleaseOnStream(params, &rng, [&](ReleaseContext& ctx) {
+        return TreeAllPairsOracle::Build(tree, tree_w, ctx);
+      });
       OracleErrorReport report =
           OrDie(EvaluateOracleAllPairs(tree, tree_exact, *oracle));
       tree_err.Add(report.mean_abs_error);

@@ -55,6 +55,20 @@ inline void OrDie(const Status& status) {
   }
 }
 
+/// Releases `build(ctx)` through a fresh ReleaseContext for `params` whose
+/// Rng continues `*stream`, then hands the advanced stream back. A harness
+/// that varies the params between releases thus draws its inputs and every
+/// release's noise from one seeded stream, and its tables reproduce.
+template <typename Build>
+auto ReleaseOnStream(const PrivacyParams& params, Rng* stream,
+                     Build&& build) {
+  ReleaseContext ctx = OrDie(ReleaseContext::Create(params, /*seed=*/0));
+  *ctx.rng() = *stream;
+  auto released = OrDie(build(ctx));
+  *stream = *ctx.rng();
+  return released;
+}
+
 /// `count` evaluation pairs sampled uniformly (u != v), deterministic.
 inline std::vector<std::pair<VertexId, VertexId>> SamplePairs(int n, int count,
                                                               Rng* rng) {

@@ -14,7 +14,6 @@
 
 #include <cstdio>
 
-#include "common/random.h"
 #include "common/table.h"
 #include "core/baselines.h"
 #include "core/tree_distance.h"
@@ -23,20 +22,20 @@
 using namespace dpsp;  // NOLINT — example brevity
 
 int main() {
-  Rng rng(/*seed=*/90210);
+  PrivacyParams params{/*epsilon=*/0.5, 0.0, 1.0};
+  // One seeded context meters both releases; its Rng also draws the
+  // synthetic census deltas.
+  ReleaseContext ctx = ReleaseContext::Create(params, /*seed=*/90210).value();
   // 4-level hierarchy: branching 6 -> 1 + 6 + 36 + 216 = 259 nodes.
   Graph hierarchy = MakeBalancedTree(259, 6).value();
-  EdgeWeights deltas = MakeUniformWeights(hierarchy, 0.0, 100.0, &rng);
-  PrivacyParams params{/*epsilon=*/0.5, 0.0, 1.0};
+  EdgeWeights deltas = MakeUniformWeights(hierarchy, 0.0, 100.0, ctx.rng());
 
-  auto oracle =
-      TreeAllPairsOracle::Build(hierarchy, deltas, params, &rng).value();
+  auto oracle = TreeAllPairsOracle::Build(hierarchy, deltas, ctx).value();
   DistanceMatrix exact = AllPairsDijkstra(hierarchy, deltas).value();
   OracleErrorReport tree_report =
       EvaluateOracleAllPairs(hierarchy, exact, *oracle).value();
 
-  auto per_pair =
-      MakePerPairLaplaceOracle(hierarchy, deltas, params, &rng).value();
+  auto per_pair = MakePerPairLaplaceOracle(hierarchy, deltas, ctx).value();
   OracleErrorReport baseline_report =
       EvaluateOracleAllPairs(hierarchy, exact, *per_pair).value();
 

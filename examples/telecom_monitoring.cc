@@ -11,7 +11,6 @@
 
 #include <cstdio>
 
-#include "common/random.h"
 #include "common/table.h"
 #include "core/baselines.h"
 #include "core/bounded_weight.h"
@@ -20,20 +19,23 @@
 using namespace dpsp;  // NOLINT — example brevity
 
 int main() {
-  Rng rng(/*seed=*/4242);
+  const PrivacyParams params{/*epsilon=*/2.0, /*delta=*/1e-6, 1.0};
+  // One seeded context meters both releases; its Rng also draws the
+  // synthetic backbone and latencies.
+  ReleaseContext ctx = ReleaseContext::Create(params, /*seed=*/4242).value();
   const double sla_cap_ms = 8.0;
 
-  GeometricGraph backbone = MakeRandomGeometricGraph(150, 0.16, &rng).value();
+  GeometricGraph backbone =
+      MakeRandomGeometricGraph(150, 0.16, ctx.rng()).value();
   EdgeWeights latency =
-      MakeUniformWeights(backbone.graph, 0.5, sla_cap_ms, &rng);
+      MakeUniformWeights(backbone.graph, 0.5, sla_cap_ms, ctx.rng());
   std::printf("backbone: %s, latency cap %.1f ms\n",
               backbone.graph.ToString().c_str(), sla_cap_ms);
 
   BoundedWeightOptions options;
-  options.params = PrivacyParams{/*epsilon=*/2.0, /*delta=*/1e-6, 1.0};
   options.max_weight = sla_cap_ms;
   auto oracle =
-      BoundedWeightOracle::Build(backbone.graph, latency, options, &rng)
+      BoundedWeightOracle::Build(backbone.graph, latency, ctx, options)
           .value();
   std::printf("covering: radius k=%d, |Z|=%d of %d routers\n",
               oracle->covering().k, oracle->covering().size(),
@@ -44,8 +46,7 @@ int main() {
       EvaluateOracleAllPairs(backbone.graph, exact, *oracle).value();
 
   auto baseline =
-      MakePerPairLaplaceOracle(backbone.graph, latency, options.params, &rng)
-          .value();
+      MakePerPairLaplaceOracle(backbone.graph, latency, ctx).value();
   OracleErrorReport baseline_report =
       EvaluateOracleAllPairs(backbone.graph, exact, *baseline).value();
 

@@ -200,42 +200,34 @@ Result<double> PerPairLaplaceNoiseScale(int num_pairs,
 }
 
 Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng) {
-  DPSP_RETURN_IF_ERROR(params.Validate());
-  DPSP_ASSIGN_OR_RETURN(DistanceMatrix exact, AllPairsDijkstra(graph, w));
-  int n = graph.num_vertices();
-  int num_pairs = std::max(1, n * (n - 1) / 2);
-  DPSP_ASSIGN_OR_RETURN(double scale,
-                        PerPairLaplaceNoiseScale(num_pairs, params));
-
-  DistanceMatrix noisy(n);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = u + 1; v < n; ++v) {
-      double truth = exact.at(u, v);
-      double released = truth == kInfiniteDistance
-                            ? kInfiniteDistance
-                            : truth + rng->Laplace(scale);
-      noisy.set(u, v, released);
-      noisy.set(v, u, released);
-    }
-  }
-  std::string name =
-      params.pure() ? "per-pair-laplace(pure)" : "per-pair-laplace(approx)";
-  return std::unique_ptr<DistanceOracle>(
-      new PerPairLaplaceOracle(std::move(noisy), std::move(name)));
-}
-
-Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
+  const int n = graph.num_vertices();
+  const int num_pairs = std::max(1, n * (n - 1) / 2);
   return ctx.MeteredBuild(
       kPerPairLaplaceOracleName,
-      [&] {
-        return MakePerPairLaplaceOracle(graph, w, ctx.params(), ctx.rng());
+      [&]() -> Result<std::unique_ptr<DistanceOracle>> {
+        DPSP_ASSIGN_OR_RETURN(DistanceMatrix exact,
+                              AllPairsDijkstra(graph, w));
+        DPSP_ASSIGN_OR_RETURN(
+            double scale, PerPairLaplaceNoiseScale(num_pairs, ctx.params()));
+        Rng* rng = ctx.rng();
+        DistanceMatrix noisy(n);
+        for (VertexId u = 0; u < n; ++u) {
+          for (VertexId v = u + 1; v < n; ++v) {
+            double truth = exact.at(u, v);
+            double released = truth == kInfiniteDistance
+                                  ? kInfiniteDistance
+                                  : truth + rng->Laplace(scale);
+            noisy.set(u, v, released);
+            noisy.set(v, u, released);
+          }
+        }
+        std::string name = ctx.params().pure() ? "per-pair-laplace(pure)"
+                                               : "per-pair-laplace(approx)";
+        return std::unique_ptr<DistanceOracle>(
+            new PerPairLaplaceOracle(std::move(noisy), std::move(name)));
       },
       [&](const DistanceOracle&, ReleaseTelemetry& t) {
-        int n = graph.num_vertices();
-        int num_pairs = std::max(1, n * (n - 1) / 2);
         // Joint l1 sensitivity under basic composition.
         t.sensitivity = num_pairs;
         if (Result<double> scale =
@@ -248,27 +240,23 @@ Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
 }
 
 Result<std::unique_ptr<DistanceOracle>> MakeSyntheticGraphOracle(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng) {
-  DPSP_RETURN_IF_ERROR(params.Validate());
-  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
-  // Releasing the entire weight vector is a sensitivity-1 query (identity).
-  DPSP_ASSIGN_OR_RETURN(EdgeWeights noisy,
-                        LaplaceMechanism(w, 1.0, params, rng));
-  // Clamping at zero is post-processing and keeps Dijkstra applicable.
-  for (double& x : noisy) x = std::max(0.0, x);
-  DPSP_ASSIGN_OR_RETURN(DistanceMatrix distances,
-                        AllPairsDijkstra(graph, noisy));
-  return std::unique_ptr<DistanceOracle>(
-      new SyntheticGraphOracle(std::move(distances)));
-}
-
-Result<std::unique_ptr<DistanceOracle>> MakeSyntheticGraphOracle(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
   return ctx.MeteredBuild(
       kSyntheticGraphOracleName,
-      [&] {
-        return MakeSyntheticGraphOracle(graph, w, ctx.params(), ctx.rng());
+      [&]() -> Result<std::unique_ptr<DistanceOracle>> {
+        DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
+        // Releasing the entire weight vector is a sensitivity-1 query
+        // (identity).
+        DPSP_ASSIGN_OR_RETURN(
+            EdgeWeights noisy,
+            LaplaceMechanism(w, 1.0, ctx.params(), ctx.rng()));
+        // Clamping at zero is post-processing and keeps Dijkstra
+        // applicable.
+        for (double& x : noisy) x = std::max(0.0, x);
+        DPSP_ASSIGN_OR_RETURN(DistanceMatrix distances,
+                              AllPairsDijkstra(graph, noisy));
+        return std::unique_ptr<DistanceOracle>(
+            new SyntheticGraphOracle(std::move(distances)));
       },
       [&](const DistanceOracle&, ReleaseTelemetry& t) {
         t.sensitivity = 1.0;  // identity query on the weight vector

@@ -53,27 +53,17 @@ Result<std::unique_ptr<DistanceOracle>> MakeExactOracle(const Graph& graph,
                                                         const EdgeWeights& w,
                                                         ReleaseContext& ctx);
 
-/// All-pairs Laplace baseline. With params.delta == 0, uses basic
+/// All-pairs Laplace baseline: draws one release of ctx.params() from the
+/// accountant and records telemetry. With delta == 0, uses basic
 /// composition (noise scale = #pairs * rho / eps); with delta > 0, uses the
 /// better of basic and advanced composition. Requires non-negative weights.
-Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng);
-
-/// Pipeline variant: draws one release of ctx.params() from the accountant
-/// and records telemetry.
 Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 
 /// Synthetic-graph baseline: releases (G, w + Lap(rho/eps) per edge,
 /// clamped at 0) and answers queries by Dijkstra on the released weights.
-/// Pure eps-DP.
-Result<std::unique_ptr<DistanceOracle>> MakeSyntheticGraphOracle(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng);
-
-/// Pipeline variant: draws one release of ctx.params() from the accountant
-/// and records telemetry.
+/// Pure eps-DP. Draws one release of ctx.params() from the accountant and
+/// records telemetry.
 Result<std::unique_ptr<DistanceOracle>> MakeSyntheticGraphOracle(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 

@@ -26,47 +26,32 @@ int AutoCoveringRadius(int num_vertices, double max_weight,
     // Theorem 4.3 (approx): k = floor(sqrt(V / (M eps))).
     k_real = std::sqrt(v / me);
   }
-  int k = static_cast<int>(std::floor(k_real));
-  return std::clamp(k, 0, num_vertices - 1);
+  // Clamp before converting: a tiny M * eps makes k_real overflow int.
+  return static_cast<int>(std::clamp(std::floor(k_real), 0.0,
+                                     static_cast<double>(num_vertices - 1)));
 }
 
-Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Build(
-    const Graph& graph, const EdgeWeights& w,
-    const BoundedWeightOptions& options, Rng* rng) {
-  DPSP_RETURN_IF_ERROR(options.params.Validate());
-  int k = options.k > 0 ? options.k
-                        : AutoCoveringRadius(graph.num_vertices(),
-                                             options.max_weight,
-                                             options.params);
-  k = std::clamp(k, 0, std::max(0, graph.num_vertices() - 1));
-  Result<Covering> covering = Status::Internal("unset");
-  if (options.strategy == BoundedWeightOptions::CoveringStrategy::kGreedy) {
-    covering = GreedyCovering(graph, k);
-  } else {
-    covering = MM75ResidueCovering(graph, k);
-  }
-  if (!covering.ok()) return covering.status();
-  return BuildWithCovering(graph, w, std::move(covering).value(), options,
-                           rng);
-}
+namespace {
 
-Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Build(
-    const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
-    BoundedWeightOptions options) {
-  options.params = ctx.params();
+// Meters one bounded-weight release through ctx.MeteredBuild. A Gaussian
+// release spends its natural zCDP rate rho = eps^2 / (4 ln(1.25/delta)) —
+// sensitivity-free, so the budget check runs BEFORE the covering (and the
+// released vector's size) is known.
+template <typename Builder>
+Result<std::unique_ptr<BoundedWeightOracle>> MeteredRelease(
+    ReleaseContext& ctx, const BoundedWeightOptions& options,
+    Builder&& build) {
   bool gaussian =
       options.noise == BoundedWeightOptions::NoiseKind::kGaussian;
-  // A Gaussian release spends its natural zCDP rate rho = eps^2 /
-  // (4 ln(1.25/delta)) — sensitivity-free, so the budget check runs
-  // BEFORE the covering (and the released vector's size) is known.
   PrivacyLoss loss = ctx.ReleaseLoss();
   if (gaussian) {
     DPSP_ASSIGN_OR_RETURN(loss,
                           PrivacyLoss::GaussianFromParams(ctx.params()));
   }
   return ctx.MeteredBuild(
-      gaussian ? kGaussianName : kName, loss,
-      [&] { return Build(graph, w, options, ctx.rng()); },
+      gaussian ? BoundedWeightOracle::kGaussianName
+               : BoundedWeightOracle::kName,
+      loss, std::forward<Builder>(build),
       [](const BoundedWeightOracle& oracle, ReleaseTelemetry& t) {
         // The released vector of Z(Z-1)/2 sensitivity-1 queries: joint l1
         // sensitivity equal to the query count under basic composition
@@ -81,12 +66,41 @@ Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Build(
       });
 }
 
+}  // namespace
+
+Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Build(
+    const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
+    const BoundedWeightOptions& options) {
+  return MeteredRelease(
+      ctx, options, [&]() -> Result<std::unique_ptr<BoundedWeightOracle>> {
+        int k = options.k > 0 ? options.k
+                              : AutoCoveringRadius(graph.num_vertices(),
+                                                   options.max_weight,
+                                                   ctx.params());
+        k = std::clamp(k, 0, std::max(0, graph.num_vertices() - 1));
+        DPSP_ASSIGN_OR_RETURN(
+            Covering covering,
+            options.strategy == BoundedWeightOptions::CoveringStrategy::kGreedy
+                ? GreedyCovering(graph, k)
+                : MM75ResidueCovering(graph, k));
+        return Release(graph, w, std::move(covering), ctx, options);
+      });
+}
+
 Result<std::unique_ptr<BoundedWeightOracle>>
 BoundedWeightOracle::BuildWithCovering(const Graph& graph,
                                        const EdgeWeights& w, Covering covering,
-                                       const BoundedWeightOptions& options,
-                                       Rng* rng) {
-  DPSP_RETURN_IF_ERROR(options.params.Validate());
+                                       ReleaseContext& ctx,
+                                       const BoundedWeightOptions& options) {
+  return MeteredRelease(ctx, options, [&] {
+    return Release(graph, w, std::move(covering), ctx, options);
+  });
+}
+
+Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Release(
+    const Graph& graph, const EdgeWeights& w, Covering covering,
+    ReleaseContext& ctx, const BoundedWeightOptions& options) {
+  const PrivacyParams& params = ctx.params();
   DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   if (!(options.max_weight > 0.0)) {
     return Status::InvalidArgument("max_weight must be positive");
@@ -102,7 +116,7 @@ BoundedWeightOracle::BuildWithCovering(const Graph& graph,
 
   auto oracle = std::unique_ptr<BoundedWeightOracle>(new BoundedWeightOracle());
   oracle->covering_ = std::move(covering);
-  oracle->pure_ = options.params.pure();
+  oracle->pure_ = params.pure();
   oracle->max_weight_ = options.max_weight;
 
   const std::vector<VertexId>& centers = oracle->covering_.centers;
@@ -115,24 +129,24 @@ BoundedWeightOracle::BuildWithCovering(const Graph& graph,
   bool gaussian =
       options.noise == BoundedWeightOptions::NoiseKind::kGaussian;
   if (gaussian) {
-    if (options.params.pure()) {
+    if (params.pure()) {
       return Status::InvalidArgument(
           "Gaussian noise requires delta > 0 (set NoiseKind::kLaplace)");
     }
     DPSP_ASSIGN_OR_RETURN(
         scale, GaussianSigma(DistanceVectorL2Sensitivity(num_queries),
-                             options.params));
+                             params));
   } else if (oracle->pure_) {
     // Basic composition (Theorem 4.6): Lap(num_queries / eps).
     scale = static_cast<double>(num_queries) *
-            options.params.neighbor_l1_bound / options.params.epsilon;
+            params.neighbor_l1_bound / params.epsilon;
   } else {
     // Advanced composition (Theorem 4.5): Lap(1 / eps') with eps' solved
     // from the Lemma 3.4 formula.
     DPSP_ASSIGN_OR_RETURN(
-        double eps0, PerQueryEpsilonBest(num_queries, options.params.epsilon,
-                                         options.params.delta));
-    scale = options.params.neighbor_l1_bound / eps0;
+        double eps0, PerQueryEpsilonBest(num_queries, params.epsilon,
+                                         params.delta));
+    scale = params.neighbor_l1_bound / eps0;
   }
   oracle->gaussian_ = gaussian;
   oracle->noise_scale_ = scale;
@@ -147,6 +161,7 @@ BoundedWeightOracle::BuildWithCovering(const Graph& graph,
   oracle->num_centers_ = z;
   oracle->noisy_.assign(static_cast<size_t>(z) * static_cast<size_t>(z),
                         0.0);
+  Rng* rng = ctx.rng();
   for (int i = 0; i < z; ++i) {
     for (int j = i + 1; j < z; ++j) {
       double truth =

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "common/random.h"
 #include "core/distance_oracle.h"
 #include "dp/privacy.h"
 #include "dp/release_context.h"
@@ -30,7 +29,6 @@ namespace dpsp {
 
 /// Options for the bounded-weight oracle.
 struct BoundedWeightOptions {
-  PrivacyParams params;
   /// Upper bound M on every edge weight (validated against the input).
   double max_weight = 1.0;
   /// Covering radius; 0 = choose automatically per Theorem 4.3.
@@ -70,25 +68,20 @@ class BoundedWeightOracle final : public DistanceOracle {
   /// (eps, delta) and requires approximate params (delta > 0, eps < 1).
   static constexpr const char* kGaussianName = "bounded-weight-gaussian";
 
-  /// Builds through the release pipeline: `options.params` is overridden
-  /// by ctx.params(), the release is drawn from the accountant, and
-  /// telemetry is recorded.
+  /// Builds through the release pipeline: builds the covering per
+  /// `options` (Theorem 4.3's radius for ctx.params() when k == 0) and
+  /// releases the noisy Z-to-Z distance table, drawing one release from
+  /// the accountant and recording telemetry. Requires a connected
+  /// undirected graph and weights in [0, max_weight].
   static Result<std::unique_ptr<BoundedWeightOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
-      BoundedWeightOptions options = {});
-
-  /// Legacy entry point without budget accounting. Builds the covering per
-  /// `options` and releases the noisy Z-to-Z distance table. Requires a
-  /// connected undirected graph and weights in [0, max_weight].
-  static Result<std::unique_ptr<BoundedWeightOracle>> Build(
-      const Graph& graph, const EdgeWeights& w,
-      const BoundedWeightOptions& options, Rng* rng);
+      const BoundedWeightOptions& options = {});
 
   /// Same, with a caller-supplied covering (e.g. GridCovering for
-  /// Theorem 4.7).
+  /// Theorem 4.7); `options.k` and `options.strategy` are unused.
   static Result<std::unique_ptr<BoundedWeightOracle>> BuildWithCovering(
       const Graph& graph, const EdgeWeights& w, Covering covering,
-      const BoundedWeightOptions& options, Rng* rng);
+      ReleaseContext& ctx, const BoundedWeightOptions& options = {});
 
   /// a_{z(u), z(v)} — or exactly 0 when z(u) == z(v) (data-independent).
   Result<double> Distance(VertexId u, VertexId v) const override;
@@ -124,6 +117,12 @@ class BoundedWeightOracle final : public DistanceOracle {
 
  private:
   BoundedWeightOracle() = default;
+
+  // The table release over `covering` with noise drawn from ctx.rng():
+  // the body both builders run inside ReleaseContext::MeteredBuild.
+  static Result<std::unique_ptr<BoundedWeightOracle>> Release(
+      const Graph& graph, const EdgeWeights& w, Covering covering,
+      ReleaseContext& ctx, const BoundedWeightOptions& options);
 
   Covering covering_;
   bool pure_ = true;

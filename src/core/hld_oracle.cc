@@ -100,59 +100,56 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Decompose(
 }
 
 Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng, VertexId root) {
-  DPSP_RETURN_IF_ERROR(params.Validate());
-  std::vector<double> light_weights;
-  DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
-                        Decompose(graph, w, root, &light_weights));
-  const int num_chains = oracle->num_chains();
-
-  // Joint sensitivity: an edge is either heavy (one block per level of its
-  // chain's structure) or light (one released scalar), so the release's
-  // sensitivity is max over chains of #levels, at least 1.
-  int max_levels = 1;
-  for (int c = 0; c < num_chains; ++c) {
-    max_levels =
-        std::max(max_levels, dyadic::NumLevels(oracle->ChainLevels(c)));
-  }
-  DPSP_ASSIGN_OR_RETURN(
-      double scale,
-      LaplaceScale(static_cast<double>(max_levels), params));
-  oracle->noise_scale_ = scale;
-  oracle->sensitivity_ = max_levels;
-  oracle->release_epsilon_ = params.epsilon;
-
-  // Released structures: per-chain dyadic sums over the heavy edges, plus
-  // one noisy scalar per light (chain-head parent) edge, drawn chain by
-  // chain.
-  oracle->blocks_.resize(dyadic::NumBlocks(oracle->level_offset_));
-  oracle->num_noisy_values_ = static_cast<int>(oracle->blocks_.size());
-  oracle->light_noisy_.assign(static_cast<size_t>(num_chains), 0.0);
-  std::vector<double> prefix;
-  for (int c = 0; c < num_chains; ++c) {
-    dyadic::DrawBlocks(oracle->ChainValues(c), oracle->ChainLevels(c), scale,
-                       rng, oracle->blocks_, &prefix);
-    if (oracle->head_parent_[static_cast<size_t>(c)] != -1) {
-      oracle->light_noisy_[static_cast<size_t>(c)] =
-          light_weights[static_cast<size_t>(c)] + rng->Laplace(scale);
-      ++oracle->num_noisy_values_;
-    }
-  }
-
-  // Ascent caches (post-processing of the released blocks, no new noise):
-  // climbing off the top of v's chain costs the chain prefix up to v plus
-  // the light edge above the head, and lands on the head's parent.
-  for (int c = 0; c < num_chains; ++c) oracle->RecomputeAscentCosts(c);
-  return oracle;
-}
-
-Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     VertexId root) {
+  auto release = [&]() -> Result<std::unique_ptr<HldTreeOracle>> {
+    std::vector<double> light_weights;
+    DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
+                          Decompose(graph, w, root, &light_weights));
+    const int num_chains = oracle->num_chains();
+
+    // Joint sensitivity: an edge is either heavy (one block per level of
+    // its chain's structure) or light (one released scalar), so the
+    // release's sensitivity is max over chains of #levels, at least 1.
+    int max_levels = 1;
+    for (int c = 0; c < num_chains; ++c) {
+      max_levels =
+          std::max(max_levels, dyadic::NumLevels(oracle->ChainLevels(c)));
+    }
+    DPSP_ASSIGN_OR_RETURN(
+        double scale,
+        LaplaceScale(static_cast<double>(max_levels), ctx.params()));
+    oracle->noise_scale_ = scale;
+    oracle->sensitivity_ = max_levels;
+    oracle->release_epsilon_ = ctx.params().epsilon;
+
+    // Released structures: per-chain dyadic sums over the heavy edges,
+    // plus one noisy scalar per light (chain-head parent) edge, drawn
+    // chain by chain.
+    Rng* rng = ctx.rng();
+    oracle->blocks_.resize(dyadic::NumBlocks(oracle->level_offset_));
+    oracle->num_noisy_values_ = static_cast<int>(oracle->blocks_.size());
+    oracle->light_noisy_.assign(static_cast<size_t>(num_chains), 0.0);
+    std::vector<double> prefix;
+    for (int c = 0; c < num_chains; ++c) {
+      dyadic::DrawBlocks(oracle->ChainValues(c), oracle->ChainLevels(c),
+                         scale, rng, oracle->blocks_, &prefix);
+      if (oracle->head_parent_[static_cast<size_t>(c)] != -1) {
+        oracle->light_noisy_[static_cast<size_t>(c)] =
+            light_weights[static_cast<size_t>(c)] + rng->Laplace(scale);
+        ++oracle->num_noisy_values_;
+      }
+    }
+
+    // Ascent caches (post-processing of the released blocks, no new
+    // noise): climbing off the top of v's chain costs the chain prefix up
+    // to v plus the light edge above the head, and lands on the head's
+    // parent.
+    for (int c = 0; c < num_chains; ++c) oracle->RecomputeAscentCosts(c);
+    return oracle;
+  };
   return ctx.MeteredBuild(
-      kName, [&] { return Build(graph, w, ctx.params(), ctx.rng(), root); },
-      [](const HldTreeOracle& oracle, ReleaseTelemetry& t) {
+      kName, release, [](const HldTreeOracle& oracle, ReleaseTelemetry& t) {
         t.sensitivity = oracle.sensitivity();
         t.noise_scale = oracle.noise_scale();
         t.noise_draws = oracle.num_noisy_values();

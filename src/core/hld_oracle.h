@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/aligned.h"
-#include "common/random.h"
 #include "core/distance_oracle.h"
 #include "core/range_sums.h"
 #include "dp/privacy.h"
@@ -64,11 +63,6 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   static Result<std::unique_ptr<HldTreeOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       VertexId root = -1);
-
-  /// Legacy entry point without budget accounting.
-  static Result<std::unique_ptr<HldTreeOracle>> Build(
-      const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-      Rng* rng, VertexId root = -1);
 
   Result<double> Distance(VertexId u, VertexId v) const override;
   /// Fused serial kernel: validates every pair first, then answers pair i

@@ -30,28 +30,26 @@ Status ValidatePathShape(const Graph& graph) {
 }  // namespace
 
 Result<std::unique_ptr<PathGraphOracle>> PathGraphOracle::Build(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng) {
-  DPSP_RETURN_IF_ERROR(params.Validate());
-  DPSP_RETURN_IF_ERROR(ValidatePathShape(graph));
-  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
-
-  // Every edge lies in exactly one block per level, so the joint release
-  // has sensitivity #levels. A single vertex has no edges and no levels.
-  const int levels = NoisyDyadicRangeSums::LevelsForSize(graph.num_edges());
-  double scale = 0.0;
-  if (levels > 0) {
-    DPSP_ASSIGN_OR_RETURN(
-        scale, LaplaceScale(static_cast<double>(levels), params));
-  }
-  return std::unique_ptr<PathGraphOracle>(
-      new PathGraphOracle(NoisyDyadicRangeSums(w, scale, rng)));
-}
-
-Result<std::unique_ptr<PathGraphOracle>> PathGraphOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
   return ctx.MeteredBuild(
-      kName, [&] { return Build(graph, w, ctx.params(), ctx.rng()); },
+      kName,
+      [&]() -> Result<std::unique_ptr<PathGraphOracle>> {
+        DPSP_RETURN_IF_ERROR(ValidatePathShape(graph));
+        DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
+        // Every edge lies in exactly one block per level, so the joint
+        // release has sensitivity #levels. A single vertex has no edges
+        // and no levels.
+        const int levels =
+            NoisyDyadicRangeSums::LevelsForSize(graph.num_edges());
+        double scale = 0.0;
+        if (levels > 0) {
+          DPSP_ASSIGN_OR_RETURN(
+              scale,
+              LaplaceScale(static_cast<double>(levels), ctx.params()));
+        }
+        return std::unique_ptr<PathGraphOracle>(
+            new PathGraphOracle(NoisyDyadicRangeSums(w, scale, ctx.rng())));
+      },
       [](const PathGraphOracle& oracle, ReleaseTelemetry& t) {
         t.sensitivity = oracle.num_levels();
         t.noise_scale = oracle.noise_scale();

@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "core/distance_oracle.h"
 #include "core/range_sums.h"
 #include "dp/privacy.h"
@@ -38,16 +37,11 @@ class PathGraphOracle final : public DistanceOracle {
   static constexpr const char* kName = "path-hierarchy";
 
   /// Builds the hierarchy through the release pipeline: draws one release
-  /// of ctx.params() from the accountant and records telemetry.
+  /// of ctx.params() from the accountant and records telemetry. `graph`
+  /// must be MakePathGraph(V)-shaped: edge i joins vertices i and i+1
+  /// (validated). Weights non-negative.
   static Result<std::unique_ptr<PathGraphOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
-
-  /// Legacy entry point without budget accounting. `graph` must be
-  /// MakePathGraph(V)-shaped: edge i joins vertices i and i+1 (validated).
-  /// Weights non-negative.
-  static Result<std::unique_ptr<PathGraphOracle>> Build(
-      const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-      Rng* rng);
 
   /// Estimated distance |path sum| between u and v; symmetric in (u, v).
   Result<double> Distance(VertexId u, VertexId v) const override;

@@ -29,11 +29,9 @@ MatchingDistanceOracle::MatchingDistanceOracle(
     PrivateMatchingResult released, DistanceMatrix distances)
     : released_(std::move(released)), distances_(std::move(distances)) {}
 
-Result<std::unique_ptr<MatchingDistanceOracle>> MatchingDistanceOracle::Build(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng) {
-  DPSP_ASSIGN_OR_RETURN(PrivateMatchingResult released,
-                        PrivateMatching(graph, w, params, rng));
+Result<std::unique_ptr<MatchingDistanceOracle>>
+MatchingDistanceOracle::FromRelease(const Graph& graph,
+                                    PrivateMatchingResult released) {
   // Distances are further post-processing of the released noisy weights;
   // clamping at zero keeps Dijkstra applicable (cf. Algorithm 3).
   EdgeWeights clamped = released.noisy_weights;
@@ -47,7 +45,13 @@ Result<std::unique_ptr<MatchingDistanceOracle>> MatchingDistanceOracle::Build(
 Result<std::unique_ptr<MatchingDistanceOracle>> MatchingDistanceOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
   return ctx.MeteredBuild(
-      kName, [&] { return Build(graph, w, ctx.params(), ctx.rng()); },
+      kName,
+      [&]() -> Result<std::unique_ptr<MatchingDistanceOracle>> {
+        DPSP_ASSIGN_OR_RETURN(
+            PrivateMatchingResult released,
+            PrivateMatching(graph, w, ctx.params(), ctx.rng()));
+        return FromRelease(graph, std::move(released));
+      },
       [&graph](const MatchingDistanceOracle& oracle, ReleaseTelemetry& t) {
         t.sensitivity = 1.0;  // identity query on the weight vector
         t.noise_scale = oracle.released().noise_scale;
@@ -84,12 +88,9 @@ MatchingDistanceOracle::FromReleasedState(
   DPSP_ASSIGN_OR_RETURN(
       released.matching,
       MinWeightPerfectMatching(graph, released.noisy_weights));
-  EdgeWeights clamped = released.noisy_weights;
-  for (double& x : clamped) x = std::max(0.0, x);
-  DPSP_ASSIGN_OR_RETURN(DistanceMatrix distances,
-                        AllPairsDijkstra(graph, clamped));
-  return std::unique_ptr<DistanceOracle>(new MatchingDistanceOracle(
-      std::move(released), std::move(distances)));
+  DPSP_ASSIGN_OR_RETURN(std::unique_ptr<MatchingDistanceOracle> oracle,
+                        FromRelease(graph, std::move(released)));
+  return std::unique_ptr<DistanceOracle>(std::move(oracle));
 }
 
 Result<double> MatchingDistanceOracle::Distance(VertexId u, VertexId v) const {

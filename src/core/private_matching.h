@@ -60,11 +60,6 @@ class MatchingDistanceOracle final : public DistanceOracle {
   static Result<std::unique_ptr<MatchingDistanceOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 
-  /// Legacy entry point without budget accounting.
-  static Result<std::unique_ptr<MatchingDistanceOracle>> Build(
-      const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-      Rng* rng);
-
   Result<double> Distance(VertexId u, VertexId v) const override;
   /// Fused serial kernel: one dense-matrix load per pair.
   Status DistanceInto(std::span<const VertexPair> pairs,
@@ -89,6 +84,11 @@ class MatchingDistanceOracle final : public DistanceOracle {
  private:
   MatchingDistanceOracle(PrivateMatchingResult released,
                          DistanceMatrix distances);
+
+  // The oracle over `released`: the clamped all-pairs Dijkstra shared by
+  // Build and FromReleasedState.
+  static Result<std::unique_ptr<MatchingDistanceOracle>> FromRelease(
+      const Graph& graph, PrivateMatchingResult released);
 
   PrivateMatchingResult released_;
   DistanceMatrix distances_;

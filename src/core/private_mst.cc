@@ -29,18 +29,22 @@ MstDistanceOracle::MstDistanceOracle(PrivateMstResult released,
       lca_(tree_),
       root_dist_(std::move(root_dist)) {}
 
-Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::Build(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng) {
-  DPSP_ASSIGN_OR_RETURN(PrivateMstResult released,
-                        PrivateMst(graph, w, params, rng));
-  // Re-index the released tree as its own graph; tree edge i carries the
-  // noisy weight of original edge released.tree_edges[i].
+Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::FromRelease(
+    const Graph& graph, PrivateMstResult released) {
+  // Re-index the released tree as its own graph (tree edge i carries the
+  // noisy weight of original edge released.tree_edges[i]) and compute root
+  // distances under the released noisy weights. Graph::Create +
+  // RootedTree::FromGraph reject edge ids or edge sets that do not form a
+  // spanning tree of the public graph.
   std::vector<EdgeEndpoints> endpoints;
   EdgeWeights tree_weights;
   endpoints.reserve(released.tree_edges.size());
   tree_weights.reserve(released.tree_edges.size());
   for (EdgeId e : released.tree_edges) {
+    if (e < 0 || e >= graph.num_edges()) {
+      return Status::InvalidArgument(
+          StrFormat("released tree edge %d is out of range", e));
+    }
     endpoints.push_back(graph.edge(e));
     tree_weights.push_back(released.noisy_weights[static_cast<size_t>(e)]);
   }
@@ -57,7 +61,12 @@ Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::Build(
 Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
   return ctx.MeteredBuild(
-      kName, [&] { return Build(graph, w, ctx.params(), ctx.rng()); },
+      kName,
+      [&]() -> Result<std::unique_ptr<MstDistanceOracle>> {
+        DPSP_ASSIGN_OR_RETURN(PrivateMstResult released,
+                              PrivateMst(graph, w, ctx.params(), ctx.rng()));
+        return FromRelease(graph, std::move(released));
+      },
       [&graph](const MstDistanceOracle& oracle, ReleaseTelemetry& t) {
         t.sensitivity = 1.0;  // identity query on the weight vector
         t.noise_scale = oracle.released().noise_scale;
@@ -94,32 +103,11 @@ Result<std::unique_ptr<DistanceOracle>> MstDistanceOracle::FromReleasedState(
   released.tree_edges.assign(tree_edges.begin(), tree_edges.end());
   released.noisy_weights.assign(noisy.begin(), noisy.end());
   released.noise_scale = meta[0];
-
-  // Replay the deterministic post-processing of Build: re-index the
-  // released tree as its own graph and compute root distances under the
-  // released noisy weights. Graph::Create + RootedTree::FromGraph reject
-  // edge ids or edge sets that do not form a spanning tree of the public
-  // graph.
-  std::vector<EdgeEndpoints> endpoints;
-  EdgeWeights tree_weights;
-  endpoints.reserve(released.tree_edges.size());
-  tree_weights.reserve(released.tree_edges.size());
-  for (EdgeId e : released.tree_edges) {
-    if (e < 0 || e >= graph.num_edges()) {
-      return Status::InvalidArgument(
-          StrFormat("snapshot tree edge %d is out of range", e));
-    }
-    endpoints.push_back(graph.edge(e));
-    tree_weights.push_back(released.noisy_weights[static_cast<size_t>(e)]);
-  }
-  DPSP_ASSIGN_OR_RETURN(
-      Graph tree_graph,
-      Graph::Create(graph.num_vertices(), std::move(endpoints)));
-  DPSP_ASSIGN_OR_RETURN(RootedTree tree,
-                        RootedTree::FromGraph(tree_graph, 0));
-  std::vector<double> root_dist = tree.RootDistances(tree_weights);
-  return std::unique_ptr<DistanceOracle>(new MstDistanceOracle(
-      std::move(released), std::move(tree), std::move(root_dist)));
+  // The rooted tree and root distances are deterministic post-processing
+  // of the persisted release: replay them.
+  DPSP_ASSIGN_OR_RETURN(std::unique_ptr<MstDistanceOracle> oracle,
+                        FromRelease(graph, std::move(released)));
+  return std::unique_ptr<DistanceOracle>(std::move(oracle));
 }
 
 Result<double> MstDistanceOracle::Distance(VertexId u, VertexId v) const {

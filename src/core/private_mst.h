@@ -61,11 +61,6 @@ class MstDistanceOracle final : public DistanceOracle {
   static Result<std::unique_ptr<MstDistanceOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 
-  /// Legacy entry point without budget accounting.
-  static Result<std::unique_ptr<MstDistanceOracle>> Build(
-      const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-      Rng* rng);
-
   // Not copyable/movable: lca_ holds an interior pointer to tree_.
   MstDistanceOracle(const MstDistanceOracle&) = delete;
   MstDistanceOracle& operator=(const MstDistanceOracle&) = delete;
@@ -97,6 +92,12 @@ class MstDistanceOracle final : public DistanceOracle {
  private:
   MstDistanceOracle(PrivateMstResult released, RootedTree tree,
                     std::vector<double> root_dist);
+
+  // The oracle over `released`: the deterministic post-processing shared
+  // by Build and FromReleasedState. Fails when the released tree is not a
+  // spanning tree of `graph`.
+  static Result<std::unique_ptr<MstDistanceOracle>> FromRelease(
+      const Graph& graph, PrivateMstResult released);
 
   PrivateMstResult released_;
   RootedTree tree_;

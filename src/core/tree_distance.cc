@@ -127,22 +127,20 @@ TreeAllPairsOracle::TreeAllPairsOracle(RootedTree tree,
     : tree_(std::move(tree)), lca_(tree_), release_(std::move(release)) {}
 
 Result<std::unique_ptr<TreeAllPairsOracle>> TreeAllPairsOracle::Build(
-    const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-    Rng* rng, VertexId root) {
-  if (root == -1) root = 0;
-  DPSP_ASSIGN_OR_RETURN(
-      TreeSingleSourceRelease release,
-      ReleaseTreeSingleSourceDistances(graph, w, root, params, rng));
-  DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
-  return std::unique_ptr<TreeAllPairsOracle>(
-      new TreeAllPairsOracle(std::move(tree), std::move(release)));
-}
-
-Result<std::unique_ptr<TreeAllPairsOracle>> TreeAllPairsOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     VertexId root) {
+  if (root == -1) root = 0;
   return ctx.MeteredBuild(
-      kName, [&] { return Build(graph, w, ctx.params(), ctx.rng(), root); },
+      kName,
+      [&]() -> Result<std::unique_ptr<TreeAllPairsOracle>> {
+        DPSP_ASSIGN_OR_RETURN(TreeSingleSourceRelease release,
+                              ReleaseTreeSingleSourceDistances(
+                                  graph, w, root, ctx.params(), ctx.rng()));
+        DPSP_ASSIGN_OR_RETURN(RootedTree tree,
+                              RootedTree::FromGraph(graph, root));
+        return std::unique_ptr<TreeAllPairsOracle>(
+            new TreeAllPairsOracle(std::move(tree), std::move(release)));
+      },
       [](const TreeAllPairsOracle& oracle, ReleaseTelemetry& t) {
         t.sensitivity = oracle.release().sensitivity;
         t.noise_scale = oracle.release().noise_scale;

@@ -71,11 +71,6 @@ class TreeAllPairsOracle final : public DistanceOracle {
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       VertexId root = -1);
 
-  /// Legacy entry point without budget accounting.
-  static Result<std::unique_ptr<TreeAllPairsOracle>> Build(
-      const Graph& graph, const EdgeWeights& w, const PrivacyParams& params,
-      Rng* rng, VertexId root = -1);
-
   // Not copyable/movable: lca_ holds an interior pointer to tree_.
   TreeAllPairsOracle(const TreeAllPairsOracle&) = delete;
   TreeAllPairsOracle& operator=(const TreeAllPairsOracle&) = delete;

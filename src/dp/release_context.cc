@@ -85,15 +85,6 @@ Status ReleaseContext::CheckProspective(const std::string& label,
       total_budget_.delta));
 }
 
-Status ReleaseContext::CheckBudgetFor(const std::string& label,
-                                      const PrivacyLoss& loss) const {
-  return CheckProspective(label, loss);
-}
-
-Status ReleaseContext::CheckBudgetFor(const std::string& label) const {
-  return CheckProspective(label, ReleaseLoss());
-}
-
 Status ReleaseContext::LogIntentIfHooked(const std::string& label,
                                          const PrivacyLoss& loss,
                                          uint64_t* intent_lsn) {
@@ -105,94 +96,18 @@ Status ReleaseContext::LogIntentIfHooked(const std::string& label,
   return Status::Ok();
 }
 
-Status ReleaseContext::ChargeReleaseLogged(std::string label, PrivacyLoss loss,
-                                           uint64_t intent_lsn) {
-  DPSP_RETURN_IF_ERROR(CheckProspective(label, loss));
-  // Direct ChargeRelease callers reach here with no intent yet; log one
-  // before the ledger moves so the WAL's intent-is-spent recovery rule
-  // covers every mutation path.
-  if (durability_hook_ != nullptr && intent_lsn == 0) {
-    DPSP_RETURN_IF_ERROR(LogIntentIfHooked(label, loss, &intent_lsn));
-  }
-  DPSP_RETURN_IF_ERROR(accountant_->Record(label, loss));
+Status ReleaseContext::CommitRelease(ReleaseTelemetry t, uint64_t intent_lsn) {
+  DPSP_RETURN_IF_ERROR(CheckProspective(t.mechanism, t.loss));
+  DPSP_RETURN_IF_ERROR(accountant_->Record(t.mechanism, t.loss));
   if (durability_hook_ != nullptr) {
     // A failed commit record leaves the charge in memory and an intent-
     // only record on disk — both sides still count it as spent, which is
     // the conservative direction. Surface the durability failure.
     DPSP_RETURN_IF_ERROR(durability_hook_->LogCommit(intent_lsn));
   }
-  return Status::Ok();
-}
-
-Status ReleaseContext::ChargeRelease(std::string label, PrivacyLoss loss) {
-  return ChargeReleaseLogged(std::move(label), loss, 0);
-}
-
-Status ReleaseContext::ChargeRelease(std::string label, double epsilon,
-                                     double delta) {
-  // PrivacyLoss::Validate (via the budget check) rejects out-of-range
-  // (epsilon, delta) — no need to duplicate the bounds here.
-  return ChargeRelease(std::move(label),
-                       delta == 0.0
-                           ? PrivacyLoss::Pure(epsilon)
-                           : PrivacyLoss::Approximate(epsilon, delta));
-}
-
-Status ReleaseContext::ChargeRelease(std::string label) {
-  return ChargeRelease(std::move(label), ReleaseLoss());
-}
-
-Status ReleaseContext::CommitRelease(ReleaseTelemetry t) {
-  return CommitRelease(std::move(t), 0);
-}
-
-Status ReleaseContext::CommitRelease(ReleaseTelemetry t, uint64_t intent_lsn) {
-  if (!t.loss.Validate().ok()) t.loss = ReleaseLoss();
   t.epsilon = t.loss.epsilon;
   t.delta = t.loss.delta;
-  DPSP_RETURN_IF_ERROR(ChargeReleaseLogged(t.mechanism, t.loss, intent_lsn));
   telemetry_.push_back(std::move(t));
-  return Status::Ok();
-}
-
-ReleaseContext ReleaseContext::Fork() {
-  return ReleaseContext(params_, rng_->NextSeed(), accountant_->policy());
-}
-
-Status ReleaseContext::AbsorbShard(const ReleaseContext& shard) {
-  // All-or-nothing: replay the shard's ledger — each entry in its
-  // original PrivacyLoss currency — onto a scratch accountant first so a
-  // budget failure leaves this context unchanged.
-  std::unique_ptr<Accountant> prospective = accountant_->Clone();
-  for (const AccountantEntry& e : shard.accountant().entries()) {
-    DPSP_RETURN_IF_ERROR(prospective->Record(e.label, e.loss));
-  }
-  if (has_total_budget_ &&
-      !prospective->WithinBudget(total_budget_, delta_slack_)) {
-    PrivacyParams total = prospective->Total(delta_slack_);
-    return Status::FailedPrecondition(StrFormat(
-        "privacy budget exhausted: absorbing a shard of %d releases "
-        "would bring the %s-composed total to eps=%g delta=%g, over the "
-        "budget eps=%g delta=%g",
-        shard.accountant().num_releases(),
-        AccountingPolicyName(accountant_->policy()), total.epsilon,
-        total.delta, total_budget_.epsilon, total_budget_.delta));
-  }
-  // Absorbed shard ledgers hit the WAL here, once, from the parent: each
-  // entry gets its intent/commit pair before the in-memory install (the
-  // usual WAL ordering). A logging failure aborts the absorb with this
-  // ledger unchanged; whatever records made it down replay as spent,
-  // which is the conservative direction.
-  if (durability_hook_ != nullptr) {
-    for (const AccountantEntry& e : shard.accountant().entries()) {
-      DPSP_ASSIGN_OR_RETURN(uint64_t lsn,
-                            durability_hook_->LogIntent(e.label, e.loss));
-      DPSP_RETURN_IF_ERROR(durability_hook_->LogCommit(lsn));
-    }
-  }
-  accountant_ = std::move(prospective);
-  telemetry_.insert(telemetry_.end(), shard.telemetry_.begin(),
-                    shard.telemetry_.end());
   return Status::Ok();
 }
 

@@ -4,8 +4,10 @@
 // the privacy parameters exactly once, (b) meters every release through the
 // budget accountant, (c) supplies the seeded randomness, and (d) collects
 // release telemetry (sensitivity, noise scale, draw count, wall time) for
-// monitoring. ReleaseContext bundles all four; OracleRegistry factories
-// (core/oracle_registry.h) take one instead of raw (params, rng) pairs.
+// monitoring. ReleaseContext bundles all four; every DistanceOracle
+// builder takes one instead of raw (params, rng) pairs, and MeteredBuild /
+// MeteredUpdate are the only way a release draws noise or charges the
+// ledger.
 //
 // Accounting is pluggable: Create(params, seed, policy) selects which
 // composition theorem the ledger certifies totals and admits releases by
@@ -37,8 +39,8 @@ struct ReleaseTelemetry {
   /// Budget drawn for the release, as its (eps, delta) certificate.
   double epsilon = 0.0;
   double delta = 0.0;
-  /// The loss the release was metered at. Left default (invalid), the
-  /// committing context fills it with ReleaseLoss().
+  /// The loss the release was metered at. Left default (invalid) on a
+  /// record that charges nothing (RecordTelemetry).
   PrivacyLoss loss;
   /// The l1 sensitivity the noise was calibrated to (0 when exact).
   double sensitivity = 0.0;
@@ -96,9 +98,7 @@ class ReleaseContext {
   };
 
   /// Installs (or, with nullptr, removes) the durability hook. Non-owning;
-  /// the hook must outlive every charge. Fork() children do NOT inherit
-  /// the hook — shard ledgers are logged once, at AbsorbShard time, by
-  /// the parent.
+  /// the hook must outlive every charge.
   void SetDurabilityHook(DurabilityHook* hook) { durability_hook_ = hook; }
   DurabilityHook* durability_hook() const { return durability_hook_; }
 
@@ -108,10 +108,11 @@ class ReleaseContext {
   /// instead (their natural zCDP rate).
   PrivacyLoss ReleaseLoss() const { return PrivacyLoss::FromParams(params_); }
 
-  /// Installs a cross-release ceiling: subsequent ChargeRelease calls fail
-  /// (without recording) once the accountant's composed total would exceed
-  /// `budget` under the active policy. `delta_slack` is the advanced-
-  /// composition slack and the zCDP conversion's target delta.
+  /// Installs a cross-release ceiling: subsequent releases are refused
+  /// (before any noise is drawn, without recording) once the accountant's
+  /// composed total would exceed `budget` under the active policy.
+  /// `delta_slack` is the advanced-composition slack and the zCDP
+  /// conversion's target delta.
   void SetTotalBudget(const PrivacyParams& budget, double delta_slack = 1e-9);
   bool has_total_budget() const { return has_total_budget_; }
   const PrivacyParams& total_budget() const { return total_budget_; }
@@ -127,40 +128,6 @@ class ReleaseContext {
   /// total. Infinite in both coordinates when no total budget is
   /// installed.
   PrivacyParams RemainingBudget() const;
-
-  /// Meters one release of `loss` under `label`. With a total budget
-  /// installed, fails with FailedPrecondition when the ledger would exceed
-  /// it under the active policy, leaving the ledger unchanged.
-  Status ChargeRelease(std::string label, PrivacyLoss loss);
-
-  /// Legacy (eps, delta) metering (pure when delta == 0).
-  Status ChargeRelease(std::string label, double epsilon, double delta);
-
-  /// Meters one release of the context's own params().
-  Status ChargeRelease(std::string label);
-
-  /// The same budget check as ChargeRelease without recording anything:
-  /// OK iff one more release of `loss` would still fit. Factories call
-  /// this BEFORE building so an exhausted context refuses without paying
-  /// construction cost or drawing noise.
-  Status CheckBudgetFor(const std::string& label, const PrivacyLoss& loss) const;
-
-  /// CheckBudgetFor one release of params() (ReleaseLoss()).
-  Status CheckBudgetFor(const std::string& label) const;
-
-  /// Atomically meters and records one release built by a factory: charges
-  /// t.loss (filling it with ReleaseLoss() when left default), mirrors its
-  /// (eps, delta) certificate into t.epsilon/t.delta, and appends the
-  /// telemetry — or, when the total budget would be exceeded, records
-  /// nothing and fails, in which case the caller must discard the built
-  /// object unreleased. Factories call this AFTER a successful build so
-  /// failed builds never consume budget.
-  Status CommitRelease(ReleaseTelemetry t);
-
-  /// CommitRelease against an intent already logged by the durability
-  /// hook (the MeteredBuild/MeteredUpdate path; `intent_lsn` == 0 means
-  /// "no intent yet" and a hooked context logs one here).
-  Status CommitRelease(ReleaseTelemetry t, uint64_t intent_lsn);
 
   /// The one metering protocol every factory runs: check the budget BEFORE
   /// building (an exhausted context refuses without paying construction
@@ -179,7 +146,7 @@ class ReleaseContext {
   auto MeteredBuild(const std::string& mechanism, const PrivacyLoss& loss,
                     Builder&& build, Annotate&& annotate) -> decltype(build()) {
     WallTimer timer;
-    DPSP_RETURN_IF_ERROR(CheckBudgetFor(mechanism, loss));
+    DPSP_RETURN_IF_ERROR(CheckProspective(mechanism, loss));
     // With a durability hook: log the intent BEFORE the mechanism draws
     // noise, so a crash mid-build recovers as spent (the build may have
     // released output we can no longer see).
@@ -219,7 +186,7 @@ class ReleaseContext {
   Status MeteredUpdate(const std::string& mechanism, const PrivacyLoss& loss,
                        Apply&& apply, Annotate&& annotate) {
     WallTimer timer;
-    DPSP_RETURN_IF_ERROR(CheckBudgetFor(mechanism, loss));
+    DPSP_RETURN_IF_ERROR(CheckProspective(mechanism, loss));
     // Intent goes down before apply() mutates the released structure:
     // a crash mid-epoch recovers as spent.
     uint64_t intent_lsn = 0;
@@ -232,22 +199,6 @@ class ReleaseContext {
     t.wall_ms = timer.Ms();
     return CommitRelease(std::move(t), intent_lsn);
   }
-
-  /// A shard-local child context for sharded build/serve pipelines: the
-  /// same validated params and accounting policy, a fresh Rng seeded from
-  /// this context's stream, an empty ledger, and no total budget (the
-  /// parent's ceiling is enforced when the shard is absorbed). Build
-  /// per-shard releases through the child, then compose the spend back
-  /// with AbsorbShard.
-  ReleaseContext Fork();
-
-  /// Composes a shard's ledger into this one atomically: every PrivacyLoss
-  /// recorded by `shard` is re-charged here — in its original currency —
-  /// under the parent's total budget; all of them, or (when the composed
-  /// total would exceed the budget) none, with FailedPrecondition — and
-  /// the shard's telemetry is appended. The resulting ledger is identical
-  /// to having built the shard's releases through this context directly.
-  Status AbsorbShard(const ReleaseContext& shard);
 
   /// Appends one telemetry record without charging (used by the exact,
   /// non-private oracle).
@@ -265,13 +216,17 @@ class ReleaseContext {
   ReleaseContext(const PrivacyParams& params, uint64_t seed,
                  AccountingPolicy policy);
 
+  // OK iff one more release of `loss` would still fit the total budget
+  // (and the active accountant can compose it), without recording.
   Status CheckProspective(const std::string& label,
                           const PrivacyLoss& loss) const;
 
-  // The single charge choke point: prospective check, optional WAL
-  // intent (when none was logged yet), accountant record, WAL commit.
-  Status ChargeReleaseLogged(std::string label, PrivacyLoss loss,
-                             uint64_t intent_lsn);
+  // The single charge choke point, run by the two metered templates after
+  // a successful build or apply: re-checks the budget, records t.loss in
+  // the accountant, logs the WAL commit for `intent_lsn` (0 when no hook
+  // is installed), and appends the telemetry with t.epsilon/t.delta set
+  // from t.loss.
+  Status CommitRelease(ReleaseTelemetry t, uint64_t intent_lsn);
 
   // LogIntent through the hook when one is installed; no-op otherwise.
   Status LogIntentIfHooked(const std::string& label, const PrivacyLoss& loss,

@@ -18,9 +18,8 @@
 // ParallelFor's fan-out rule. Its answers keep their bits either way.
 //
 // Privacy composition: serving consumes no budget (queries are
-// post-processing), but a sharded *build* pipeline constructs per-shard
-// oracles through ReleaseContext::Fork children and composes their spend
-// into the single parent ledger with ReleaseContext::AbsorbShard.
+// post-processing). Every release is metered once, through the single
+// ledger's ReleaseContext::MeteredBuild, before the executor sees it.
 //
 // Continual updates: ApplyUpdates propagates a weight-update epoch into a
 // released updatable oracle in one input-ordered call: the update draws

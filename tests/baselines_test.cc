@@ -69,12 +69,12 @@ TEST(PerPairLaplaceNoiseScaleTest, ApproxBeatsPureForManyPairs) {
 }
 
 TEST(PerPairLaplaceOracleTest, SymmetricAndRoughlyCentered) {
-  Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakeCycleGraph(8));
   EdgeWeights w(8, 1.0);
   PrivacyParams params{50.0, 0.0, 1.0};  // large eps => tiny noise
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       MakePerPairLaplaceOracle(g, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(auto oracle, MakePerPairLaplaceOracle(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(double d01, oracle->Distance(0, 1));
   ASSERT_OK_AND_ASSIGN(double d10, oracle->Distance(1, 0));
   EXPECT_DOUBLE_EQ(d01, d10);
@@ -84,22 +84,22 @@ TEST(PerPairLaplaceOracleTest, SymmetricAndRoughlyCentered) {
 }
 
 TEST(PerPairLaplaceOracleTest, ApproxNameAndBudget) {
-  Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakeCycleGraph(6));
   EdgeWeights w(6, 1.0);
   PrivacyParams params{1.0, 1e-6, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       MakePerPairLaplaceOracle(g, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(auto oracle, MakePerPairLaplaceOracle(g, w, ctx));
   EXPECT_EQ(oracle->Name(), "per-pair-laplace(approx)");
 }
 
 TEST(SyntheticGraphOracleTest, HighEpsilonNearExact) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1000.0, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(4, 4));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 3.0, &rng);
-  PrivacyParams params{1000.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       MakeSyntheticGraphOracle(g, w, params, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 3.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, MakeSyntheticGraphOracle(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                        EvaluateOracleAllPairs(g, exact, *oracle));
@@ -109,12 +109,12 @@ TEST(SyntheticGraphOracleTest, HighEpsilonNearExact) {
 TEST(SyntheticGraphOracleTest, TriangleInequalityHolds) {
   // Distances in a released graph are genuine graph distances, so they
   // satisfy the triangle inequality — unlike per-pair noise.
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{0.5, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeCompleteGraph(8));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 5.0, &rng);
-  PrivacyParams params{0.5, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       MakeSyntheticGraphOracle(g, w, params, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 5.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, MakeSyntheticGraphOracle(g, w, ctx));
   for (VertexId a = 0; a < 8; ++a) {
     for (VertexId b = 0; b < 8; ++b) {
       for (VertexId c = 0; c < 8; ++c) {

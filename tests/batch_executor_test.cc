@@ -1,7 +1,6 @@
 // Tests for the sharded batch execution engine: contiguous shards must
 // produce results bit-identical to the serial DistanceInto reference path
-// across all registered mechanisms, and a sharded build pipeline's
-// Fork/AbsorbShard ledger must equal the unsharded one.
+// across all registered mechanisms.
 
 #include "serve/batch_executor.h"
 
@@ -13,9 +12,7 @@
 
 #include "common/random.h"
 #include "core/bounded_weight.h"
-#include "core/hld_oracle.h"
 #include "core/oracle_registry.h"
-#include "core/tree_distance.h"
 #include "dp/release_context.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -128,14 +125,16 @@ TEST(BatchExecutorTest, ShardingOnForestKeepsInfiniteDistances) {
 }
 
 TEST(BatchExecutorTest, ShardingOnBoundedWeight) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
+  Rng& rng = *ctx.rng();
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(8, 8));
   EdgeWeights w = MakeUniformWeights(g, 0.1, 1.0, &rng);
   BoundedWeightOptions options;
-  options.params = PrivacyParams{1.0, 0.0, 1.0};
   options.k = 2;
   ASSERT_OK_AND_ASSIGN(auto oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
+                       BoundedWeightOracle::Build(g, w, ctx, options));
 
   std::vector<VertexPair> pairs = SampleTestPairs(64, 2000, &rng);
   ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
@@ -158,7 +157,6 @@ TEST(BatchExecutorTest, ParallelBoundedWeightBuildIsThreadCountInvariant) {
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(10, 10));
   EdgeWeights w = MakeUniformWeights(g, 0.1, 1.0, &data_rng);
   BoundedWeightOptions serial_options;
-  serial_options.params = PrivacyParams{1.0, 0.0, 1.0};
   serial_options.k = 3;
   serial_options.build_threads = 1;
   BoundedWeightOptions parallel_options = serial_options;
@@ -166,14 +164,16 @@ TEST(BatchExecutorTest, ParallelBoundedWeightBuildIsThreadCountInvariant) {
 
   // Same noise seed => the released tables must match exactly: the
   // Dijkstra fan-out happens before any noise is drawn.
-  Rng rng_a(kTestSeed + 1);
-  Rng rng_b(kTestSeed + 1);
+  const PrivacyParams params{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx_a,
+                       ReleaseContext::Create(params, kTestSeed + 1));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx_b,
+                       ReleaseContext::Create(params, kTestSeed + 1));
   ASSERT_OK_AND_ASSIGN(auto serial_oracle,
-                       BoundedWeightOracle::Build(g, w, serial_options,
-                                                  &rng_a));
-  ASSERT_OK_AND_ASSIGN(auto parallel_oracle,
-                       BoundedWeightOracle::Build(g, w, parallel_options,
-                                                  &rng_b));
+                       BoundedWeightOracle::Build(g, w, ctx_a, serial_options));
+  ASSERT_OK_AND_ASSIGN(
+      auto parallel_oracle,
+      BoundedWeightOracle::Build(g, w, ctx_b, parallel_options));
   for (VertexId u = 0; u < 100; u += 7) {
     for (VertexId v = 0; v < 100; v += 11) {
       ASSERT_OK_AND_ASSIGN(double a, serial_oracle->Distance(u, v));
@@ -204,62 +204,6 @@ TEST(BatchExecutorTest, EmptyBatchAndTinyBatchCollapse) {
                        executor.Execute(*oracle, pairs));
   ASSERT_OK_AND_ASSIGN(double d07, oracle->Distance(0, 7));
   EXPECT_EQ(out[0], d07);
-}
-
-TEST(BatchExecutorTest, ForkAbsorbLedgerEqualsUnsharded) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(kNumVertices));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-
-  // Unsharded reference: two releases through one context.
-  ASSERT_OK_AND_ASSIGN(ReleaseContext unsharded,
-                       ReleaseContext::Create(params, kTestSeed));
-  ASSERT_OK(TreeAllPairsOracle::Build(g, w, unsharded).status());
-  ASSERT_OK(HldTreeOracle::Build(g, w, unsharded).status());
-
-  // Sharded: each release built through a forked child, then absorbed.
-  ASSERT_OK_AND_ASSIGN(ReleaseContext parent,
-                       ReleaseContext::Create(params, kTestSeed));
-  ReleaseContext shard_a = parent.Fork();
-  ReleaseContext shard_b = parent.Fork();
-  ASSERT_OK(TreeAllPairsOracle::Build(g, w, shard_a).status());
-  ASSERT_OK(HldTreeOracle::Build(g, w, shard_b).status());
-  ASSERT_OK(parent.AbsorbShard(shard_a));
-  ASSERT_OK(parent.AbsorbShard(shard_b));
-
-  EXPECT_EQ(parent.accountant().num_releases(),
-            unsharded.accountant().num_releases());
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().epsilon,
-                   unsharded.accountant().BasicTotal().epsilon);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().delta,
-                   unsharded.accountant().BasicTotal().delta);
-  ASSERT_EQ(parent.telemetry().size(), unsharded.telemetry().size());
-  for (size_t i = 0; i < parent.telemetry().size(); ++i) {
-    EXPECT_EQ(parent.telemetry()[i].mechanism,
-              unsharded.telemetry()[i].mechanism);
-  }
-}
-
-TEST(BatchExecutorTest, AbsorbShardRespectsTotalBudgetAtomically) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(kNumVertices));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-
-  ASSERT_OK_AND_ASSIGN(ReleaseContext parent,
-                       ReleaseContext::Create(params, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{1.5, 0.0, 1.0});
-
-  // A shard carrying two eps=1 releases cannot fit the eps=1.5 ceiling.
-  ReleaseContext shard = parent.Fork();
-  ASSERT_OK(TreeAllPairsOracle::Build(g, w, shard).status());
-  ASSERT_OK(HldTreeOracle::Build(g, w, shard).status());
-  Status status = parent.AbsorbShard(shard);
-  EXPECT_FALSE(status.ok());
-  // All-or-nothing: the failed absorb left the parent ledger untouched.
-  EXPECT_EQ(parent.accountant().num_releases(), 0);
-  EXPECT_TRUE(parent.telemetry().empty());
 }
 
 TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -24,28 +23,34 @@ TEST(AutoCoveringRadiusTest, FormulaRegimes) {
   // Clamped to [0, V-1].
   EXPECT_LE(AutoCoveringRadius(4, 1e-9, pure), 3);
   EXPECT_GE(AutoCoveringRadius(4, 1e9, approx), 0);
+  // A tiny M * eps puts the formula far beyond int range: clamped, not
+  // converted out of range.
+  EXPECT_EQ(AutoCoveringRadius(1000, 1e-300, pure), 999);
+  EXPECT_EQ(AutoCoveringRadius(1000, 1e-300, approx), 999);
 }
 
 TEST(BoundedWeightOracleTest, RejectsWeightsAboveM) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeCycleGraph(6));
   BoundedWeightOptions options;
   options.max_weight = 1.0;
   EdgeWeights w(6, 2.0);
-  EXPECT_FALSE(BoundedWeightOracle::Build(g, w, options, &rng).ok());
+  EXPECT_FALSE(BoundedWeightOracle::Build(g, w, ctx, options).ok());
 }
 
 TEST(BoundedWeightOracleTest, QueryIsCenterDistance) {
   // With huge epsilon, Distance(u,v) should be ~ d(z(u), z(v)).
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1e8, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(20));
   EdgeWeights w(19, 1.0);
   BoundedWeightOptions options;
-  options.params = PrivacyParams{1e8, 0.0, 1.0};
   options.max_weight = 1.0;
   options.k = 2;
   ASSERT_OK_AND_ASSIGN(auto oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
+                       BoundedWeightOracle::Build(g, w, ctx, options));
   const Covering& covering = oracle->covering();
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   for (VertexId u = 0; u < 20; u += 3) {
@@ -62,7 +67,8 @@ TEST(BoundedWeightOracleTest, QueryIsCenterDistance) {
 }
 
 TEST(BoundedWeightOracleTest, SameCenterReturnsZero) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeCompleteGraph(8));
   EdgeWeights w(28, 0.5);
   BoundedWeightOptions options;
@@ -70,7 +76,7 @@ TEST(BoundedWeightOracleTest, SameCenterReturnsZero) {
   options.k = 1;
   options.strategy = BoundedWeightOptions::CoveringStrategy::kGreedy;
   ASSERT_OK_AND_ASSIGN(auto oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
+                       BoundedWeightOracle::Build(g, w, ctx, options));
   // Greedy covering of K_8 with k=1 is a single center.
   EXPECT_EQ(oracle->covering().size(), 1);
   ASSERT_OK_AND_ASSIGN(double d, oracle->Distance(2, 6));
@@ -78,19 +84,21 @@ TEST(BoundedWeightOracleTest, SameCenterReturnsZero) {
 }
 
 TEST(BoundedWeightOracleTest, ApproxNoiseScaleBeatsPure) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext pure,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext approx,
+      ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kTestSeed + 1));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(10, 10));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
-  BoundedWeightOptions pure;
-  pure.params = PrivacyParams{1.0, 0.0, 1.0};
-  pure.max_weight = 1.0;
-  pure.k = 3;
-  BoundedWeightOptions approx = pure;
-  approx.params.delta = 1e-6;
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, pure.rng());
+  BoundedWeightOptions options;
+  options.max_weight = 1.0;
+  options.k = 3;
   ASSERT_OK_AND_ASSIGN(auto oracle_pure,
-                       BoundedWeightOracle::Build(g, w, pure, &rng));
+                       BoundedWeightOracle::Build(g, w, pure, options));
   ASSERT_OK_AND_ASSIGN(auto oracle_approx,
-                       BoundedWeightOracle::Build(g, w, approx, &rng));
+                       BoundedWeightOracle::Build(g, w, approx, options));
   EXPECT_GT(oracle_pure->noise_scale(),
             oracle_approx->noise_scale());
   EXPECT_EQ(oracle_pure->Name(), "bounded-weight(pure)");
@@ -98,18 +106,19 @@ TEST(BoundedWeightOracleTest, ApproxNoiseScaleBeatsPure) {
 }
 
 TEST(BoundedWeightOracleTest, ErrorWithinErrorBound) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(8, 8));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, ctx.rng());
   BoundedWeightOptions options;
-  options.params = PrivacyParams{1.0, 1e-6, 1.0};
   options.max_weight = 1.0;
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   double gamma = 0.05;
   int violations = 0;
   for (int trial = 0; trial < 5; ++trial) {
     ASSERT_OK_AND_ASSIGN(auto oracle,
-                         BoundedWeightOracle::Build(g, w, options, &rng));
+                         BoundedWeightOracle::Build(g, w, ctx, options));
     ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                          EvaluateOracleAllPairs(g, exact, *oracle));
     if (report.max_abs_error > oracle->ErrorBound(gamma / 64.0)) ++violations;
@@ -118,18 +127,19 @@ TEST(BoundedWeightOracleTest, ErrorWithinErrorBound) {
 }
 
 TEST(BoundedWeightOracleTest, GridCoveringTheorem47) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kTestSeed));
   int side = 16;
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(side, side));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, ctx.rng());
   // stride ~ V^{1/3} with V = 256: about 6.3; use 6.
   ASSERT_OK_AND_ASSIGN(Covering covering, GridCovering(g, side, side, 6));
   BoundedWeightOptions options;
-  options.params = PrivacyParams{1.0, 1e-6, 1.0};
   options.max_weight = 1.0;
   ASSERT_OK_AND_ASSIGN(auto oracle,
                        BoundedWeightOracle::BuildWithCovering(
-                           g, w, covering, options, &rng));
+                           g, w, covering, ctx, options));
   EXPECT_EQ(oracle->covering().size(), 9);  // ceil(16/6)^2
   ASSERT_OK_AND_ASSIGN(double d, oracle->Distance(0, side * side - 1));
   // Sanity: the corner-to-corner distance estimate is in a plausible range.
@@ -139,30 +149,32 @@ TEST(BoundedWeightOracleTest, GridCoveringTheorem47) {
 }
 
 TEST(BoundedWeightOracleTest, AutoKProducesWorkingOracle) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeConnectedErdosRenyi(60, 0.05, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 2.0, &rng);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeConnectedErdosRenyi(60, 0.05, ctx.rng()));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 2.0, ctx.rng());
   BoundedWeightOptions options;
-  options.params = PrivacyParams{1.0, 1e-6, 1.0};
   options.max_weight = 2.0;
   ASSERT_OK_AND_ASSIGN(auto oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
+                       BoundedWeightOracle::Build(g, w, ctx, options));
   ASSERT_OK_AND_ASSIGN(double d, oracle->Distance(0, 59));
   EXPECT_TRUE(std::isfinite(d));
   EXPECT_GE(oracle->covering().k, 1);
 }
 
 TEST(BoundedWeightOracleTest, GaussianNoiseOptionWorks) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{0.5, 1e-6, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(8, 8));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, ctx.rng());
   BoundedWeightOptions options;
-  options.params = PrivacyParams{0.5, 1e-6, 1.0};
   options.max_weight = 1.0;
   options.k = 2;
   options.noise = BoundedWeightOptions::NoiseKind::kGaussian;
   ASSERT_OK_AND_ASSIGN(auto oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
+                       BoundedWeightOracle::Build(g, w, ctx, options));
   EXPECT_EQ(oracle->Name(), "bounded-weight-gaussian");
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
@@ -171,24 +183,26 @@ TEST(BoundedWeightOracleTest, GaussianNoiseOptionWorks) {
 }
 
 TEST(BoundedWeightOracleTest, GaussianRequiresApproxDp) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{0.5, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeCycleGraph(6));
   BoundedWeightOptions options;
-  options.params = PrivacyParams{0.5, 0.0, 1.0};
   options.max_weight = 1.0;
   options.k = 1;
   options.noise = BoundedWeightOptions::NoiseKind::kGaussian;
   EXPECT_FALSE(
-      BoundedWeightOracle::Build(g, EdgeWeights(6, 0.5), options, &rng).ok());
+      BoundedWeightOracle::Build(g, EdgeWeights(6, 0.5), ctx, options).ok());
 }
 
 TEST(BoundedWeightOracleTest, DisconnectedGraphRejected) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, Graph::Create(4, {{0, 1}, {2, 3}}));
   BoundedWeightOptions options;
   options.max_weight = 1.0;
   EXPECT_FALSE(
-      BoundedWeightOracle::Build(g, {1.0, 1.0}, options, &rng).ok());
+      BoundedWeightOracle::Build(g, {1.0, 1.0}, ctx, options).ok());
 }
 
 }  // namespace

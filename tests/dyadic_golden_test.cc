@@ -119,11 +119,11 @@ TEST(DyadicGoldenTest, TreeHldAnswersArePinned) {
         0xb5d3078db18a3a2fULL}},
   };
   for (const TreeCase& c : cases) {
-    Rng rng(kTestSeed);
-    ASSERT_OK_AND_ASSIGN(Graph g, c.make(&rng));
-    EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &rng);
-    ASSERT_OK_AND_ASSIGN(auto oracle,
-                         HldTreeOracle::Build(g, w, kParams, &rng));
+    ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                         ReleaseContext::Create(kParams, kTestSeed));
+    ASSERT_OK_AND_ASSIGN(Graph g, c.make(ctx.rng()));
+    EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, ctx.rng());
+    ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
     ExpectGolden(*oracle, g.num_vertices(), c.golden, c.name);
   }
 }
@@ -217,11 +217,11 @@ TEST(DyadicGoldenTest, TreeHldReleasedImageIsPinned) {
 }
 
 TEST(DyadicGoldenTest, PathHierarchyAnswersArePinned) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(kParams, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(1000));  // not a power of two
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &rng);
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       PathGraphOracle::Build(g, w, kParams, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   ExpectGolden(*oracle, g.num_vertices(),
                {{0x0p+0, 0x1.33331ffc0558cp+12, 0x1.33331ffc0558cp+12,
                  0x1.bb940d298b83ep+9, 0x1.bb940d298b83ep+9,
@@ -239,12 +239,12 @@ TEST(DyadicGoldenTest, TreeHldMatchesPathHierarchyOnPaths) {
     Rng weight_rng(kTestSeed + static_cast<uint64_t>(n));
     ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
     EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &weight_rng);
-    Rng hld_rng(kTestSeed);
-    Rng path_rng(kTestSeed);
-    ASSERT_OK_AND_ASSIGN(auto hld,
-                         HldTreeOracle::Build(g, w, kParams, &hld_rng));
-    ASSERT_OK_AND_ASSIGN(auto path,
-                         PathGraphOracle::Build(g, w, kParams, &path_rng));
+    ASSERT_OK_AND_ASSIGN(ReleaseContext hld_ctx,
+                         ReleaseContext::Create(kParams, kTestSeed));
+    ASSERT_OK_AND_ASSIGN(ReleaseContext path_ctx,
+                         ReleaseContext::Create(kParams, kTestSeed));
+    ASSERT_OK_AND_ASSIGN(auto hld, HldTreeOracle::Build(g, w, hld_ctx));
+    ASSERT_OK_AND_ASSIGN(auto path, PathGraphOracle::Build(g, w, path_ctx));
     std::vector<VertexPair> pairs;
     for (int i = 0; i < 20000; ++i) {
       pairs.emplace_back(

@@ -33,22 +33,24 @@ TEST(ErrorShapeTest, TreeAlgorithmBeatsPerPairBaselinesOnLargePaths) {
   // at laptop-scale V it is competitive with the tree algorithm even
   // though its worst-case guarantee (V/eps log E) is far weaker — see
   // EXPERIMENTS.md E6 for the measured comparison.
-  Rng rng(kTestSeed);
   int n = 512;
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext pure,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext approx,
+      ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kTestSeed + 1));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 3.0, &rng);
-  PrivacyParams pure{1.0, 0.0, 1.0};
-  PrivacyParams approx{1.0, 1e-6, 1.0};
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 3.0, pure.rng());
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
 
   OnlineStats tree_err, pure_err, approx_err;
   for (int trial = 0; trial < 3; ++trial) {
     ASSERT_OK_AND_ASSIGN(auto tree_oracle,
-                         TreeAllPairsOracle::Build(g, w, pure, &rng));
-    ASSERT_OK_AND_ASSIGN(auto pp_pure,
-                         MakePerPairLaplaceOracle(g, w, pure, &rng));
+                         TreeAllPairsOracle::Build(g, w, pure));
+    ASSERT_OK_AND_ASSIGN(auto pp_pure, MakePerPairLaplaceOracle(g, w, pure));
     ASSERT_OK_AND_ASSIGN(auto pp_approx,
-                         MakePerPairLaplaceOracle(g, w, approx, &rng));
+                         MakePerPairLaplaceOracle(g, w, approx));
     ASSERT_OK_AND_ASSIGN(OracleErrorReport tr,
                          EvaluateOracleAllPairs(g, exact, *tree_oracle));
     ASSERT_OK_AND_ASSIGN(OracleErrorReport pr,
@@ -67,17 +69,17 @@ TEST(ErrorShapeTest, TreeAlgorithmBeatsPerPairBaselinesOnLargePaths) {
 
 TEST(ErrorShapeTest, TreeErrorGrowthIsSubLinear) {
   // Double V four times; mean error should grow far slower than V.
-  Rng rng(kTestSeed);
-  PrivacyParams params{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
   std::vector<double> errors;
   for (int n : {64, 1024}) {
-    ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
-    EdgeWeights w = MakeUniformWeights(g, 0.0, 3.0, &rng);
+    ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, ctx.rng()));
+    EdgeWeights w = MakeUniformWeights(g, 0.0, 3.0, ctx.rng());
     ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
     OnlineStats err;
     for (int trial = 0; trial < 3; ++trial) {
-      ASSERT_OK_AND_ASSIGN(auto oracle,
-                           TreeAllPairsOracle::Build(g, w, params, &rng));
+      ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
       ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                            EvaluateOracleAllPairs(g, exact, *oracle));
       err.Add(report.mean_abs_error);
@@ -89,20 +91,21 @@ TEST(ErrorShapeTest, TreeErrorGrowthIsSubLinear) {
 }
 
 TEST(ErrorShapeTest, BoundedWeightBeatsPurePerPairOnGrids) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext approx,
+      ReleaseContext::Create(PrivacyParams{1.0, 1e-6, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext pure,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed + 1));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(12, 12));  // V = 144
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
-  PrivacyParams params{1.0, 1e-6, 1.0};
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, approx.rng());
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
 
   BoundedWeightOptions options;
-  options.params = params;
   options.max_weight = 1.0;
   ASSERT_OK_AND_ASSIGN(auto covering_oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
-  PrivacyParams pure{1.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto per_pair,
-                       MakePerPairLaplaceOracle(g, w, pure, &rng));
+                       BoundedWeightOracle::Build(g, w, approx, options));
+  ASSERT_OK_AND_ASSIGN(auto per_pair, MakePerPairLaplaceOracle(g, w, pure));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport cr,
                        EvaluateOracleAllPairs(g, exact, *covering_oracle));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport pr,

@@ -35,11 +35,12 @@ Result<Graph> MakeFamilyTree(int family, int n, Rng* rng) {
 }
 
 TEST(HldOracleTest, HighEpsilonMatchesExactDistances) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(60, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 5.0, &rng);
-  PrivacyParams params{1e7, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1e7, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(60, ctx.rng()));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 5.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   for (VertexId u = 0; u < 60; u += 2) {
     for (VertexId v = 0; v < 60; v += 3) {
@@ -54,11 +55,15 @@ class HldFamilyTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(HldFamilyTest, AccurateAcrossFamiliesAtHighEpsilon) {
   auto [family, n] = GetParam();
-  Rng rng(kTestSeed + static_cast<uint64_t>(family * 100 + n));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(
+          PrivacyParams{1e7, 0.0, 1.0},
+          kTestSeed + static_cast<uint64_t>(family * 100 + n)));
+  Rng& rng = *ctx.rng();
   ASSERT_OK_AND_ASSIGN(Graph g, MakeFamilyTree(family, n, &rng));
   EdgeWeights w = MakeUniformWeights(g, 0.5, 3.0, &rng);
-  PrivacyParams params{1e7, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   int v_count = g.num_vertices();
   for (int trial = 0; trial < 100; ++trial) {
@@ -75,18 +80,19 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 17, 64, 200)));
 
 TEST(HldOracleTest, ErrorWithinBound) {
-  Rng rng(kTestSeed);
   int n = 256;
+  PrivacyParams params{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  Rng& rng = *ctx.rng();
   ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 20.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
   double gamma = 0.02;
   double bound = HldTreeOracle::ErrorBound(n, params, gamma);
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   int violations = 0, total = 0;
   for (int trial = 0; trial < 3; ++trial) {
-    ASSERT_OK_AND_ASSIGN(auto oracle,
-                         HldTreeOracle::Build(g, w, params, &rng));
+    ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
     for (int q = 0; q < 500; ++q) {
       VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
       VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
@@ -99,29 +105,28 @@ TEST(HldOracleTest, ErrorWithinBound) {
 }
 
 TEST(HldOracleTest, ChainCountReasonable) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   // A path has 1 chain; a star has V-1 chains (one per light leaf, plus
   // the heavy one folded into the root chain).
   ASSERT_OK_AND_ASSIGN(Graph path, MakePathGraph(50));
-  PrivacyParams params;
-  ASSERT_OK_AND_ASSIGN(
-      auto path_oracle,
-      HldTreeOracle::Build(path, EdgeWeights(49, 1.0), params, &rng));
+  ASSERT_OK_AND_ASSIGN(auto path_oracle,
+                       HldTreeOracle::Build(path, EdgeWeights(49, 1.0), ctx));
   EXPECT_EQ(path_oracle->num_chains(), 1);
 
   ASSERT_OK_AND_ASSIGN(Graph star, MakeStarGraph(50));
-  ASSERT_OK_AND_ASSIGN(
-      auto star_oracle,
-      HldTreeOracle::Build(star, EdgeWeights(49, 1.0), params, &rng));
+  ASSERT_OK_AND_ASSIGN(auto star_oracle,
+                       HldTreeOracle::Build(star, EdgeWeights(49, 1.0), ctx));
   EXPECT_EQ(star_oracle->num_chains(), 49);
 }
 
 TEST(HldOracleTest, SymmetricAndZeroDiagonal) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeBalancedTree(63, 2));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 2.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, params, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 2.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
   for (VertexId u = 0; u < 63; u += 7) {
     ASSERT_OK_AND_ASSIGN(double uu, oracle->Distance(u, u));
     EXPECT_DOUBLE_EQ(uu, 0.0);
@@ -137,40 +142,40 @@ TEST(HldOracleTest, NoiseScaleAdaptsToChainDepth) {
   // The release's sensitivity is the max chain's level count, not log V:
   // a path of 1024 pays levels(1023) = 11, a star pays 1 — the mechanism
   // exploits public topology for free (bench_tree_all_pairs E2b).
-  Rng rng(kTestSeed);
-  PrivacyParams params{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph path, MakePathGraph(1024));
   ASSERT_OK_AND_ASSIGN(
       auto path_oracle,
-      HldTreeOracle::Build(path, EdgeWeights(1023, 1.0), params, &rng));
+      HldTreeOracle::Build(path, EdgeWeights(1023, 1.0), ctx));
   EXPECT_DOUBLE_EQ(path_oracle->noise_scale(), 11.0);
   ASSERT_OK_AND_ASSIGN(Graph star, MakeStarGraph(1024));
   ASSERT_OK_AND_ASSIGN(
       auto star_oracle,
-      HldTreeOracle::Build(star, EdgeWeights(1023, 1.0), params, &rng));
+      HldTreeOracle::Build(star, EdgeWeights(1023, 1.0), ctx));
   EXPECT_DOUBLE_EQ(star_oracle->noise_scale(), 1.0);
 }
 
 TEST(HldOracleTest, RejectsNonTrees) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph cycle, MakeCycleGraph(6));
-  PrivacyParams params;
-  EXPECT_FALSE(
-      HldTreeOracle::Build(cycle, EdgeWeights(6, 1.0), params, &rng).ok());
+  EXPECT_FALSE(HldTreeOracle::Build(cycle, EdgeWeights(6, 1.0), ctx).ok());
 }
 
 TEST(HldOracleTest, ComparableErrorRegimeToRecursiveOracle) {
   // Both tree mechanisms are polylog; on the same input their mean errors
   // should be within an order of magnitude of each other.
-  Rng rng(kTestSeed);
   int n = 512;
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, ctx.rng()));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, ctx.rng());
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
-  ASSERT_OK_AND_ASSIGN(auto hld, HldTreeOracle::Build(g, w, params, &rng));
-  ASSERT_OK_AND_ASSIGN(auto recursive,
-                       TreeAllPairsOracle::Build(g, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(auto hld, HldTreeOracle::Build(g, w, ctx));
+  ASSERT_OK_AND_ASSIGN(auto recursive, TreeAllPairsOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport hld_report,
                        EvaluateOracleAllPairs(g, exact, *hld));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport rec_report,
@@ -180,12 +185,13 @@ TEST(HldOracleTest, ComparableErrorRegimeToRecursiveOracle) {
 }
 
 TEST(HldOracleTest, BatchLookaheadBoundaries) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  Rng& rng = *ctx.rng();
   const int n = 500;
   ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       HldTreeOracle::Build(g, w, PrivacyParams{}, &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
   std::vector<VertexPair> pairs;
   for (int i = 0; i < 20; ++i) {
     pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
@@ -239,11 +245,11 @@ TEST(HldOracleTest, RestoredOracleRedrawsUpdatesAtThePersistedScale) {
 }
 
 TEST(HldOracleTest, RestoreRejectsAnUnusableNoiseScale) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(40, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       HldTreeOracle::Build(g, w, PrivacyParams{}, &rng));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(40, ctx.rng()));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, HldTreeOracle::Build(g, w, ctx));
   std::vector<ReleasedSection> saved;
   ASSERT_OK(oracle->SaveReleasedState(&saved));
   for (double scale : {0.0, -1.0, std::numeric_limits<double>::infinity(),

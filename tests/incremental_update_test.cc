@@ -5,7 +5,9 @@
 // sharded execution stays bit-identical to serial across epochs. Also the
 // range-sums point-update primitive and the executor's update routing.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -315,6 +317,42 @@ TEST(IncrementalUpdateTest, ExhaustedBudgetRefusesWithoutMutating) {
                        DistanceBatchOf(*oracle, pairs, 1));
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(before[i], after[i]);
+  }
+}
+
+TEST(IncrementalUpdateTest, RefusedEpochDrawsNoNoise) {
+  // A refused epoch leaves the noise stream where it was: once the budget
+  // is raised, the admitted epoch draws exactly what a twin that never
+  // saw the refusal draws.
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph graph, MakeRandomTree(64, &rng));
+  EdgeWeights w = MakeUniformWeights(graph, 0.1, 0.9, &rng);
+  std::vector<EdgeWeightDelta> epoch =
+      RandomDeltas(graph.num_edges(), 32, &rng);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(kParams, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext twin_ctx,
+                       ReleaseContext::Create(kParams, kTestSeed));
+  // Room for the build and not one more full-sensitivity epoch.
+  ctx.SetTotalBudget(PrivacyParams{1.2, 0.0, 1.0});
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> oracle,
+                       HldTreeOracle::Build(graph, w, ctx));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> twin,
+                       HldTreeOracle::Build(graph, w, twin_ctx));
+
+  EXPECT_EQ(oracle->ApplyWeightUpdates(epoch, ctx).code(),
+            StatusCode::kFailedPrecondition);
+  ctx.SetTotalBudget(PrivacyParams{4.0, 0.0, 1.0});
+  ASSERT_OK(oracle->ApplyWeightUpdates(epoch, ctx));
+  ASSERT_OK(twin->ApplyWeightUpdates(epoch, twin_ctx));
+
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      ASSERT_OK_AND_ASSIGN(double got, oracle->Distance(u, v));
+      ASSERT_OK_AND_ASSIGN(double want, twin->Distance(u, v));
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "d(" << u << ", " << v << ")";
+    }
   }
 }
 

@@ -57,19 +57,20 @@ TEST(IntegrationTest, NavigationOverRoadNetwork) {
 
 TEST(IntegrationTest, TelecomBackboneLatencyOracle) {
   // Bounded-latency backbone links, all-pairs latency release via covering.
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{2.0, 1e-6, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(GeometricGraph backbone,
-                       MakeRandomGeometricGraph(120, 0.18, &rng));
+                       MakeRandomGeometricGraph(120, 0.18, ctx.rng()));
   double max_latency = 5.0;
   EdgeWeights latency =
-      MakeUniformWeights(backbone.graph, 0.5, max_latency, &rng);
+      MakeUniformWeights(backbone.graph, 0.5, max_latency, ctx.rng());
 
   BoundedWeightOptions options;
-  options.params = PrivacyParams{2.0, 1e-6, 1.0};
   options.max_weight = max_latency;
   ASSERT_OK_AND_ASSIGN(
-      auto oracle, BoundedWeightOracle::Build(backbone.graph, latency,
-                                              options, &rng));
+      auto oracle,
+      BoundedWeightOracle::Build(backbone.graph, latency, ctx, options));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact,
                        AllPairsDijkstra(backbone.graph, latency));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
@@ -81,12 +82,12 @@ TEST(IntegrationTest, TelecomBackboneLatencyOracle) {
 TEST(IntegrationTest, HierarchicalOrgChartSalaryDistances) {
   // A management tree where edge weights are private (e.g. compensation
   // deltas); all-pairs "distance" queries must stay accurate.
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph org, MakeBalancedTree(255, 4));
-  EdgeWeights w = MakeUniformWeights(org, 0.0, 10.0, &rng);
   PrivacyParams params{1.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       TreeAllPairsOracle::Build(org, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph org, MakeBalancedTree(255, 4));
+  EdgeWeights w = MakeUniformWeights(org, 0.0, 10.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(org, w, ctx));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(org, w));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                        EvaluateOracleAllPairs(org, exact, *oracle));
@@ -98,13 +99,14 @@ TEST(IntegrationTest, BudgetSplitAcrossTwoReleases) {
   // Run two mechanisms on the same data under a split budget; basic
   // composition says the combination is (eps1 + eps2)-DP. Verify both
   // halves function and the budget arithmetic is exposed.
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(100, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 2.0, &rng);
   double total_eps = 1.0;
   PrivacyParams half{total_eps / 2.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       TreeAllPairsOracle::Build(g, w, half, &rng));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(half, kTestSeed));
+  Rng& rng = *ctx.rng();
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(100, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 2.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
   PrivateShortestPathOptions options;
   options.params = half;
   ASSERT_OK_AND_ASSIGN(PrivateShortestPaths paths,
@@ -178,13 +180,14 @@ TEST(IntegrationTest, PersistedTopologyAndReleasedWeightsRoundTrip) {
 }
 
 TEST(IntegrationTest, AccountantTracksWholePipeline) {
-  Rng rng(kTestSeed);
+  PrivacyParams slice{0.25, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(slice, kTestSeed));
+  Rng& rng = *ctx.rng();
   ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(64, &rng));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 2.0, &rng);
   BasicAccountant accountant;
-  PrivacyParams slice{0.25, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       TreeAllPairsOracle::Build(g, w, slice, &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
   ASSERT_OK(accountant.Record("tree oracle", slice));
   PrivateShortestPathOptions options;
   options.params = slice;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/baselines.h"
 #include "dp/release_context.h"
@@ -123,6 +125,47 @@ TEST_P(RegistryConformanceTest, BuildsAndSatisfiesOracleContract) {
     EXPECT_GE(t.sensitivity, 0.0);
   } else {
     EXPECT_EQ(t.epsilon, 0.0);
+  }
+}
+
+TEST_P(RegistryConformanceTest, RefusedReleaseDrawsNoNoise) {
+  const std::string& name = GetParam();
+  const OracleSpec* spec = OracleRegistry::Global().Find(name);
+  ASSERT_NE(spec, nullptr);
+  if (!spec->consumes_budget) GTEST_SKIP() << name << " charges nothing";
+  PrivacyParams params = spec->loss == LossKind::kZcdp
+                             ? PrivacyParams{0.5, 1e-6, 1.0}
+                             : PrivacyParams{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  // Spend the whole budget without drawing noise, the way WAL recovery
+  // replays a spent ledger.
+  ctx.SetTotalBudget(params);
+  ASSERT_OK(ctx.accountant().Record("spent", ctx.ReleaseLoss()));
+  Result<std::unique_ptr<DistanceOracle>> refused =
+      OracleRegistry::Global().Create(name, *graph_, weights_, ctx);
+  ASSERT_FALSE(refused.ok()) << name;
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+
+  // Once the budget is raised, the release draws exactly what a fresh
+  // context with the same seed draws: the refusal consumed no noise.
+  ctx.SetTotalBudget(
+      PrivacyParams{4.0 * params.epsilon, 4.0 * params.delta, 1.0});
+  ASSERT_OK_AND_ASSIGN(
+      auto admitted,
+      OracleRegistry::Global().Create(name, *graph_, weights_, ctx));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext fresh_ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(
+      auto fresh,
+      OracleRegistry::Global().Create(name, *graph_, weights_, fresh_ctx));
+  for (VertexId u = 0; u < kNumVertices; ++u) {
+    for (VertexId v = 0; v < kNumVertices; ++v) {
+      ASSERT_OK_AND_ASSIGN(double got, admitted->Distance(u, v));
+      ASSERT_OK_AND_ASSIGN(double want, fresh->Distance(u, v));
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << name << " d(" << u << ", " << v << ")";
+    }
   }
 }
 

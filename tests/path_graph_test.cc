@@ -16,23 +16,21 @@ namespace dpsp {
 namespace {
 
 TEST(PathGraphOracleTest, RejectsNonPathTopologies) {
-  Rng rng(kTestSeed);
-  PrivacyParams params;
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph cycle, MakeCycleGraph(5));
-  EXPECT_FALSE(
-      PathGraphOracle::Build(cycle, EdgeWeights(5, 1.0), params, &rng).ok());
+  EXPECT_FALSE(PathGraphOracle::Build(cycle, EdgeWeights(5, 1.0), ctx).ok());
   ASSERT_OK_AND_ASSIGN(Graph star, MakeStarGraph(5));
-  EXPECT_FALSE(
-      PathGraphOracle::Build(star, EdgeWeights(4, 1.0), params, &rng).ok());
+  EXPECT_FALSE(PathGraphOracle::Build(star, EdgeWeights(4, 1.0), ctx).ok());
 }
 
 TEST(PathGraphOracleTest, HighEpsilonMatchesPrefixSums) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1e7, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(37));  // non power of two
-  EdgeWeights w = MakeUniformWeights(g, 0.5, 3.0, &rng);
-  PrivacyParams params{1e7, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                           &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.5, 3.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   for (VertexId u = 0; u < 37; u += 3) {
     for (VertexId v = u; v < 37; v += 5) {
       double exact = 0.0;
@@ -44,12 +42,12 @@ TEST(PathGraphOracleTest, HighEpsilonMatchesPrefixSums) {
 }
 
 TEST(PathGraphOracleTest, SegmentCountLogarithmic) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  Rng& rng = *ctx.rng();
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(1025));
   EdgeWeights w(1024, 1.0);
-  PrivacyParams params;
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                           &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   int max_segments = 0;
   for (int trial = 0; trial < 500; ++trial) {
     VertexId u = static_cast<VertexId>(rng.UniformInt(0, 1024));
@@ -63,12 +61,11 @@ TEST(PathGraphOracleTest, SegmentCountLogarithmic) {
 }
 
 TEST(PathGraphOracleTest, AdjacentQueryIsSingleSegment) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(16));
   EdgeWeights w(15, 2.0);
-  PrivacyParams params;
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                           &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(int segments, oracle->QuerySegmentCount(7, 8));
   EXPECT_EQ(segments, 1);
   ASSERT_OK_AND_ASSIGN(int zero, oracle->QuerySegmentCount(5, 5));
@@ -76,23 +73,24 @@ TEST(PathGraphOracleTest, AdjacentQueryIsSingleSegment) {
 }
 
 TEST(PathGraphOracleTest, SymmetricQueries) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(20));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 2.0, &rng);
-  PrivacyParams params;
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                           &rng));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 2.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(double a, oracle->Distance(3, 15));
   ASSERT_OK_AND_ASSIGN(double b, oracle->Distance(15, 3));
   EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(PathGraphOracleTest, ErrorWithinTheoremA1Bound) {
-  Rng rng(kTestSeed);
   int n = 512;
+  PrivacyParams params{1.0, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  Rng& rng = *ctx.rng();
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
   double gamma = 0.02;
   double bound = PathGraphErrorBound(n, params, gamma);
 
@@ -104,8 +102,7 @@ TEST(PathGraphOracleTest, ErrorWithinTheoremA1Bound) {
 
   int violations = 0, total = 0;
   for (int trial = 0; trial < 5; ++trial) {
-    ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                             &rng));
+    ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
     for (int q = 0; q < 400; ++q) {
       VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
       VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
@@ -120,21 +117,20 @@ TEST(PathGraphOracleTest, ErrorWithinTheoremA1Bound) {
 }
 
 TEST(PathGraphOracleTest, SingleVertexPath) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(1));
-  PrivacyParams params;
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, {}, params,
-                                                           &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, {}, ctx));
   ASSERT_OK_AND_ASSIGN(double d, oracle->Distance(0, 0));
   EXPECT_DOUBLE_EQ(d, 0.0);
 }
 
 TEST(PathGraphOracleTest, RestoreRejectsImagesOfTheWrongShape) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(37));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       PathGraphOracle::Build(g, w, PrivacyParams{}, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   std::vector<ReleasedSection> saved;
   ASSERT_OK(oracle->SaveReleasedState(&saved));
   auto restore = [&](const std::vector<ReleasedSection>& sections) {
@@ -173,12 +169,13 @@ TEST(PathGraphOracleTest, RestoreRejectsImagesOfTheWrongShape) {
 }
 
 TEST(PathGraphOracleTest, BatchLookaheadBoundaries) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  Rng& rng = *ctx.rng();
   const int n = 1000;
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
   EdgeWeights w = MakeUniformWeights(g, 0.0, 1.0, &rng);
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       PathGraphOracle::Build(g, w, PrivacyParams{}, &rng));
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   std::vector<VertexPair> pairs;
   for (int i = 0; i < 20; ++i) {
     pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
@@ -200,13 +197,13 @@ TEST(PathGraphErrorBoundTest, GrowsPolylogarithmically) {
 TEST(PathGraphOracleTest, MatchesTreeOracleAsymptotics) {
   // Appendix A promises the same bound as the tree algorithm; check the two
   // mechanisms land in the same error regime on the same input.
-  Rng rng(kTestSeed);
   int n = 256;
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
   PrivacyParams params{1.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, params,
-                                                           &rng));
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(n));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, PathGraphOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                        EvaluateOracleAllPairs(g, exact, *oracle));

@@ -55,12 +55,16 @@ TEST(PrivacyPropertyTest, SyntheticGraphReleaseSingleEdgeProjection) {
   double eps = 1.0;
   PrivacyParams params{eps, 0.0, 1.0};
   Rng rng(kTestSeed);
+  // The verifier hands its Rng only to the projections, so drawing the
+  // releases from a context seeded alike consumes the same stream.
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
   DpVerifierOptions options;
   options.num_samples = 30000;
   options.range_lo = -2.0;
   options.range_hi = 8.0;
-  auto project = [&](const EdgeWeights& weights, Rng* r) {
-    auto oracle = MakeSyntheticGraphOracle(g, weights, params, r).value();
+  auto project = [&](const EdgeWeights& weights, Rng*) {
+    auto oracle = MakeSyntheticGraphOracle(g, weights, ctx).value();
     return oracle->Distance(0, 1).value();
   };
   ScalarMechanism on_w = [&](Rng* r) { return project(w, r); };
@@ -157,12 +161,16 @@ TEST(PrivacyPropertyTest, HldOracleDeepQueryProjection) {
   double eps = 1.0;
   PrivacyParams params{eps, 0.0, 1.0};
   Rng rng(kTestSeed);
+  // The verifier hands its Rng only to the projections, so drawing the
+  // releases from a context seeded alike consumes the same stream.
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
   DpVerifierOptions options;
   options.num_samples = 30000;
   options.range_lo = -30.0;
   options.range_hi = 45.0;
-  auto project = [&](const EdgeWeights& weights, Rng* r) {
-    auto oracle = HldTreeOracle::Build(g, weights, params, r).value();
+  auto project = [&](const EdgeWeights& weights, Rng*) {
+    auto oracle = HldTreeOracle::Build(g, weights, ctx).value();
     return oracle->Distance(0, 7).value();
   };
   ScalarMechanism on_w = [&](Rng* r) { return project(w, r); };

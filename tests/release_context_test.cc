@@ -1,16 +1,14 @@
 // Tests for the shared release pipeline context: validate-once parameters,
-// accountant metering, total-budget enforcement with rollback, and the
-// telemetry trail.
+// accountant metering through MeteredBuild, total-budget enforcement with
+// rollback, and the telemetry trail.
 
 #include "dp/release_context.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/table.h"
 #include "core/tree_distance.h"
@@ -19,6 +17,24 @@
 
 namespace dpsp {
 namespace {
+
+// Meters one release of `loss` under `label` through ctx.MeteredBuild with
+// a builder that draws nothing, so a test drives the ledger the way every
+// mechanism does without building one.
+Status MeterRelease(ReleaseContext& ctx, const std::string& label,
+                    const PrivacyLoss& loss) {
+  return ctx
+      .MeteredBuild(
+          label, loss,
+          [] { return Result<std::unique_ptr<int>>(std::make_unique<int>()); },
+          [](int, ReleaseTelemetry&) {})
+      .status();
+}
+
+// One release of the context's own params().
+Status MeterRelease(ReleaseContext& ctx, const std::string& label) {
+  return MeterRelease(ctx, label, ctx.ReleaseLoss());
+}
 
 TEST(ReleaseContextTest, ValidatesParamsOnceAtCreation) {
   PrivacyParams bad{/*epsilon=*/-1.0, 0.0, 1.0};
@@ -34,14 +50,20 @@ TEST(ReleaseContextTest, ValidatesParamsOnceAtCreation) {
   EXPECT_EQ(ctx.last_telemetry(), nullptr);
 }
 
-TEST(ReleaseContextTest, ChargeReleaseMetersTheAccountant) {
+TEST(ReleaseContextTest, MeteredBuildMetersTheAccountant) {
   ASSERT_OK_AND_ASSIGN(
       ReleaseContext ctx,
       ReleaseContext::Create(PrivacyParams{0.5, 0.0, 1.0}, kTestSeed));
-  ASSERT_OK(ctx.ChargeRelease("first"));
-  ASSERT_OK(ctx.ChargeRelease("second", 0.25, 0.0));
+  ASSERT_OK(MeterRelease(ctx, "first"));
+  ASSERT_OK(MeterRelease(ctx, "second", PrivacyLoss::Pure(0.25)));
   EXPECT_EQ(ctx.accountant().num_releases(), 2);
   EXPECT_DOUBLE_EQ(ctx.accountant().BasicTotal().epsilon, 0.75);
+  // One telemetry record per release, in release order, carrying the
+  // charged certificate.
+  ASSERT_EQ(ctx.telemetry().size(), 2u);
+  EXPECT_EQ(ctx.telemetry()[0].mechanism, "first");
+  EXPECT_EQ(ctx.telemetry()[1].mechanism, "second");
+  EXPECT_DOUBLE_EQ(ctx.telemetry()[1].epsilon, 0.25);
 }
 
 TEST(ReleaseContextTest, TotalBudgetBlocksOverspendAndRollsBack) {
@@ -49,16 +71,16 @@ TEST(ReleaseContextTest, TotalBudgetBlocksOverspendAndRollsBack) {
       ReleaseContext ctx,
       ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
   ctx.SetTotalBudget(PrivacyParams{1.5, 0.0, 1.0});
-  ASSERT_OK(ctx.ChargeRelease("fits"));
+  ASSERT_OK(MeterRelease(ctx, "fits"));
 
-  Status overspend = ctx.ChargeRelease("does-not-fit");
+  Status overspend = MeterRelease(ctx, "does-not-fit");
   EXPECT_FALSE(overspend.ok());
   EXPECT_EQ(overspend.code(), StatusCode::kFailedPrecondition);
   // The rejected charge left the ledger untouched.
   EXPECT_EQ(ctx.accountant().num_releases(), 1);
 
   // A smaller release still fits.
-  ASSERT_OK(ctx.ChargeRelease("small", 0.25, 0.0));
+  ASSERT_OK(MeterRelease(ctx, "small", PrivacyLoss::Pure(0.25)));
   EXPECT_EQ(ctx.accountant().num_releases(), 2);
 }
 
@@ -90,7 +112,7 @@ TEST(ReleaseContextTest, PureBudgetAcceptsBasicCompositionFit) {
       ReleaseContext::Create(PrivacyParams{0.05, 0.0, 1.0}, kTestSeed));
   ctx.SetTotalBudget(PrivacyParams{5.0, 0.0, 1.0}, /*delta_slack=*/1e-9);
   for (int i = 0; i < 96; ++i) {
-    ASSERT_OK(ctx.ChargeRelease(StrFormat("refresh-%02d", i)));
+    ASSERT_OK(MeterRelease(ctx, StrFormat("refresh-%02d", i)));
   }
   EXPECT_EQ(ctx.accountant().num_releases(), 96);
   EXPECT_NEAR(ctx.accountant().BasicTotal().epsilon, 4.8, 1e-9);
@@ -98,7 +120,7 @@ TEST(ReleaseContextTest, PureBudgetAcceptsBasicCompositionFit) {
 
 TEST(ReleaseContextTest, FailedBuildConsumesNoBudget) {
   // A factory that fails validation must leave the shared ledger and
-  // telemetry untouched (CommitRelease runs only after a successful
+  // telemetry untouched (the charge commits only after a successful
   // build).
   Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph cycle,
@@ -138,57 +160,6 @@ TEST(ReleaseContextTest, SeededRngIsDeterministic) {
   }
 }
 
-TEST(ReleaseContextTest, ShardExhaustionSurfacesAtAbsorbNotMidBuild) {
-  // A forked shard carries no ceiling by design: the parent's budget is
-  // enforced when the shard is absorbed. A shard that overspends relative
-  // to what the parent has left therefore builds fine and fails at
-  // AbsorbShard, leaving both ledgers intact.
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{2.5, 0.0, 1.0});
-  ASSERT_OK(parent.ChargeRelease("parent-spend"));  // 1.0 of 2.5 used
-
-  ReleaseContext shard = parent.Fork();
-  EXPECT_FALSE(shard.has_total_budget());
-  ASSERT_OK(shard.ChargeRelease("shard-1"));
-  ASSERT_OK(shard.ChargeRelease("shard-2"));  // shard total 2.0: too much
-
-  Status absorb = parent.AbsorbShard(shard);
-  EXPECT_FALSE(absorb.ok());
-  EXPECT_EQ(absorb.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(parent.accountant().num_releases(), 1);
-  EXPECT_EQ(shard.accountant().num_releases(), 2);
-}
-
-TEST(ReleaseContextTest, AbsorbAfterRollbackStillComposes) {
-  // After a rejected absorb the parent must keep working: a smaller shard
-  // absorbs, and direct charges against the remaining budget behave as if
-  // the failed absorb never happened.
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{2.0, 0.0, 1.0});
-
-  ReleaseContext too_big = parent.Fork();
-  ASSERT_OK(too_big.ChargeRelease("a"));
-  ASSERT_OK(too_big.ChargeRelease("b"));
-  ASSERT_OK(too_big.ChargeRelease("c"));
-  EXPECT_FALSE(parent.AbsorbShard(too_big).ok());
-  EXPECT_EQ(parent.accountant().num_releases(), 0);
-
-  ReleaseContext fits = parent.Fork();
-  ASSERT_OK(fits.ChargeRelease("d"));
-  ASSERT_OK(parent.AbsorbShard(fits));
-  EXPECT_EQ(parent.accountant().num_releases(), 1);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().epsilon, 1.0);
-
-  // Exactly one more eps=1 release fits the 2.0 ceiling.
-  ASSERT_OK(parent.ChargeRelease("direct"));
-  EXPECT_FALSE(parent.ChargeRelease("over").ok());
-  EXPECT_EQ(parent.accountant().num_releases(), 2);
-}
-
 TEST(ReleaseContextTest, DefaultPolicyIsBasic) {
   ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
                        ReleaseContext::Create(PrivacyParams{}, kTestSeed));
@@ -205,8 +176,6 @@ TEST(ReleaseContextTest, PolicySelectsTheAccountant) {
         ReleaseContext::Create(PrivacyParams{0.5, 1e-6, 1.0}, kTestSeed,
                                policy));
     EXPECT_EQ(ctx.policy(), policy);
-    // Forked shards inherit the parent's policy.
-    EXPECT_EQ(ctx.Fork().policy(), policy);
   }
 }
 
@@ -217,13 +186,13 @@ TEST(ReleaseContextTest, ZcdpPolicyRefusesApproximateLaplaceReleases) {
       ReleaseContext ctx,
       ReleaseContext::Create(PrivacyParams{0.5, 1e-6, 1.0}, kTestSeed,
                              AccountingPolicy::kZcdp));
-  Status status = ctx.ChargeRelease("laplace-approx");
+  Status status = MeterRelease(ctx, "laplace-approx");
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(ctx.accountant().num_releases(), 0);
   // A Gaussian loss at the same params is its natural currency.
   ASSERT_OK_AND_ASSIGN(PrivacyLoss gaussian,
                        PrivacyLoss::GaussianFromParams(ctx.params()));
-  EXPECT_OK(ctx.ChargeRelease("gaussian", gaussian));
+  EXPECT_OK(MeterRelease(ctx, "gaussian", gaussian));
 }
 
 TEST(ReleaseContextTest, ZcdpBudgetAdmitsMoreGaussianReleasesThanBasic) {
@@ -238,7 +207,7 @@ TEST(ReleaseContextTest, ZcdpBudgetAdmitsMoreGaussianReleasesThanBasic) {
     ctx.SetTotalBudget(budget, /*delta_slack=*/1e-5);
     PrivacyLoss loss = PrivacyLoss::GaussianFromParams(per_release).value();
     int admitted = 0;
-    while (ctx.ChargeRelease("gaussian-refresh", loss).ok()) ++admitted;
+    while (MeterRelease(ctx, "gaussian-refresh", loss).ok()) ++admitted;
     return admitted;
   };
   int basic = count_admitted(AccountingPolicy::kBasic);
@@ -254,8 +223,8 @@ TEST(ReleaseContextTest, SpentAndRemainingBudgetTrackThePolicy) {
   // No budget installed: infinite headroom.
   EXPECT_TRUE(std::isinf(ctx.RemainingBudget().epsilon));
   ctx.SetTotalBudget(PrivacyParams{2.0, 0.0, 1.0});
-  ASSERT_OK(ctx.ChargeRelease("one"));
-  ASSERT_OK(ctx.ChargeRelease("two"));
+  ASSERT_OK(MeterRelease(ctx, "one"));
+  ASSERT_OK(MeterRelease(ctx, "two"));
   EXPECT_DOUBLE_EQ(ctx.SpentTotal().epsilon, 1.0);
   EXPECT_DOUBLE_EQ(ctx.RemainingBudget().epsilon, 1.0);
   EXPECT_DOUBLE_EQ(ctx.RemainingBudget().delta, 0.0);
@@ -268,10 +237,10 @@ TEST(ReleaseContextTest, DeltaExhaustedLedgerReportsZeroHeadroom) {
   ASSERT_OK_AND_ASSIGN(
       ReleaseContext ctx,
       ReleaseContext::Create(PrivacyParams{0.1, 1e-4, 1.0}, kTestSeed));
-  for (int i = 0; i < 5; ++i) ASSERT_OK(ctx.ChargeRelease("early"));
+  for (int i = 0; i < 5; ++i) ASSERT_OK(MeterRelease(ctx, "early"));
   ctx.SetTotalBudget(PrivacyParams{4.0, 1e-4, 1.0});  // delta < 5e-4 spent
   EXPECT_DOUBLE_EQ(ctx.RemainingBudget().epsilon, 0.0);
-  EXPECT_FALSE(ctx.ChargeRelease("late").ok());
+  EXPECT_FALSE(MeterRelease(ctx, "late").ok());
 }
 
 TEST(ReleaseContextTest, ZcdpHeadroomIsZeroWhenBudgetCannotFundTheSlack) {
@@ -286,7 +255,7 @@ TEST(ReleaseContextTest, ZcdpHeadroomIsZeroWhenBudgetCannotFundTheSlack) {
   EXPECT_DOUBLE_EQ(ctx.RemainingBudget().epsilon, 0.0);
   ASSERT_OK_AND_ASSIGN(PrivacyLoss loss,
                        PrivacyLoss::GaussianFromParams(ctx.params()));
-  EXPECT_FALSE(ctx.ChargeRelease("never-admitted", loss).ok());
+  EXPECT_FALSE(MeterRelease(ctx, "never-admitted", loss).ok());
 }
 
 TEST(ReleaseContextTest, PureBudgetHeadroomIgnoresAdvancedBound) {
@@ -297,7 +266,7 @@ TEST(ReleaseContextTest, PureBudgetHeadroomIgnoresAdvancedBound) {
       ReleaseContext ctx,
       ReleaseContext::Create(PrivacyParams{0.01, 0.0, 1.0}, kTestSeed));
   ctx.SetTotalBudget(PrivacyParams{4.0, 0.0, 1.0});
-  for (int i = 0; i < 200; ++i) ASSERT_OK(ctx.ChargeRelease("r"));
+  for (int i = 0; i < 200; ++i) ASSERT_OK(MeterRelease(ctx, "r"));
   EXPECT_NEAR(ctx.RemainingBudget().epsilon, 2.0, 1e-9);
 
   // The same ledger under an approximate budget may use the tighter
@@ -306,98 +275,8 @@ TEST(ReleaseContextTest, PureBudgetHeadroomIgnoresAdvancedBound) {
       ReleaseContext approx,
       ReleaseContext::Create(PrivacyParams{0.01, 0.0, 1.0}, kTestSeed));
   approx.SetTotalBudget(PrivacyParams{4.0, 1e-5, 1.0});
-  for (int i = 0; i < 200; ++i) ASSERT_OK(approx.ChargeRelease("r"));
+  for (int i = 0; i < 200; ++i) ASSERT_OK(MeterRelease(approx, "r"));
   EXPECT_GT(approx.RemainingBudget().epsilon, 2.0);
-}
-
-TEST(ReleaseContextTest, ForkAbsorbEqualsDirectChargesUnderZcdp) {
-  // Satellite: shards must merge PrivacyLoss, not (eps, delta) pairs —
-  // absorbing zCDP shards composes to exactly the ledger direct charges
-  // would have produced (same rho total, same certified epsilon).
-  PrivacyParams per_release{0.5, 1e-6, 1.0};
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(per_release, kTestSeed,
-                             AccountingPolicy::kZcdp));
-  parent.SetTotalBudget(PrivacyParams{3.0, 1e-4, 1.0},
-                        /*delta_slack=*/1e-5);
-  ASSERT_OK_AND_ASSIGN(PrivacyLoss loss,
-                       PrivacyLoss::GaussianFromParams(per_release));
-
-  constexpr int kShards = 4;
-  constexpr int kPerShard = 3;
-  std::vector<ReleaseContext> shards;
-  shards.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) shards.push_back(parent.Fork());
-  for (int s = 0; s < kShards; ++s) {
-    for (int r = 0; r < kPerShard; ++r) {
-      ASSERT_OK(shards[static_cast<size_t>(s)].ChargeRelease(
-          StrFormat("shard-%d-release-%d", s, r), loss));
-    }
-  }
-  for (int s = 0; s < kShards; ++s) {
-    ASSERT_OK(parent.AbsorbShard(shards[static_cast<size_t>(s)]));
-  }
-
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext direct,
-      ReleaseContext::Create(per_release, kTestSeed,
-                             AccountingPolicy::kZcdp));
-  for (int i = 0; i < kShards * kPerShard; ++i) {
-    ASSERT_OK(direct.ChargeRelease("direct", loss));
-  }
-  EXPECT_EQ(parent.accountant().num_releases(), kShards * kPerShard);
-  ASSERT_OK_AND_ASSIGN(double parent_rho, parent.accountant().TotalRho());
-  ASSERT_OK_AND_ASSIGN(double direct_rho, direct.accountant().TotalRho());
-  EXPECT_DOUBLE_EQ(parent_rho, direct_rho);
-  EXPECT_DOUBLE_EQ(parent.accountant().Total(1e-5).epsilon,
-                   direct.accountant().Total(1e-5).epsilon);
-  // Every absorbed entry kept its zCDP currency.
-  for (const AccountantEntry& entry : parent.accountant().entries()) {
-    EXPECT_EQ(entry.loss.kind, LossKind::kZcdp);
-  }
-}
-
-TEST(ReleaseContextTest, ConcurrentAbsorbOrderingComposesIdentically) {
-  // Shards built on worker threads finish in arbitrary order; the ledger
-  // AbsorbShard produces must not depend on that order. Fork the shards
-  // serially (Fork advances the parent's seed stream), charge them on
-  // threads, absorb serialized-by-mutex in completion order, and compare
-  // against the deterministic sequential composition.
-  constexpr int kShards = 8;
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(PrivacyParams{0.25, 0.0, 1.0}, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{10.0, 0.0, 1.0});
-  std::vector<ReleaseContext> shards;
-  shards.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) shards.push_back(parent.Fork());
-
-  std::mutex absorb_mutex;
-  std::vector<std::thread> threads;
-  threads.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    threads.emplace_back([&, s] {
-      ASSERT_OK(shards[static_cast<size_t>(s)].ChargeRelease(
-          "shard-" + std::to_string(s)));
-      std::lock_guard<std::mutex> lock(absorb_mutex);
-      ASSERT_OK(parent.AbsorbShard(shards[static_cast<size_t>(s)]));
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext reference,
-      ReleaseContext::Create(PrivacyParams{0.25, 0.0, 1.0}, kTestSeed));
-  for (int s = 0; s < kShards; ++s) {
-    ASSERT_OK(reference.ChargeRelease("shard-" + std::to_string(s)));
-  }
-  EXPECT_EQ(parent.accountant().num_releases(), kShards);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().epsilon,
-                   reference.accountant().BasicTotal().epsilon);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().delta,
-                   reference.accountant().BasicTotal().delta);
-  EXPECT_EQ(parent.telemetry().size(), reference.telemetry().size());
 }
 
 }  // namespace

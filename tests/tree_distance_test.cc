@@ -150,12 +150,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(16, 64, 200)));
 
 TEST(TreeAllPairsTest, HighEpsilonMatchesExactAllPairs) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(40, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 4.0, &rng);
-  PrivacyParams params{1e7, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       TreeAllPairsOracle::Build(g, w, params, &rng));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1e7, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(40, ctx.rng()));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 4.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                        EvaluateOracleAllPairs(g, exact, *oracle));
@@ -164,10 +164,11 @@ TEST(TreeAllPairsTest, HighEpsilonMatchesExactAllPairs) {
 }
 
 TEST(TreeAllPairsTest, ErrorWithinTheorem42Bound) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(128, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.0, 50.0, &rng);
   PrivacyParams params{0.5, 0.0, 1.0};
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(params, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(128, ctx.rng()));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 50.0, ctx.rng());
   double gamma = 0.05;
   // Union bound over all pairs: use gamma / #pairs per released distance.
   double per_pair_gamma = gamma / (128.0 * 127.0 / 2.0);
@@ -175,8 +176,7 @@ TEST(TreeAllPairsTest, ErrorWithinTheorem42Bound) {
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
   int violations = 0;
   for (int trial = 0; trial < 5; ++trial) {
-    ASSERT_OK_AND_ASSIGN(auto oracle,
-                         TreeAllPairsOracle::Build(g, w, params, &rng));
+    ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
     ASSERT_OK_AND_ASSIGN(OracleErrorReport report,
                          EvaluateOracleAllPairs(g, exact, *oracle));
     if (report.max_abs_error > bound) ++violations;
@@ -185,12 +185,12 @@ TEST(TreeAllPairsTest, ErrorWithinTheorem42Bound) {
 }
 
 TEST(TreeAllPairsTest, SymmetricAndZeroOnDiagonal) {
-  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
   ASSERT_OK_AND_ASSIGN(Graph g, MakeBalancedTree(31, 2));
-  EdgeWeights w = MakeUniformWeights(g, 1.0, 2.0, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       TreeAllPairsOracle::Build(g, w, params, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 1.0, 2.0, ctx.rng());
+  ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
   for (VertexId u = 0; u < 31; u += 5) {
     ASSERT_OK_AND_ASSIGN(double uu, oracle->Distance(u, u));
     EXPECT_DOUBLE_EQ(uu, 0.0);
@@ -204,18 +204,20 @@ TEST(TreeAllPairsTest, SymmetricAndZeroOnDiagonal) {
 
 TEST(TreeAllPairsTest, ScalingKnobShrinksError) {
   // With rho = 0.01 the noise scale is 100x smaller than rho = 1.
-  Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(64));
   EdgeWeights w(63, 1.0);
   ASSERT_OK_AND_ASSIGN(DistanceMatrix exact, AllPairsDijkstra(g, w));
 
-  PrivacyParams coarse{1.0, 0.0, 1.0};
-  PrivacyParams fine{1.0, 0.0, 0.01};
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext coarse,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext fine,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 0.01}, kTestSeed + 1));
   OnlineStats coarse_err, fine_err;
   for (int trial = 0; trial < 10; ++trial) {
-    ASSERT_OK_AND_ASSIGN(auto oc,
-                         TreeAllPairsOracle::Build(g, w, coarse, &rng));
-    ASSERT_OK_AND_ASSIGN(auto of, TreeAllPairsOracle::Build(g, w, fine, &rng));
+    ASSERT_OK_AND_ASSIGN(auto oc, TreeAllPairsOracle::Build(g, w, coarse));
+    ASSERT_OK_AND_ASSIGN(auto of, TreeAllPairsOracle::Build(g, w, fine));
     ASSERT_OK_AND_ASSIGN(OracleErrorReport rc,
                          EvaluateOracleAllPairs(g, exact, *oc));
     ASSERT_OK_AND_ASSIGN(OracleErrorReport rf,
