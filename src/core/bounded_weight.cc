@@ -71,6 +71,15 @@ Result<std::unique_ptr<BoundedWeightOracle>> MeteredRelease(
 Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     const BoundedWeightOptions& options) {
+  // AutoCoveringRadius needs a vertex and a positive bound, and no graph
+  // without a vertex has a covering. Refused before the release is
+  // metered, so a refusal draws no noise and logs no intent.
+  if (!(options.max_weight > 0.0)) {
+    return Status::InvalidArgument("max_weight must be positive");
+  }
+  if (graph.num_vertices() == 0) {
+    return Status::InvalidArgument("graph is empty");
+  }
   return MeteredRelease(
       ctx, options, [&]() -> Result<std::unique_ptr<BoundedWeightOracle>> {
         int k = options.k > 0 ? options.k

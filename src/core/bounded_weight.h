@@ -72,7 +72,9 @@ class BoundedWeightOracle final : public DistanceOracle {
   /// `options` (Theorem 4.3's radius for ctx.params() when k == 0) and
   /// releases the noisy Z-to-Z distance table, drawing one release from
   /// the accountant and recording telemetry. Requires a connected
-  /// undirected graph and weights in [0, max_weight].
+  /// undirected graph and weights in [0, max_weight]. An empty graph or a
+  /// max_weight that is not positive is refused before the ledger is
+  /// touched.
   static Result<std::unique_ptr<BoundedWeightOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       const BoundedWeightOptions& options = {});

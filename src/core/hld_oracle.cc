@@ -107,20 +107,12 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
                           Decompose(graph, w, root, &light_weights));
     const int num_chains = oracle->num_chains();
-
-    // Joint sensitivity: an edge is either heavy (one block per level of
-    // its chain's structure) or light (one released scalar), so the
-    // release's sensitivity is max over chains of #levels, at least 1.
-    int max_levels = 1;
-    for (int c = 0; c < num_chains; ++c) {
-      max_levels =
-          std::max(max_levels, dyadic::NumLevels(oracle->ChainLevels(c)));
-    }
+    const int sensitivity = oracle->ChainSensitivity();
     DPSP_ASSIGN_OR_RETURN(
         double scale,
-        LaplaceScale(static_cast<double>(max_levels), ctx.params()));
+        LaplaceScale(static_cast<double>(sensitivity), ctx.params()));
     oracle->noise_scale_ = scale;
-    oracle->sensitivity_ = max_levels;
+    oracle->sensitivity_ = sensitivity;
     oracle->release_epsilon_ = ctx.params().epsilon;
 
     // Released structures: per-chain dyadic sums over the heavy edges,
@@ -384,6 +376,13 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
   DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
                         Decompose(graph, w, root, nullptr));
 
+  // Epochs charge release_epsilon * g / sensitivity, so a sensitivity
+  // other than the topology's would charge them at the wrong rate.
+  if (sensitivity != oracle->ChainSensitivity()) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot hld sensitivity is %d, its topology implies %d",
+        sensitivity, oracle->ChainSensitivity()));
+  }
   const int num_chains = oracle->num_chains();
   DPSP_ASSIGN_OR_RETURN(
       std::span<const double> counts,
@@ -424,6 +423,14 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
   oracle->release_epsilon_ = release_epsilon;
   for (int c = 0; c < num_chains; ++c) oracle->RecomputeAscentCosts(c);
   return std::unique_ptr<DistanceOracle>(std::move(oracle));
+}
+
+int HldTreeOracle::ChainSensitivity() const {
+  int levels = 1;
+  for (int c = 0; c < num_chains(); ++c) {
+    levels = std::max(levels, dyadic::NumLevels(ChainLevels(c)));
+  }
+  return levels;
 }
 
 Result<double> HldTreeOracle::Distance(VertexId u, VertexId v) const {

@@ -102,8 +102,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
   /// OracleLoader counterpart: rebuilds the deterministic skeleton from
-  /// the public tree, checks every chain's persisted block count against
-  /// the shape its topology implies, installs the blocks at the persisted
+  /// the public tree, checks every chain's persisted block count and the
+  /// persisted sensitivity (which later epochs charge against) against
+  /// what its topology implies, installs the blocks at the persisted
   /// noise scale (no noise drawn), and recomputes the ascent caches.
   /// Queries and later update epochs are bit-identical to the saved
   /// instance. Post-restart update epochs recompute dirty block sums from
@@ -132,6 +133,12 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
     return {level_offset_.data() + begin,
             level_index_[static_cast<size_t>(c) + 1] - begin};
   }
+
+  // The release's sensitivity, a function of the topology alone: an edge
+  // is either heavy (one block per level of its chain's structure) or
+  // light (one released scalar), so it is the most levels of any chain's
+  // structure, at least 1.
+  int ChainSensitivity() const;
 
   // Chain c's private values: its heavy-edge weights by position.
   std::span<const double> ChainValues(int c) const {

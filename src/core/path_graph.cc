@@ -89,8 +89,9 @@ Result<std::unique_ptr<DistanceOracle>> PathGraphOracle::FromReleasedState(
                         released_state::Require<double>(sections, "blocks"));
   // Restore rejects a noise scale the structure could not have been drawn
   // at and an image of the wrong block count.
-  DPSP_ASSIGN_OR_RETURN(NoisyDyadicRangeSums sums,
-                        NoisyDyadicRangeSums::Restore(w, meta[2], blocks));
+  DPSP_ASSIGN_OR_RETURN(
+      NoisyDyadicRangeSums sums,
+      NoisyDyadicRangeSums::Restore(graph.num_edges(), meta[2], blocks));
   return std::unique_ptr<DistanceOracle>(new PathGraphOracle(std::move(sums)));
 }
 

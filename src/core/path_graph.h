@@ -15,6 +15,8 @@
 //     giving error O(log^1.5 V log(1/gamma))/eps by Lemma 3.1.
 // tree-hld releases the same structure per heavy chain; on a path rooted
 // at vertex 0 the two mechanisms answer bit-identically from one seed.
+// The release is built once and never updated, so the oracle keeps only
+// the noisy blocks: no copy of the private weights outlives the build.
 
 #ifndef DPSP_CORE_PATH_GRAPH_H_
 #define DPSP_CORE_PATH_GRAPH_H_

@@ -7,7 +7,7 @@
 
 namespace dpsp {
 
-PrivateShortestPaths::PrivateShortestPaths(const Graph* graph,
+PrivateShortestPaths::PrivateShortestPaths(const Graph& graph,
                                            EdgeWeights released, double offset,
                                            double scale)
     : graph_(graph),
@@ -22,7 +22,7 @@ Result<PrivateShortestPaths> PrivateShortestPaths::Release(
   DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   DPSP_RETURN_IF_ERROR(ValidateGamma(options.gamma));
   if (graph.num_edges() == 0) {
-    return PrivateShortestPaths(&graph, EdgeWeights{}, 0.0, 0.0);
+    return PrivateShortestPaths(graph, EdgeWeights{}, 0.0, 0.0);
   }
 
   DPSP_ASSIGN_OR_RETURN(double scale, LaplaceScale(1.0, options.params));
@@ -32,17 +32,17 @@ Result<PrivateShortestPaths> PrivateShortestPaths::Release(
   DPSP_ASSIGN_OR_RETURN(EdgeWeights noisy,
                         LaplaceMechanism(w, 1.0, options.params, rng));
   for (double& x : noisy) x = std::max(0.0, x + offset);
-  return PrivateShortestPaths(&graph, std::move(noisy), offset, scale);
+  return PrivateShortestPaths(graph, std::move(noisy), offset, scale);
 }
 
 Result<std::vector<EdgeId>> PrivateShortestPaths::Path(VertexId u,
                                                        VertexId v) const {
   DPSP_ASSIGN_OR_RETURN(ShortestPathTree tree, PathTree(u));
-  return ExtractPathEdges(*graph_, tree, v);
+  return ExtractPathEdges(graph_, tree, v);
 }
 
 Result<ShortestPathTree> PrivateShortestPaths::PathTree(VertexId u) const {
-  return Dijkstra(*graph_, released_, u);
+  return Dijkstra(graph_, released_, u);
 }
 
 double PrivateShortestPaths::ErrorBoundForHops(int k) const {

@@ -65,10 +65,10 @@ class PrivateShortestPaths {
   double ErrorBoundForHops(int k) const;
 
  private:
-  PrivateShortestPaths(const Graph* graph, EdgeWeights released,
+  PrivateShortestPaths(const Graph& graph, EdgeWeights released,
                        double offset, double scale);
 
-  const Graph* graph_;  // not owned; must outlive this object
+  Graph graph_;  // shares the caller's topology
   EdgeWeights released_;
   double offset_;
   double noise_scale_;

@@ -105,17 +105,14 @@ int NoisyDyadicRangeSums::LevelsForSize(int size) {
   return levels;
 }
 
-NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
-                                           double noise_scale)
-    : size_(static_cast<int>(values.size())),
-      noise_scale_(noise_scale),
-      values_(values) {
+NoisyDyadicRangeSums::NoisyDyadicRangeSums(int size, double noise_scale)
+    : size_(size), noise_scale_(noise_scale) {
   blocks_.resize(dyadic::AppendLevelOffsets(size_, 0, &level_offset_));
 }
 
 NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
                                            double noise_scale, Rng* rng)
-    : NoisyDyadicRangeSums(values, noise_scale) {
+    : NoisyDyadicRangeSums(static_cast<int>(values.size()), noise_scale) {
   // Every block sum + Laplace draw in (level, block) order — the same Rng
   // walk as a per-level layout, so fixed seeds reproduce.
   std::vector<double> prefix;
@@ -124,51 +121,20 @@ NoisyDyadicRangeSums::NoisyDyadicRangeSums(const std::vector<double>& values,
 }
 
 Result<NoisyDyadicRangeSums> NoisyDyadicRangeSums::Restore(
-    const std::vector<double>& values, double noise_scale,
-    std::span<const double> blocks) {
-  if (!values.empty() && !(noise_scale > 0.0 && std::isfinite(noise_scale))) {
+    int size, double noise_scale, std::span<const double> blocks) {
+  if (size > 0 && !(noise_scale > 0.0 && std::isfinite(noise_scale))) {
     return Status::InvalidArgument(
         "dyadic noise scale must be positive and finite");
   }
-  NoisyDyadicRangeSums sums(values, noise_scale);
+  NoisyDyadicRangeSums sums(size, noise_scale);
   if (blocks.size() != sums.blocks_.size()) {
     return Status::InvalidArgument(StrFormat(
-        "dyadic block image holds %zu blocks, a structure over %zu values "
+        "dyadic block image holds %zu blocks, a structure over %d values "
         "has %zu",
-        blocks.size(), values.size(), sums.blocks_.size()));
+        blocks.size(), size, sums.blocks_.size()));
   }
   std::copy(blocks.begin(), blocks.end(), sums.blocks_.begin());
   return sums;
-}
-
-int NoisyDyadicRangeSums::ApplyPointUpdates(
-    std::span<const std::pair<int, double>> updates, Rng* rng) {
-  if (updates.empty()) return 0;
-  DPSP_CHECK_MSG(size_ > 0, "cannot update an empty structure");
-  std::vector<int> indices;
-  indices.reserve(updates.size());
-  for (const auto& [i, v] : updates) {
-    DPSP_CHECK_MSG(i >= 0 && i < size_, "update index out of range");
-    values_[static_cast<size_t>(i)] = v;  // duplicates: last value wins
-    indices.push_back(i);
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-
-  // Redraw in (level, block) order — the deterministic walk the planning
-  // pass counts, so a fixed Rng stream replays to an identical structure.
-  return dyadic::RedrawDirtyBlocks(values_, level_offset_, indices,
-                                   noise_scale_, rng, blocks_);
-}
-
-int NoisyDyadicRangeSums::DirtyBlockCount(std::span<const int> indices) const {
-  if (indices.empty() || size_ == 0) return 0;
-  std::vector<int> sorted(indices.begin(), indices.end());
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  DPSP_CHECK_MSG(sorted.front() >= 0 && sorted.back() < size_,
-                 "dirty index out of range");
-  return dyadic::CountDirtyBlocks(num_levels(), sorted);
 }
 
 int NoisyDyadicRangeSums::num_blocks() const {

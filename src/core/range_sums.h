@@ -19,13 +19,15 @@
 //
 // The structure is incrementally releasable: a point update x[i] = v
 // invalidates exactly one block per level (the #levels blocks containing
-// i), and ApplyPointUpdates redraws fresh noise for only those blocks.
-// Because each dirty index re-releases at most #levels blocks — the same
-// stack the sensitivity argument counts — an update epoch is itself one
-// Laplace invocation over the dirty blocks, at the same per-block cost as
-// the original release. The raw value vector is retained internally to
-// recompute dirty block sums; it is PRIVATE state of the holder, never
-// part of the released object.
+// i), and dyadic::RedrawDirtyBlocks redraws fresh noise for only those
+// blocks, re-summed from the holder's value vector. Because each dirty
+// index re-releases at most #levels blocks — the same stack the
+// sensitivity argument counts — an update epoch is itself one Laplace
+// invocation over the dirty blocks, at the same per-block cost as the
+// original release. tree-hld's epochs redraw this way; the value vector
+// stays PRIVATE state of that holder. NoisyDyadicRangeSums is the
+// build-once structure (the path hierarchy's): it keeps only the released
+// blocks, never the values it was drawn from.
 
 #ifndef DPSP_CORE_RANGE_SUMS_H_
 #define DPSP_CORE_RANGE_SUMS_H_
@@ -34,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -151,7 +152,8 @@ inline double PrefixSum(const LevelTable& level_offset, const Blocks& blocks,
 
 }  // namespace dyadic
 
-/// Noisy dyadic block sums over a fixed value vector.
+/// Noisy dyadic block sums over a value vector, released once: the
+/// values are read by the draw and not kept.
 class NoisyDyadicRangeSums {
  public:
   /// Builds the structure, adding Lap(noise_scale) to every block sum.
@@ -160,15 +162,12 @@ class NoisyDyadicRangeSums {
                        Rng* rng);
 
   /// Reinstalls a persisted release without drawing noise: `blocks` is the
-  /// blocks() image of a structure over `values` drawn at `noise_scale`,
-  /// the scale later update epochs redraw at. `values` is the holder's
-  /// current private value vector (a later epoch recomputes dirty block
-  /// sums from it: the documented warm-restart semantic). Fails unless the
-  /// image holds exactly the block count of a values.size() structure and,
-  /// for a non-empty vector, the scale is positive and finite.
-  static Result<NoisyDyadicRangeSums> Restore(
-      const std::vector<double>& values, double noise_scale,
-      std::span<const double> blocks);
+  /// blocks() image of a structure over `size` values drawn at
+  /// `noise_scale`. Fails unless the image holds exactly the block count of
+  /// a `size`-value structure and, for size > 0, the scale is positive and
+  /// finite.
+  static Result<NoisyDyadicRangeSums> Restore(int size, double noise_scale,
+                                              std::span<const double> blocks);
 
   /// Number of levels (0 for an empty vector). The release's sensitivity
   /// multiplier.
@@ -205,7 +204,7 @@ class NoisyDyadicRangeSums {
   /// Number of stored values.
   int size() const { return size_; }
 
-  /// The Laplace scale every block was (and every redraw is) drawn at.
+  /// The Laplace scale every block was drawn at.
   double noise_scale() const { return noise_scale_; }
 
   /// The released noisy block sums, level-major in one cache-aligned
@@ -214,35 +213,16 @@ class NoisyDyadicRangeSums {
     return {blocks_.data(), blocks_.size()};
   }
 
-  /// Point updates (index, new value): sets each value, then recomputes
-  /// and redraws Lap(noise_scale) for every dyadic block containing a
-  /// dirty index — one block per level per distinct index, deduplicated,
-  /// redrawn in (level, block) order so a fixed Rng stream gives a
-  /// deterministic result. Blocks containing no dirty index keep their
-  /// original noisy sums bit-for-bit. Duplicate indices: the last value
-  /// wins. Indices must lie in [0, size()). Returns the number of blocks
-  /// redrawn (== DirtyBlockCount of the distinct indices).
-  int ApplyPointUpdates(std::span<const std::pair<int, double>> updates,
-                        Rng* rng);
-
-  /// How many blocks ApplyPointUpdates would redraw for these indices —
-  /// the per-block privacy planning pass, with no mutation. Duplicates
-  /// are deduplicated; indices must lie in [0, size()).
-  int DirtyBlockCount(std::span<const int> indices) const;
-
   /// How many dyadic levels a vector of `size` values needs.
   static int LevelsForSize(int size);
 
  private:
-  // The structure's shape over `values` (level offsets, zeroed blocks),
+  // The shape of a `size`-value structure (level offsets, zeroed blocks),
   // with no noise drawn.
-  NoisyDyadicRangeSums(const std::vector<double>& values, double noise_scale);
+  NoisyDyadicRangeSums(int size, double noise_scale);
 
   int size_ = 0;
   double noise_scale_ = 0.0;
-  // The private value vector, retained to recompute dirty block sums on
-  // updates. Not part of the released structure.
-  std::vector<double> values_;
   // The released structure, flattened level-major into one cache-aligned
   // buffer: the noisy sum of block j at level l — dyadic range
   // [j 2^l, min(size, (j+1) 2^l)) — lives at level_offset_[l] + j.

@@ -4,36 +4,40 @@
 
 namespace dpsp {
 
-Graph::Graph(int num_vertices, std::vector<EdgeEndpoints> edges, bool directed)
-    : num_vertices_(num_vertices),
-      directed_(directed),
-      edges_(std::move(edges)) {
+Graph::Graph(int num_vertices, std::vector<EdgeEndpoints> edges,
+             bool directed) {
+  auto s = std::make_shared<Storage>();
+  s->num_vertices = num_vertices;
+  s->directed = directed;
+  s->edges = std::move(edges);
   // CSR build: count degrees, prefix-sum into offsets, then scatter. Entry
   // order per vertex matches the old per-vertex push_back order (edge
   // insertion order), which BFS-based constructions rely on.
-  adj_offset_.assign(static_cast<size_t>(num_vertices) + 1, 0);
-  for (const EdgeEndpoints& ep : edges_) {
-    ++adj_offset_[static_cast<size_t>(ep.u) + 1];
-    if (!directed_) ++adj_offset_[static_cast<size_t>(ep.v) + 1];
+  AlignedVector<uint32_t>& offset = s->adj_offset;
+  offset.assign(static_cast<size_t>(num_vertices) + 1, 0);
+  for (const EdgeEndpoints& ep : s->edges) {
+    ++offset[static_cast<size_t>(ep.u) + 1];
+    if (!directed) ++offset[static_cast<size_t>(ep.v) + 1];
   }
   for (size_t u = 0; u < static_cast<size_t>(num_vertices); ++u) {
-    adj_offset_[u + 1] += adj_offset_[u];
+    offset[u + 1] += offset[u];
   }
-  size_t slots = adj_offset_[static_cast<size_t>(num_vertices)];
-  adj_to_.resize(slots);
-  adj_edge_.resize(slots);
-  std::vector<uint32_t> cursor(adj_offset_.begin(), adj_offset_.end() - 1);
-  for (EdgeId e = 0; e < static_cast<EdgeId>(edges_.size()); ++e) {
-    const EdgeEndpoints& ep = edges_[static_cast<size_t>(e)];
+  size_t slots = offset[static_cast<size_t>(num_vertices)];
+  s->adj_to.resize(slots);
+  s->adj_edge.resize(slots);
+  std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
+  for (EdgeId e = 0; e < static_cast<EdgeId>(s->edges.size()); ++e) {
+    const EdgeEndpoints& ep = s->edges[static_cast<size_t>(e)];
     uint32_t slot = cursor[static_cast<size_t>(ep.u)]++;
-    adj_to_[slot] = ep.v;
-    adj_edge_[slot] = e;
-    if (!directed_) {
+    s->adj_to[slot] = ep.v;
+    s->adj_edge[slot] = e;
+    if (!directed) {
       slot = cursor[static_cast<size_t>(ep.v)]++;
-      adj_to_[slot] = ep.u;
-      adj_edge_[slot] = e;
+      s->adj_to[slot] = ep.u;
+      s->adj_edge[slot] = e;
     }
   }
+  storage_ = std::move(s);
 }
 
 Result<Graph> Graph::Create(int num_vertices, std::vector<EdgeEndpoints> edges,
@@ -85,7 +89,7 @@ Status Graph::ValidateNonNegativeWeights(const EdgeWeights& w) const {
 
 std::string Graph::ToString() const {
   return StrFormat("Graph(V=%d, E=%d, %s)", num_vertices(), num_edges(),
-                   directed_ ? "directed" : "undirected");
+                   directed() ? "directed" : "undirected");
 }
 
 double TotalWeight(const EdgeWeights& weights,

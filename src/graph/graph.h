@@ -12,6 +12,7 @@
 #define DPSP_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,6 +50,12 @@ using EdgeWeights = std::vector<double>;
 /// one offset array plus two parallel flat arrays, so traversal kernels
 /// (Dijkstra, BFS, tree orientation) stream contiguous memory instead of
 /// chasing one heap allocation per vertex.
+///
+/// A Graph is a handle to one reference-counted, immutable storage: a copy
+/// (and a move, which is a copy) shares it, so the server, its replicas and
+/// the embedding application hold one topology between them, and a copy
+/// may outlive its source. Copies may be made and dropped concurrently.
+/// Every Graph holds a storage; a moved-from one is unchanged.
 class Graph {
  public:
   /// Lightweight view over the CSR adjacency of one vertex. Iterates as
@@ -92,41 +99,55 @@ class Graph {
                               std::vector<EdgeEndpoints> edges,
                               bool directed = false);
 
-  int num_vertices() const { return num_vertices_; }
-  int num_edges() const { return static_cast<int>(edges_.size()); }
-  bool directed() const { return directed_; }
+  /// Shares the source's storage. No move operations are declared, so a
+  /// move shares it too and leaves the source as it was.
+  Graph(const Graph&) = default;
+  Graph& operator=(const Graph&) = default;
+
+  int num_vertices() const { return storage_->num_vertices; }
+  int num_edges() const { return static_cast<int>(storage_->edges.size()); }
+  bool directed() const { return storage_->directed; }
 
   /// Endpoints of edge `e`.
   const EdgeEndpoints& edge(EdgeId e) const {
-    return edges_[static_cast<size_t>(e)];
+    return storage_->edges[static_cast<size_t>(e)];
   }
 
   /// Out-adjacency of `u` (full adjacency for undirected graphs).
   NeighborRange Neighbors(VertexId u) const {
-    uint32_t begin = adj_offset_[static_cast<size_t>(u)];
-    uint32_t end = adj_offset_[static_cast<size_t>(u) + 1];
-    return NeighborRange(adj_to_.data() + begin, adj_edge_.data() + begin,
+    const Storage& s = *storage_;
+    uint32_t begin = s.adj_offset[static_cast<size_t>(u)];
+    uint32_t end = s.adj_offset[static_cast<size_t>(u) + 1];
+    return NeighborRange(s.adj_to.data() + begin, s.adj_edge.data() + begin,
                          end - begin);
   }
 
   /// Raw CSR arrays for flat traversal kernels: AdjacencyOffsets()[u] ..
   /// AdjacencyOffsets()[u+1] indexes into the parallel AdjacencyHeads()
   /// (neighbor vertex) and AdjacencyEdges() (incident edge id) arrays.
-  std::span<const uint32_t> AdjacencyOffsets() const { return adj_offset_; }
-  std::span<const VertexId> AdjacencyHeads() const { return adj_to_; }
-  std::span<const EdgeId> AdjacencyEdges() const { return adj_edge_; }
+  /// Every copy of a graph returns the same arrays.
+  std::span<const uint32_t> AdjacencyOffsets() const {
+    return storage_->adj_offset;
+  }
+  std::span<const VertexId> AdjacencyHeads() const {
+    return storage_->adj_to;
+  }
+  std::span<const EdgeId> AdjacencyEdges() const {
+    return storage_->adj_edge;
+  }
 
   /// Given an edge and one endpoint, the opposite endpoint.
   VertexId OtherEndpoint(EdgeId e, VertexId from) const;
 
   /// Out-degree of `u` (degree for undirected graphs), counting parallels.
   int Degree(VertexId u) const {
-    return static_cast<int>(adj_offset_[static_cast<size_t>(u) + 1] -
-                            adj_offset_[static_cast<size_t>(u)]);
+    const AlignedVector<uint32_t>& offset = storage_->adj_offset;
+    return static_cast<int>(offset[static_cast<size_t>(u) + 1] -
+                            offset[static_cast<size_t>(u)]);
   }
 
   /// True iff `u` is a valid vertex id.
-  bool HasVertex(VertexId u) const { return u >= 0 && u < num_vertices_; }
+  bool HasVertex(VertexId u) const { return u >= 0 && u < num_vertices(); }
 
   /// OK iff `w` has exactly one entry per edge.
   Status ValidateWeights(const EdgeWeights& w) const;
@@ -138,17 +159,22 @@ class Graph {
   std::string ToString() const;
 
  private:
+  // Everything a graph holds, built once and never written again.
+  struct Storage {
+    int num_vertices = 0;
+    bool directed = false;
+    std::vector<EdgeEndpoints> edges;
+    // CSR adjacency, struct-of-arrays: entry i of vertex u lives at
+    // adj_offset[u] + i in the parallel adj_to / adj_edge arrays.
+    // Cache-line aligned so traversal kernels start on a line boundary.
+    AlignedVector<uint32_t> adj_offset;
+    AlignedVector<VertexId> adj_to;
+    AlignedVector<EdgeId> adj_edge;
+  };
+
   Graph(int num_vertices, std::vector<EdgeEndpoints> edges, bool directed);
 
-  int num_vertices_;
-  bool directed_;
-  std::vector<EdgeEndpoints> edges_;
-  // CSR adjacency, struct-of-arrays: entry i of vertex u lives at
-  // adj_offset_[u] + i in the parallel adj_to_ / adj_edge_ arrays.
-  // Cache-line aligned so traversal kernels start on a line boundary.
-  AlignedVector<uint32_t> adj_offset_;
-  AlignedVector<VertexId> adj_to_;
-  AlignedVector<EdgeId> adj_edge_;
+  std::shared_ptr<const Storage> storage_;
 };
 
 /// Total weight of a set of edges.

@@ -1,6 +1,9 @@
 #include "core/bounded_weight.h"
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -193,6 +196,52 @@ TEST(BoundedWeightOracleTest, GaussianRequiresApproxDp) {
   options.noise = BoundedWeightOptions::NoiseKind::kGaussian;
   EXPECT_FALSE(
       BoundedWeightOracle::Build(g, EdgeWeights(6, 0.5), ctx, options).ok());
+}
+
+// Counts the ledger's write-ahead records.
+class CountingHook : public ReleaseContext::DurabilityHook {
+ public:
+  Result<uint64_t> LogIntent(const std::string&, const PrivacyLoss&) override {
+    return ++intents;
+  }
+  Status LogCommit(uint64_t) override { return Status::Ok(); }
+  uint64_t intents = 0;
+};
+
+TEST(BoundedWeightOracleTest, BadInputsAreRefusedBeforeTheLedgerMoves) {
+  // Inside the metered build each would reach AutoCoveringRadius's check,
+  // which aborts the process. Each must be a typed error that draws no
+  // noise, logs no intent and charges nothing.
+  ASSERT_OK_AND_ASSIGN(Graph path, MakePathGraph(8));
+  ASSERT_OK_AND_ASSIGN(Graph empty, Graph::Create(0, {}));
+  BoundedWeightOptions zero_bound;
+  zero_bound.max_weight = 0.0;
+  BoundedWeightOptions nan_bound;
+  nan_bound.max_weight = std::nan("");
+  const struct {
+    const char* name;
+    const Graph& graph;
+    BoundedWeightOptions options;
+  } cases[] = {{"max_weight = 0", path, zero_bound},
+               {"max_weight = NaN", path, nan_bound},
+               {"0 vertices, default options", empty, {}}};
+  Rng fresh(kTestSeed);
+  const double first_draw = fresh.Laplace(1.0);
+  for (const auto& c : cases) {
+    ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                         ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+    CountingHook hook;
+    ctx.SetDurabilityHook(&hook);
+    Result<std::unique_ptr<BoundedWeightOracle>> refused =
+        BoundedWeightOracle::Build(
+            c.graph, EdgeWeights(static_cast<size_t>(c.graph.num_edges()), 0.0),
+            ctx, c.options);
+    ASSERT_FALSE(refused.ok()) << c.name;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_EQ(hook.intents, 0u) << c.name;
+    EXPECT_EQ(ctx.accountant().num_releases(), 0) << c.name;
+    EXPECT_EQ(ctx.rng()->Laplace(1.0), first_draw) << c.name;
+  }
 }
 
 TEST(BoundedWeightOracleTest, DisconnectedGraphRejected) {

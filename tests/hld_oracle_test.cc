@@ -380,6 +380,38 @@ TEST_F(HldManyChainRestoreTest, AnswersMatchBeforeAndAfterAnEpoch) {
   EXPECT_EQ(AnswerBits(*restored, pairs_), AnswerBits(*built_, pairs_));
 }
 
+TEST_F(HldManyChainRestoreTest, RestoreRefusesAWrongSensitivity) {
+  // Epochs charge the release's epsilon times g / sensitivity, so a
+  // persisted sensitivity other than the topology's would charge them at
+  // the wrong rate (or refuse every one).
+  const int sensitivity = built_->sensitivity();
+  for (double persisted : {0.0, -3.0, sensitivity + 1.0, 1000.0}) {
+    Result<std::unique_ptr<DistanceOracle>> restored =
+        Restore(EditDoubles(saved_, "meta", [&](std::vector<double>& v) {
+          v[2] = persisted;
+        }));
+    ASSERT_FALSE(restored.ok()) << "sensitivity " << persisted;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().ToString();
+  }
+
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<DistanceOracle> restored,
+                       Restore(saved_));
+  auto& hld = static_cast<HldTreeOracle&>(*restored);
+  EXPECT_EQ(hld.sensitivity(), sensitivity);
+  // A one-edge epoch charges the restored oracle what it charges the one
+  // it was saved from.
+  const std::vector<EdgeWeightDelta> epoch = {epoch_.front()};
+  for (HldTreeOracle* oracle : {built_.get(), &hld}) {
+    ASSERT_OK_AND_ASSIGN(ReleaseContext epoch_ctx,
+                         ReleaseContext::Create(kParams, kTestSeed ^ 1));
+    ASSERT_OK(oracle->ApplyWeightUpdates(epoch, epoch_ctx));
+  }
+  EXPECT_GT(built_->last_update().charged_epsilon, 0.0);
+  EXPECT_EQ(hld.last_update().charged_epsilon,
+            built_->last_update().charged_epsilon);
+}
+
 TEST_F(HldManyChainRestoreTest, InconsistentBlockImagesAreTypedErrors) {
   std::vector<double> counts;
   EditDoubles(saved_, "chain-block-counts",

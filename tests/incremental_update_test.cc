@@ -3,12 +3,14 @@
 // of the per-epoch dirty-fraction charges, clean regions keep their noise
 // bit-for-bit, the update path is deterministic under fixed seeds, and
 // sharded execution stays bit-identical to serial across epochs. Also the
-// range-sums point-update primitive and the executor's update routing.
+// dyadic redraw primitives tree-hld's epochs call, and the executor's
+// update routing.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,39 +62,70 @@ double ExactTreeDistance(const std::vector<double>& root_dist, VertexId u,
 
 // ------------------------------------------------------- range sums unit --
 
+// One dyadic structure in caller-owned buffers, as tree-hld holds each
+// chain's: a level table and the blocks it describes, drawn once.
+struct DyadicBuffers {
+  AlignedVector<uint32_t> levels;
+  AlignedVector<double> blocks;
+};
+
+DyadicBuffers DrawDyadic(const std::vector<double>& values,
+                         double noise_scale, Rng* rng) {
+  DyadicBuffers d;
+  d.blocks.resize(dyadic::AppendLevelOffsets(static_cast<int>(values.size()),
+                                             0, &d.levels));
+  std::vector<double> prefix;
+  dyadic::DrawBlocks(values, d.levels, noise_scale, rng, d.blocks, &prefix);
+  return d;
+}
+
 TEST(RangeSumsUpdateTest, RedrawCountMatchesPlanAndCleanBlocksKeepBits) {
   Rng rng(kTestSeed);
   std::vector<double> values(37);
   for (double& v : values) v = rng.Uniform(0.0, 1.0);
-  NoisyDyadicRangeSums sums(values, /*noise_scale=*/0.5, &rng);
+  DyadicBuffers sums = DrawDyadic(values, /*noise_scale=*/0.5, &rng);
+  const int num_levels = dyadic::NumLevels(sums.levels);
 
   // Snapshot clean-region range sums far from the dirty indices.
-  double clean_before = sums.RangeSumUnchecked(20, 37);
+  double clean_before = dyadic::RangeSum(sums.levels, sums.blocks, 20, 37);
 
-  std::vector<int> dirty = {3, 3, 5};  // duplicate index: counted once
-  int planned = sums.DirtyBlockCount(dirty);
+  // The holder applies the updates (the last value per index wins) and
+  // plans and redraws over the sorted, distinct dirty indices, as
+  // tree-hld's epochs do.
   std::vector<std::pair<int, double>> updates = {{3, 9.0}, {3, 2.5}, {5, 7.0}};
-  int redrawn = sums.ApplyPointUpdates(updates, &rng);
+  std::vector<int> dirty;
+  for (const auto& [i, v] : updates) {
+    values[static_cast<size_t>(i)] = v;
+    if (dirty.empty() || dirty.back() != i) dirty.push_back(i);
+  }
+  ASSERT_EQ(dirty, (std::vector<int>{3, 5}));  // duplicate index: once
+  int planned = dyadic::CountDirtyBlocks(num_levels, dirty);
+  int redrawn = dyadic::RedrawDirtyBlocks(values, sums.levels, dirty,
+                                          /*noise_scale=*/0.5, &rng,
+                                          sums.blocks);
   EXPECT_EQ(planned, redrawn);
   // Indices 3 and 5 share blocks from the level where 2^l spans both:
   // strictly fewer than 2 * num_levels blocks redraw.
-  EXPECT_LT(redrawn, 2 * sums.num_levels());
-  EXPECT_GE(redrawn, sums.num_levels());
+  EXPECT_LT(redrawn, 2 * num_levels);
+  EXPECT_GE(redrawn, num_levels);
 
   // Blocks not containing a dirty index are bit-identical.
-  EXPECT_EQ(clean_before, sums.RangeSumUnchecked(20, 37));
+  EXPECT_EQ(clean_before, dyadic::RangeSum(sums.levels, sums.blocks, 20, 37));
 }
 
 TEST(RangeSumsUpdateTest, UpdatedPrefixTracksNewValues) {
   Rng rng(kTestSeed);
   std::vector<double> values(64, 1.0);
-  NoisyDyadicRangeSums sums(values, /*noise_scale=*/1e-6, &rng);
-  std::vector<std::pair<int, double>> updates = {{10, 100.0}};
-  sums.ApplyPointUpdates(updates, &rng);
+  DyadicBuffers sums = DrawDyadic(values, /*noise_scale=*/1e-6, &rng);
+  values[10] = 100.0;
+  const std::vector<int> dirty = {10};
+  dyadic::RedrawDirtyBlocks(values, sums.levels, dirty, /*noise_scale=*/1e-6,
+                            &rng, sums.blocks);
   // With negligible noise the prefix over the dirty index reflects the
   // new value and the prefix below it is untouched.
-  EXPECT_NEAR(sums.PrefixSumUnchecked(11), 10.0 + 100.0, 1e-3);
-  EXPECT_NEAR(sums.PrefixSumUnchecked(10), 10.0, 1e-3);
+  EXPECT_NEAR(dyadic::PrefixSum(sums.levels, sums.blocks, 11), 10.0 + 100.0,
+              1e-3);
+  EXPECT_NEAR(dyadic::PrefixSum(sums.levels, sums.blocks, 10), 10.0, 1e-3);
 }
 
 // ------------------------------------------------------ ledger equality --

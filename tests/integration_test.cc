@@ -4,6 +4,9 @@
 // full attack-vs-defense cycle on the lower-bound gadget.
 
 #include <cmath>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -177,6 +180,38 @@ TEST(IntegrationTest, PersistedTopologyAndReleasedWeightsRoundTrip) {
                        ToDot(network.graph, release.released_weights(),
                              dot_options));
   EXPECT_NE(dot.find("color=red"), std::string::npos);
+}
+
+TEST(IntegrationTest, ReleasedPathsOutliveTheGraphTheyRouteOver) {
+  // The release holds the topology it routes over, so the graph it was
+  // released from may go out of scope first.
+  ASSERT_OK_AND_ASSIGN(Graph kept, MakeGridGraph(6, 6));
+  Rng weight_rng(kTestSeed);
+  EdgeWeights w = MakeUniformWeights(kept, 1.0, 5.0, &weight_rng);
+  PrivateShortestPathOptions options;
+  Rng kept_rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(
+      PrivateShortestPaths reference,
+      PrivateShortestPaths::Release(kept, w, options, &kept_rng));
+  std::optional<PrivateShortestPaths> release;
+  {
+    ASSERT_OK_AND_ASSIGN(Graph scoped, MakeGridGraph(6, 6));
+    Rng rng(kTestSeed);
+    ASSERT_OK_AND_ASSIGN(PrivateShortestPaths released,
+                         PrivateShortestPaths::Release(scoped, w, options,
+                                                       &rng));
+    release.emplace(std::move(released));
+  }
+  ASSERT_OK_AND_ASSIGN(ShortestPathTree tree, release->PathTree(0));
+  ASSERT_OK_AND_ASSIGN(ShortestPathTree want, reference.PathTree(0));
+  EXPECT_EQ(tree.distance, want.distance);
+  EXPECT_EQ(tree.parent_edge, want.parent_edge);
+  EXPECT_EQ(tree.parent_vertex, want.parent_vertex);
+  for (VertexId v = 0; v < kept.num_vertices(); ++v) {
+    ASSERT_OK_AND_ASSIGN(std::vector<EdgeId> path, release->Path(0, v));
+    ASSERT_OK_AND_ASSIGN(std::vector<EdgeId> want_path, reference.Path(0, v));
+    EXPECT_EQ(path, want_path) << "path to " << v;
+  }
 }
 
 TEST(IntegrationTest, AccountantTracksWholePipeline) {

@@ -276,6 +276,20 @@ TEST(NetServerTest, DuplicateHandleNameIsRefusedWithoutSpending) {
   EXPECT_EQ(fixture.server().context().accountant().num_releases(), 1);
 }
 
+TEST(NetServerTest, AddWorkloadSharesTheCallersTopology) {
+  // The fixture passes its graph and weights as lvalues. The server holds
+  // the caller's topology itself, and a copy of the private weights.
+  ServerFixture fixture;
+  const Graph* served = fixture.server().WorkloadGraph("path");
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->AdjacencyHeads().data(),
+            fixture.workload().graph.AdjacencyHeads().data());
+  const EdgeWeights* weights = fixture.server().WorkloadWeights("path");
+  ASSERT_NE(weights, nullptr);
+  EXPECT_NE(weights->data(), fixture.workload().weights.data());
+  EXPECT_EQ(*weights, fixture.workload().weights);
+}
+
 TEST(NetServerTest, EmptyQueryBatchIsWellDefined) {
   ServerFixture fixture;
   net::Client client = fixture.Connect();
