@@ -8,127 +8,53 @@
 #include "common/table.h"
 #include "core/released_state.h"
 #include "dp/laplace_mechanism.h"
-#include "graph/tree.h"
 
 namespace dpsp {
 
-Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Decompose(
-    const Graph& graph, const EdgeWeights& w, VertexId root,
-    std::vector<double>* light_weights) {
-  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
-  if (root == -1) root = 0;
-  DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
-
-  auto oracle = std::unique_ptr<HldTreeOracle>(new HldTreeOracle());
-  int n = tree.num_vertices();
-  oracle->num_vertices_ = n;
-  oracle->chain_of_.assign(static_cast<size_t>(n), -1);
-  oracle->pos_in_chain_.assign(static_cast<size_t>(n), 0);
-
-  // Heavy child of each vertex: the child with the largest subtree.
-  std::vector<VertexId> heavy(static_cast<size_t>(n), -1);
-  for (VertexId v = 0; v < n; ++v) {
-    int best = 0;
-    for (VertexId c : tree.children(v)) {
-      if (tree.subtree_size(c) > best) {
-        best = tree.subtree_size(c);
-        heavy[static_cast<size_t>(v)] = c;
-      }
-    }
+HldTreeOracle::HldTreeOracle(std::shared_ptr<const HeavyPathIndex> index,
+                             const EdgeWeights& w)
+    : index_(std::move(index)) {
+  const std::span<const EdgeId> member_edge = index_->member_edge();
+  member_weight_.resize(member_edge.size());
+  for (size_t i = 0; i < member_edge.size(); ++i) {
+    const EdgeId e = member_edge[i];
+    member_weight_[i] = e == -1 ? 0.0 : w[static_cast<size_t>(e)];
   }
-
-  // Assign chains in BFS order (parents first), counting each chain's
-  // members into chain_member_offset_[c + 1].
-  std::vector<uint32_t>& offset = oracle->chain_member_offset_;
-  offset.push_back(0);
-  for (VertexId v : tree.bfs_order()) {
-    VertexId p = tree.parent(v);
-    if (p == -1 || heavy[static_cast<size_t>(p)] != v) {
-      oracle->chain_of_[static_cast<size_t>(v)] =
-          static_cast<int>(offset.size()) - 1;
-      oracle->pos_in_chain_[static_cast<size_t>(v)] = 0;
-      oracle->head_depth_.push_back(tree.depth(v));
-      oracle->head_parent_.push_back(p);
-      offset.push_back(1);
-    } else {
-      int c = oracle->chain_of_[static_cast<size_t>(p)];
-      oracle->chain_of_[static_cast<size_t>(v)] = c;
-      oracle->pos_in_chain_[static_cast<size_t>(v)] =
-          oracle->pos_in_chain_[static_cast<size_t>(p)] + 1;
-      ++offset[static_cast<size_t>(c) + 1];
-    }
-  }
-  const size_t num_chains = offset.size() - 1;
-  for (size_t c = 0; c < num_chains; ++c) offset[c + 1] += offset[c];
-
-  // Membership by position, the edge -> child map, and the values each
-  // chain's release covers: its heavy edges by position, and the light
-  // edge above its head (none at the root chain).
-  oracle->chain_member_list_.resize(static_cast<size_t>(n));
-  oracle->edge_child_.assign(static_cast<size_t>(graph.num_edges()), -1);
-  oracle->heavy_weight_.assign(static_cast<size_t>(n), 0.0);
-  if (light_weights != nullptr) light_weights->assign(num_chains, 0.0);
-  for (VertexId v = 0; v < n; ++v) {
-    const int c = oracle->chain_of_[static_cast<size_t>(v)];
-    const int pos = oracle->pos_in_chain_[static_cast<size_t>(v)];
-    const size_t i = offset[static_cast<size_t>(c)] + static_cast<size_t>(pos);
-    oracle->chain_member_list_[i] = v;
-    const EdgeId e = tree.parent_edge(v);
-    if (e == -1) continue;
-    oracle->edge_child_[static_cast<size_t>(e)] = v;
-    if (pos > 0) {
-      oracle->heavy_weight_[i] = w[static_cast<size_t>(e)];
-    } else if (light_weights != nullptr) {
-      (*light_weights)[static_cast<size_t>(c)] = w[static_cast<size_t>(e)];
-    }
-  }
-
-  // Every chain's level table, its blocks following the previous chain's.
-  oracle->level_index_.reserve(num_chains + 1);
-  uint32_t next_block = 0;
-  for (size_t c = 0; c < num_chains; ++c) {
-    oracle->level_index_.push_back(
-        static_cast<uint32_t>(oracle->level_offset_.size()));
-    next_block = dyadic::AppendLevelOffsets(
-        static_cast<int>(offset[c + 1] - offset[c]) - 1, next_block,
-        &oracle->level_offset_);
-  }
-  oracle->level_index_.push_back(
-      static_cast<uint32_t>(oracle->level_offset_.size()));
-  oracle->ascent_cost_.assign(static_cast<size_t>(n), 0.0);
-  return oracle;
+  ascent_cost_.resize(member_edge.size());
 }
 
 Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     VertexId root) {
+  // The topology check runs before the metered build, so a refused
+  // topology logs no intent and draws nothing.
+  DPSP_ASSIGN_OR_RETURN(std::shared_ptr<const HeavyPathIndex> index,
+                        HeavyPathIndex::Share(graph, root == -1 ? 0 : root));
   auto release = [&]() -> Result<std::unique_ptr<HldTreeOracle>> {
-    std::vector<double> light_weights;
-    DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
-                          Decompose(graph, w, root, &light_weights));
-    const int num_chains = oracle->num_chains();
-    const int sensitivity = oracle->ChainSensitivity();
+    DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
+    auto oracle = std::unique_ptr<HldTreeOracle>(new HldTreeOracle(index, w));
     DPSP_ASSIGN_OR_RETURN(
         double scale,
-        LaplaceScale(static_cast<double>(sensitivity), ctx.params()));
+        LaplaceScale(static_cast<double>(index->sensitivity()), ctx.params()));
     oracle->noise_scale_ = scale;
-    oracle->sensitivity_ = sensitivity;
     oracle->release_epsilon_ = ctx.params().epsilon;
 
     // Released structures: per-chain dyadic sums over the heavy edges,
-    // plus one noisy scalar per light (chain-head parent) edge, drawn
-    // chain by chain.
+    // plus one noisy scalar per light edge (the one above a chain head,
+    // whose weight is the head's member weight), drawn chain by chain.
     Rng* rng = ctx.rng();
-    oracle->blocks_.resize(dyadic::NumBlocks(oracle->level_offset_));
+    const int num_chains = index->num_chains();
+    oracle->blocks_.resize(dyadic::NumBlocks(index->level_offsets()));
     oracle->num_noisy_values_ = static_cast<int>(oracle->blocks_.size());
     oracle->light_noisy_.assign(static_cast<size_t>(num_chains), 0.0);
     std::vector<double> prefix;
     for (int c = 0; c < num_chains; ++c) {
-      dyadic::DrawBlocks(oracle->ChainValues(c), oracle->ChainLevels(c),
-                         scale, rng, oracle->blocks_, &prefix);
-      if (oracle->head_parent_[static_cast<size_t>(c)] != -1) {
+      dyadic::DrawBlocks(oracle->ChainValues(c), index->ChainLevels(c), scale,
+                         rng, oracle->blocks_, &prefix);
+      if (index->head_parent()[static_cast<size_t>(c)] != -1) {
         oracle->light_noisy_[static_cast<size_t>(c)] =
-            light_weights[static_cast<size_t>(c)] + rng->Laplace(scale);
+            oracle->member_weight_[index->member_offset(c)] +
+            rng->Laplace(scale);
         ++oracle->num_noisy_values_;
       }
     }
@@ -152,7 +78,7 @@ Status HldTreeOracle::ApplyWeightUpdates(
     std::span<const EdgeWeightDelta> deltas, ReleaseContext& ctx) {
   update_stats_ = UpdateStats{};
   if (deltas.empty()) return Status::Ok();
-  const int num_edges = num_vertices_ - 1;
+  const int num_edges = index_->num_vertices() - 1;
 
   // Final weight per dirty edge (last delta wins), then grouped by chain
   // in ascending (chain, position) order so the redraw walk — and with it
@@ -171,12 +97,13 @@ Status HldTreeOracle::ApplyWeightUpdates(
   }
 
   // chain -> its dirty value indices (heavy-edge positions), ascending
+  const HeavyPathIndex& index = *index_;
   std::map<int, std::vector<int>> heavy;
   std::map<int, double> light;  // chain -> new light-edge weight
   for (const auto& [edge, weight] : final_weight) {
-    VertexId v = edge_child_[static_cast<size_t>(edge)];
-    int c = chain_of_[static_cast<size_t>(v)];
-    int pos = pos_in_chain_[static_cast<size_t>(v)];
+    VertexId v = index.EdgeChild(edge);
+    int c = index.chain_of()[static_cast<size_t>(v)];
+    int pos = index.pos_in_chain()[static_cast<size_t>(v)];
     if (pos == 0) {
       light[c] = weight;  // the edge above the chain head: one scalar
     } else {
@@ -194,28 +121,23 @@ Status HldTreeOracle::ApplyWeightUpdates(
   int g = light.empty() ? 0 : 1;
   int dirty_blocks = static_cast<int>(light.size());
   for (const auto& [c, indices] : heavy) {
-    const int levels = dyadic::NumLevels(ChainLevels(c));
+    const int levels = dyadic::NumLevels(index.ChainLevels(c));
     g = std::max(g, levels);
     dirty_blocks += dyadic::CountDirtyBlocks(levels, indices);
   }
   double charged_epsilon =
-      release_epsilon_ * static_cast<double>(g) / sensitivity_;
+      release_epsilon_ * static_cast<double>(g) / index.sensitivity();
   PrivacyLoss loss = PrivacyLoss::Pure(charged_epsilon);
 
   Status metered = ctx.MeteredUpdate(
       std::string(kName) + "-update", loss,
       [&] {
         for (const auto& [edge, weight] : final_weight) {
-          const VertexId v = edge_child_[static_cast<size_t>(edge)];
-          const int c = chain_of_[static_cast<size_t>(v)];
-          const int pos = pos_in_chain_[static_cast<size_t>(v)];
-          if (pos == 0) continue;
-          heavy_weight_[chain_member_offset_[static_cast<size_t>(c)] +
-                        static_cast<size_t>(pos)] = weight;
+          member_weight_[index.MemberOf(index.EdgeChild(edge))] = weight;
         }
         for (const auto& [c, indices] : heavy) {
-          dyadic::RedrawDirtyBlocks(ChainValues(c), ChainLevels(c), indices,
-                                    noise_scale_, ctx.rng(), blocks_);
+          dyadic::RedrawDirtyBlocks(ChainValues(c), index.ChainLevels(c),
+                                    indices, noise_scale_, ctx.rng(), blocks_);
         }
         for (const auto& [c, weight] : light) {
           light_noisy_[static_cast<size_t>(c)] =
@@ -245,14 +167,14 @@ Status HldTreeOracle::ApplyWeightUpdates(
 }
 
 void HldTreeOracle::RecomputeAscentCosts(int c) {
-  const uint32_t begin = chain_member_offset_[static_cast<size_t>(c)];
-  const uint32_t end = chain_member_offset_[static_cast<size_t>(c) + 1];
-  const std::span<const uint32_t> levels = ChainLevels(c);
+  const uint32_t begin = index_->member_offset(c);
+  const uint32_t end = index_->member_offset(c + 1);
+  const std::span<const uint32_t> levels = index_->ChainLevels(c);
   const double light = light_noisy_[static_cast<size_t>(c)];
   // Chain member p sits at position p: climbing off the top from it costs
   // the chain prefix [0, p) plus the light edge above the head.
   for (uint32_t i = begin; i < end; ++i) {
-    VertexId v = chain_member_list_[i];
+    VertexId v = index_->member_list()[i];
     ascent_cost_[static_cast<size_t>(v)] =
         dyadic::PrefixSum(levels, blocks_, static_cast<int>(i - begin)) +
         light;
@@ -261,7 +183,7 @@ void HldTreeOracle::RecomputeAscentCosts(int c) {
 
 Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
                                    double* out) const {
-  const unsigned n = static_cast<unsigned>(num_vertices_);
+  const unsigned n = static_cast<unsigned>(index_->num_vertices());
   for (const auto& [u, v] : pairs) {
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
       return Status::InvalidArgument("vertex out of range");
@@ -271,20 +193,24 @@ Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
   // prefetching those of pair i + kLookahead before answering pair i keeps
   // that many pairs' first misses in flight.
   constexpr size_t kLookahead = 8;
+  const HeavyPathIndex& index = *index_;
+  const int* chain_of = index.chain_of().data();
+  const int* pos_in_chain = index.pos_in_chain().data();
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (i + kLookahead < pairs.size()) {
       const auto& [u, v] = pairs[i + kLookahead];
-      __builtin_prefetch(&chain_of_[static_cast<size_t>(u)]);
-      __builtin_prefetch(&chain_of_[static_cast<size_t>(v)]);
-      __builtin_prefetch(&pos_in_chain_[static_cast<size_t>(u)]);
-      __builtin_prefetch(&pos_in_chain_[static_cast<size_t>(v)]);
+      __builtin_prefetch(chain_of + u);
+      __builtin_prefetch(chain_of + v);
+      __builtin_prefetch(pos_in_chain + u);
+      __builtin_prefetch(pos_in_chain + v);
     }
-    out[i] = DistanceUnchecked(pairs[i].first, pairs[i].second);
+    out[i] = DistanceUnchecked(index, pairs[i].first, pairs[i].second);
   }
   return Status::Ok();
 }
 
-double HldTreeOracle::DistanceUnchecked(VertexId u, VertexId v) const {
+double HldTreeOracle::DistanceUnchecked(const HeavyPathIndex& index,
+                                        VertexId u, VertexId v) const {
   // While the endpoints sit on different chains, the one whose chain head
   // is at least as deep cannot have the LCA on its chain (were it there,
   // the other endpoint's head would hang strictly below the LCA, so
@@ -292,28 +218,31 @@ double HldTreeOracle::DistanceUnchecked(VertexId u, VertexId v) const {
   // edge) and a jump to the head's parent. Each side sums its own
   // crossings bottom-up, so the result is bit-identical to climbing each
   // endpoint separately to the LCA.
-  auto cross = [this](VertexId& w, int& chain, double& up) {
+  const std::span<const int> chain_of = index.chain_of();
+  const std::span<const int> head_depth = index.head_depth();
+  const std::span<const VertexId> head_parent = index.head_parent();
+  auto cross = [&](VertexId& w, int& chain, double& up) {
     up += ascent_cost_[static_cast<size_t>(w)];
-    w = head_parent_[static_cast<size_t>(chain)];
-    chain = chain_of_[static_cast<size_t>(w)];
+    w = head_parent[static_cast<size_t>(chain)];
+    chain = chain_of[static_cast<size_t>(w)];
   };
   double up_u = 0.0;
   double up_v = 0.0;
-  int cu = chain_of_[static_cast<size_t>(u)];
-  int cv = chain_of_[static_cast<size_t>(v)];
+  int cu = chain_of[static_cast<size_t>(u)];
+  int cv = chain_of[static_cast<size_t>(v)];
   while (cu != cv) {
-    if (head_depth_[static_cast<size_t>(cu)] >=
-        head_depth_[static_cast<size_t>(cv)]) {
+    if (head_depth[static_cast<size_t>(cu)] >=
+        head_depth[static_cast<size_t>(cv)]) {
       cross(u, cu, up_u);
     } else {
       cross(v, cv, up_v);
     }
   }
   // Meeting chain: the LCA is whichever endpoint sits higher on it.
-  const int pu = pos_in_chain_[static_cast<size_t>(u)];
-  const int pv = pos_in_chain_[static_cast<size_t>(v)];
+  const int pu = index.pos_in_chain()[static_cast<size_t>(u)];
+  const int pv = index.pos_in_chain()[static_cast<size_t>(v)];
   const int pz = std::min(pu, pv);
-  const std::span<const uint32_t> levels = ChainLevels(cu);
+  const std::span<const uint32_t> levels = index.ChainLevels(cu);
   return (up_u + dyadic::RangeSum(levels, blocks_, pz, pu)) +
          (up_v + dyadic::RangeSum(levels, blocks_, pz, pv));
 }
@@ -328,7 +257,7 @@ Status HldTreeOracle::SaveReleasedState(
   const int num_chains = this->num_chains();
   std::vector<double> counts(static_cast<size_t>(num_chains));
   for (int c = 0; c < num_chains; ++c) {
-    counts[static_cast<size_t>(c)] = dyadic::NumBlocks(ChainLevels(c));
+    counts[static_cast<size_t>(c)] = dyadic::NumBlocks(index_->ChainLevels(c));
   }
   out->push_back(released_state::Pack<double>(
       "chain-blocks", std::span<const double>(blocks_.data(), blocks_.size())));
@@ -338,8 +267,8 @@ Status HldTreeOracle::SaveReleasedState(
       "light-noisy",
       std::span<const double>(light_noisy_.data(), light_noisy_.size())));
   out->push_back(released_state::PackScalars(
-      "meta", {static_cast<double>(chain_member_list_[0]), noise_scale_,
-               static_cast<double>(sensitivity_),
+      "meta", {static_cast<double>(index_->root()), noise_scale_,
+               static_cast<double>(sensitivity()),
                static_cast<double>(num_noisy_values_), release_epsilon_}));
   return Status::Ok();
 }
@@ -370,20 +299,22 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
     return Status::InvalidArgument("snapshot hld release epsilon must be > 0");
   }
 
-  // Rebuild the public skeleton (chains, membership, level tables), which
-  // depends only on the topology, then install the persisted blocks at the
-  // persisted scale, so later update epochs redraw at the release's scale.
-  DPSP_ASSIGN_OR_RETURN(std::unique_ptr<HldTreeOracle> oracle,
-                        Decompose(graph, w, root, nullptr));
+  // The public skeleton (chains, membership, level tables) depends only on
+  // the topology: the index a live release over it holds, or a new one.
+  // The persisted blocks are installed at the persisted scale, so later
+  // update epochs redraw at the release's scale.
+  DPSP_ASSIGN_OR_RETURN(std::shared_ptr<const HeavyPathIndex> index,
+                        HeavyPathIndex::Share(graph, root));
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
 
   // Epochs charge release_epsilon * g / sensitivity, so a sensitivity
   // other than the topology's would charge them at the wrong rate.
-  if (sensitivity != oracle->ChainSensitivity()) {
+  if (sensitivity != index->sensitivity()) {
     return Status::InvalidArgument(StrFormat(
         "snapshot hld sensitivity is %d, its topology implies %d",
-        sensitivity, oracle->ChainSensitivity()));
+        sensitivity, index->sensitivity()));
   }
-  const int num_chains = oracle->num_chains();
+  const int num_chains = index->num_chains();
   DPSP_ASSIGN_OR_RETURN(
       std::span<const double> counts,
       released_state::Require<double>(sections, "chain-block-counts",
@@ -396,48 +327,40 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
                         released_state::Require<double>(sections,
                                                         "chain-blocks"));
 
+  // Compared as doubles: a count that is negative, fractional, NaN or out
+  // of int's range differs from every shape.
   for (int c = 0; c < num_chains; ++c) {
-    int count;
-    DPSP_ASSIGN_OR_RETURN(
-        count, released_state::AsInt(counts[static_cast<size_t>(c)],
-                                     "chain block count"));
-    const uint32_t shape = dyadic::NumBlocks(oracle->ChainLevels(c));
-    if (count < 0 || static_cast<uint32_t>(count) != shape) {
+    const double count = counts[static_cast<size_t>(c)];
+    const uint32_t shape = dyadic::NumBlocks(index->ChainLevels(c));
+    if (count != static_cast<double>(shape)) {
       return Status::InvalidArgument(StrFormat(
-          "snapshot chain %d holds %d blocks, its topology implies %u", c,
+          "snapshot chain %d holds %g blocks, its topology implies %u", c,
           count, shape));
     }
   }
-  const uint32_t total = dyadic::NumBlocks(oracle->level_offset_);
+  const uint32_t total = dyadic::NumBlocks(index->level_offsets());
   if (blocks.size() != total) {
     return Status::InvalidArgument(StrFormat(
         "snapshot chain-blocks section holds %zu blocks, its counts imply %u",
         blocks.size(), total));
   }
+  auto oracle = std::unique_ptr<HldTreeOracle>(new HldTreeOracle(index, w));
   // Built from the section, not zero-filled and then overwritten.
   oracle->blocks_.assign(blocks.begin(), blocks.end());
   oracle->light_noisy_.assign(light.begin(), light.end());
   oracle->noise_scale_ = noise_scale;
-  oracle->sensitivity_ = sensitivity;
   oracle->num_noisy_values_ = num_noisy_values;
   oracle->release_epsilon_ = release_epsilon;
   for (int c = 0; c < num_chains; ++c) oracle->RecomputeAscentCosts(c);
   return std::unique_ptr<DistanceOracle>(std::move(oracle));
 }
 
-int HldTreeOracle::ChainSensitivity() const {
-  int levels = 1;
-  for (int c = 0; c < num_chains(); ++c) {
-    levels = std::max(levels, dyadic::NumLevels(ChainLevels(c)));
-  }
-  return levels;
-}
-
 Result<double> HldTreeOracle::Distance(VertexId u, VertexId v) const {
-  if (u < 0 || u >= num_vertices_ || v < 0 || v >= num_vertices_) {
+  const int n = index_->num_vertices();
+  if (u < 0 || u >= n || v < 0 || v >= n) {
     return Status::InvalidArgument("vertex out of range");
   }
-  return DistanceUnchecked(u, v);
+  return DistanceUnchecked(*index_, u, v);
 }
 
 double HldTreeOracle::ErrorBound(int num_vertices,

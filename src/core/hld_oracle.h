@@ -31,6 +31,7 @@
 
 #include "common/aligned.h"
 #include "core/distance_oracle.h"
+#include "core/heavy_path_index.h"
 #include "core/range_sums.h"
 #include "dp/privacy.h"
 #include "dp/release_context.h"
@@ -59,7 +60,10 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   /// Builds the oracle through the release pipeline: draws one release of
   /// ctx.params() from the accountant and records telemetry. `graph` must
   /// be an undirected tree with non-negative weights; `root` = -1 picks
-  /// vertex 0.
+  /// vertex 0. The heavy-path skeleton is HeavyPathIndex::Share's, so a
+  /// release over a graph that shares another live release's storage and
+  /// root shares its skeleton. A graph that is not a tree is refused
+  /// before the budget check, the WAL intent and any draw.
   static Result<std::unique_ptr<HldTreeOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       VertexId root = -1);
@@ -81,12 +85,17 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   Status ApplyWeightUpdates(std::span<const EdgeWeightDelta> deltas,
                             ReleaseContext& ctx) override;
 
-  int num_chains() const { return static_cast<int>(head_depth_.size()); }
+  int num_chains() const { return index_->num_chains(); }
   double noise_scale() const { return noise_scale_; }
   /// Release sensitivity (max chain levels) and total noise draws, for
   /// telemetry.
-  int sensitivity() const { return sensitivity_; }
+  int sensitivity() const { return index_->sensitivity(); }
   int num_noisy_values() const { return num_noisy_values_; }
+  /// The public skeleton this release answers over, shared with every
+  /// live release and restore over the same topology and root.
+  const std::shared_ptr<const HeavyPathIndex>& index() const {
+    return index_;
+  }
 
   /// High-probability per-pair error bound with the constants proved in
   /// the header comment (Lemma 3.1 over at most 4 log^2 V summands).
@@ -98,14 +107,17 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   /// per-chain counts), the light-edge scalars, and the release
   /// calibration. The decomposition itself (chains, head depths,
   /// membership) is deterministic post-processing of the public topology
-  /// and is rebuilt at restore.
+  /// and is not persisted: a restore takes it from HeavyPathIndex::Share.
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
-  /// OracleLoader counterpart: rebuilds the deterministic skeleton from
-  /// the public tree, checks every chain's persisted block count and the
-  /// persisted sensitivity (which later epochs charge against) against
-  /// what its topology implies, installs the blocks at the persisted
-  /// noise scale (no noise drawn), and recomputes the ascent caches.
+  /// OracleLoader counterpart: takes the skeleton from
+  /// HeavyPathIndex::Share (shared with a live release over the same
+  /// topology and root, so only the first restore after none is alive
+  /// decomposes the tree), checks every chain's persisted block count and
+  /// the persisted sensitivity (which later epochs charge against)
+  /// against what the topology implies, copies the blocks in at the
+  /// persisted noise scale (no noise drawn), and recomputes the ascent
+  /// caches.
   /// Queries and later update epochs are bit-identical to the saved
   /// instance. Post-restart update epochs recompute dirty block sums from
   /// the CURRENT workload weights — if updates had drifted the weights
@@ -116,89 +128,57 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
       std::span<const ReleasedSectionView> sections);
 
  private:
-  HldTreeOracle() = default;
+  // Holds `index` and reads member_weight_ from `w`, which must match the
+  // graph's edge count.
+  HldTreeOracle(std::shared_ptr<const HeavyPathIndex> index,
+                const EdgeWeights& w);
 
-  // The public skeleton, determined by the topology: chains, positions,
-  // head depths and parents, CSR membership, the edge -> child map and
-  // every chain's dyadic level table. Fills heavy_weight_ from `w` and, if
-  // non-null, `light_weights` with the weight of the edge above each chain
-  // head (0 at the root chain). Draws no noise and releases nothing.
-  static Result<std::unique_ptr<HldTreeOracle>> Decompose(
-      const Graph& graph, const EdgeWeights& w, VertexId root,
-      std::vector<double>* light_weights);
-
-  // Chain c's dyadic level table, its slots into blocks_.
-  std::span<const uint32_t> ChainLevels(int c) const {
-    const uint32_t begin = level_index_[static_cast<size_t>(c)];
-    return {level_offset_.data() + begin,
-            level_index_[static_cast<size_t>(c) + 1] - begin};
-  }
-
-  // The release's sensitivity, a function of the topology alone: an edge
-  // is either heavy (one block per level of its chain's structure) or
-  // light (one released scalar), so it is the most levels of any chain's
-  // structure, at least 1.
-  int ChainSensitivity() const;
-
-  // Chain c's private values: its heavy-edge weights by position.
+  // Chain c's private values: its heavy-edge weights by position, the
+  // member weights after its head's.
   std::span<const double> ChainValues(int c) const {
-    const uint32_t head = chain_member_offset_[static_cast<size_t>(c)];
-    return {heavy_weight_.data() + head + 1,
-            chain_member_offset_[static_cast<size_t>(c) + 1] - head - 1};
+    const uint32_t head = index_->member_offset(c);
+    return {member_weight_.data() + head + 1,
+            index_->member_offset(c + 1) - head - 1};
   }
 
   // Noisy u-v distance; both must be valid vertices. Each endpoint sums
   // its own chain crossings bottom-up, then its range on the meeting
-  // chain, and the two sides are added last.
-  double DistanceUnchecked(VertexId u, VertexId v) const;
+  // chain, and the two sides are added last. `index` is *index_, which a
+  // batch dereferences once.
+  double DistanceUnchecked(const HeavyPathIndex& index, VertexId u,
+                           VertexId v) const;
 
   // Rebuilds the ascent caches of chain `c` from its (possibly redrawn)
   // released blocks.
   void RecomputeAscentCosts(int c);
 
-  int num_vertices_ = 0;
+  // The public skeleton, determined by the topology and shared: chains,
+  // positions, head depths and parents, CSR membership, the edge above
+  // each member, every chain's dyadic level table and the sensitivity.
+  std::shared_ptr<const HeavyPathIndex> index_;
   double noise_scale_ = 0.0;
-  int sensitivity_ = 0;
   int num_noisy_values_ = 0;
   // The per-release epsilon the noise scale was calibrated to at build;
   // incremental epochs charge their dirty fraction of it.
   double release_epsilon_ = 0.0;
-  // Heavy-chain bookkeeping. The arrays a query reads are on the hot
-  // path, hence cache-line aligned.
-  AlignedVector<int> chain_of_;      // vertex -> chain index
-  AlignedVector<int> pos_in_chain_;  // vertex -> position along its chain
-  AlignedVector<int> head_depth_;    // chain -> hop depth of its head
-  // edge id -> the child endpoint whose parent edge it is; the update
-  // path's dirty-edge -> (chain, position) map.
-  std::vector<VertexId> edge_child_;
-  // CSR chain membership: chain c's vertices, by position, are
-  // chain_member_list_[chain_member_offset_[c], chain_member_offset_[c+1]).
-  // Chain 0 is the root's, so chain_member_list_[0] is the root.
-  std::vector<uint32_t> chain_member_offset_;
-  std::vector<VertexId> chain_member_list_;
-  // The private heavy-edge weights by member index: entry i holds the
-  // weight of the edge above chain_member_list_[i] (0 at a chain head),
-  // so a chain's values are its members' entries after its head. Kept to
-  // re-sum dirty blocks; never released.
-  std::vector<double> heavy_weight_;
+  // The private weights by member index: entry i holds the weight of the
+  // edge above the index's member i (0 at the root). A chain head's entry
+  // is its light edge's weight, and the entries after it are the chain's
+  // heavy-edge weights. Kept to re-sum dirty blocks; never released.
+  std::vector<double> member_weight_;
   // The release: every chain's noisy dyadic blocks, back to back in chain
   // order and level-major within a chain, byte for byte the chain-blocks
-  // section. Chain c's level table, its slots into blocks_ and derived
-  // from the topology, is level_offset_[level_index_[c], level_index_[c+1])
-  // (empty for a chain with no heavy edge).
+  // section. Chain c's blocks are the slots index_->ChainLevels(c) names.
+  // Read by every query, hence cache-line aligned.
   AlignedVector<double> blocks_;
-  AlignedVector<uint32_t> level_offset_;
-  AlignedVector<uint32_t> level_index_;
   // chain -> noisy weight of the light edge above its head (0 at the root
   // chain).
   AlignedVector<double> light_noisy_;
-  // Ascent hot-path caches, pure post-processing of the release computed
-  // once at build: ascent_cost_[v] is the noisy cost of climbing from v
-  // off the top of its chain (the chain-prefix block sum plus the light
-  // edge — the exact value the ascent loop previously recomputed per
-  // query), and head_parent_[c] is the vertex the climb lands on.
+  // Ascent hot-path cache, pure post-processing of the release: the noisy
+  // cost of climbing from v off the top of its chain (the chain-prefix
+  // block sum plus the light edge), after which the climb lands on the
+  // index's head_parent of v's chain.
   AlignedVector<double> ascent_cost_;
-  AlignedVector<VertexId> head_parent_;
 };
 
 }  // namespace dpsp

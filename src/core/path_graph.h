@@ -40,8 +40,9 @@ class PathGraphOracle final : public DistanceOracle {
 
   /// Builds the hierarchy through the release pipeline: draws one release
   /// of ctx.params() from the accountant and records telemetry. `graph`
-  /// must be MakePathGraph(V)-shaped: edge i joins vertices i and i+1
-  /// (validated). Weights non-negative.
+  /// must be MakePathGraph(V)-shaped: edge i joins vertices i and i+1,
+  /// which is checked before the budget check, the WAL intent and any
+  /// draw. Weights non-negative.
   static Result<std::unique_ptr<PathGraphOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 

@@ -74,16 +74,12 @@ struct Recursion {
   }
 };
 
-}  // namespace
-
-Result<TreeSingleSourceRelease> ReleaseTreeSingleSourceDistances(
-    const Graph& graph, const EdgeWeights& w, VertexId root,
-    const PrivacyParams& params, Rng* rng) {
-  DPSP_RETURN_IF_ERROR(params.Validate());
-  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
-  DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
-
-  int n = graph.num_vertices();
+// Algorithm 1 over an oriented tree; the weights are already validated.
+Result<TreeSingleSourceRelease> ReleaseOnTree(const RootedTree& tree,
+                                              const EdgeWeights& w,
+                                              const PrivacyParams& params,
+                                              Rng* rng) {
+  int n = tree.num_vertices();
   // Recursion-depth bound = sensitivity of the full released vector: the
   // subtree sizes shrink to <= ceil(n/2) per level, so the depth is at most
   // ceil(log2 n) + 1; each level's released values have joint sensitivity 1.
@@ -93,7 +89,7 @@ Result<TreeSingleSourceRelease> ReleaseTreeSingleSourceDistances(
       LaplaceScale(static_cast<double>(sensitivity), params));
 
   TreeSingleSourceRelease release;
-  release.root = root;
+  release.root = tree.root();
   release.noise_scale = scale;
   release.sensitivity = sensitivity;
   release.estimates.assign(static_cast<size_t>(n), 0.0);
@@ -104,6 +100,17 @@ Result<TreeSingleSourceRelease> ReleaseTreeSingleSourceDistances(
   recursion.Run(FullTreeView(tree), 0.0);
   release.num_noisy_values = recursion.noisy_count;
   return release;
+}
+
+}  // namespace
+
+Result<TreeSingleSourceRelease> ReleaseTreeSingleSourceDistances(
+    const Graph& graph, const EdgeWeights& w, VertexId root,
+    const PrivacyParams& params, Rng* rng) {
+  DPSP_RETURN_IF_ERROR(params.Validate());
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
+  DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
+  return ReleaseOnTree(tree, w, params, rng);
 }
 
 double TreeSingleSourceErrorBound(int num_vertices,
@@ -130,14 +137,17 @@ Result<std::unique_ptr<TreeAllPairsOracle>> TreeAllPairsOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     VertexId root) {
   if (root == -1) root = 0;
+  // The topology check runs before the metered build, so a refused
+  // topology logs no intent and draws nothing; the release and the oracle
+  // share the one orientation.
+  DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<TreeAllPairsOracle>> {
-        DPSP_ASSIGN_OR_RETURN(TreeSingleSourceRelease release,
-                              ReleaseTreeSingleSourceDistances(
-                                  graph, w, root, ctx.params(), ctx.rng()));
-        DPSP_ASSIGN_OR_RETURN(RootedTree tree,
-                              RootedTree::FromGraph(graph, root));
+        DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
+        DPSP_ASSIGN_OR_RETURN(
+            TreeSingleSourceRelease release,
+            ReleaseOnTree(tree, w, ctx.params(), ctx.rng()));
         return std::unique_ptr<TreeAllPairsOracle>(
             new TreeAllPairsOracle(std::move(tree), std::move(release)));
       },

@@ -66,7 +66,9 @@ class TreeAllPairsOracle final : public DistanceOracle {
 
   /// Builds the oracle through the release pipeline: draws one release of
   /// ctx.params() from the accountant and records telemetry. `root` = -1
-  /// picks vertex 0.
+  /// picks vertex 0. The tree is oriented once, before the budget check,
+  /// the WAL intent and any draw, so a graph that is not a tree spends
+  /// nothing; the release and the oracle share that orientation.
   static Result<std::unique_ptr<TreeAllPairsOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       VertexId root = -1);

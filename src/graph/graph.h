@@ -149,6 +149,13 @@ class Graph {
   /// True iff `u` is a valid vertex id.
   bool HasVertex(VertexId u) const { return u >= 0 && u < num_vertices(); }
 
+  /// True iff `other` is a copy of this graph (or this one of `other`):
+  /// both hold one storage. A graph created separately with the same
+  /// edges does not.
+  bool SharesStorageWith(const Graph& other) const {
+    return storage_ == other.storage_;
+  }
+
   /// OK iff `w` has exactly one entry per edge.
   Status ValidateWeights(const EdgeWeights& w) const;
 

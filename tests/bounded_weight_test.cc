@@ -198,16 +198,6 @@ TEST(BoundedWeightOracleTest, GaussianRequiresApproxDp) {
       BoundedWeightOracle::Build(g, EdgeWeights(6, 0.5), ctx, options).ok());
 }
 
-// Counts the ledger's write-ahead records.
-class CountingHook : public ReleaseContext::DurabilityHook {
- public:
-  Result<uint64_t> LogIntent(const std::string&, const PrivacyLoss&) override {
-    return ++intents;
-  }
-  Status LogCommit(uint64_t) override { return Status::Ok(); }
-  uint64_t intents = 0;
-};
-
 TEST(BoundedWeightOracleTest, BadInputsAreRefusedBeforeTheLedgerMoves) {
   // Inside the metered build each would reach AutoCoveringRadius's check,
   // which aborts the process. Each must be a typed error that draws no

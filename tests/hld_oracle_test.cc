@@ -277,14 +277,6 @@ TEST(HldOracleTest, RestoreRejectsAnUnusableNoiseScale) {
   }
 }
 
-// Views over saved sections, as the snapshot reader hands them to restore.
-std::vector<ReleasedSectionView> Views(
-    const std::vector<ReleasedSection>& sections) {
-  std::vector<ReleasedSectionView> views;
-  for (const ReleasedSection& s : sections) views.push_back({s.label, s.bytes});
-  return views;
-}
-
 // `saved` with the doubles of section `label` passed through `edit`.
 template <typename Edit>
 std::vector<ReleasedSection> EditDoubles(std::vector<ReleasedSection> saved,

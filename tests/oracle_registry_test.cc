@@ -180,6 +180,45 @@ INSTANTIATE_TEST_SUITE_P(
       return id;
     });
 
+TEST(OracleRegistryTest, RefusedTopologyLogsNoIntentAndDrawsNothing) {
+  // Each tree or path family checks its public topology before the budget
+  // check and the WAL intent, so a release over a graph of the wrong shape
+  // leaves no intent for recovery to count as spent, and draws nothing.
+  ASSERT_OK_AND_ASSIGN(
+      Graph cycle,
+      Graph::Create(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}));
+  // A path, but not in the canonical layout (edge i joins i and i + 1)
+  // that path-hierarchy requires.
+  ASSERT_OK_AND_ASSIGN(
+      Graph shuffled_path,
+      Graph::Create(6, {{0, 2}, {2, 1}, {1, 3}, {3, 5}, {5, 4}}));
+  const struct {
+    const char* mechanism;
+    const Graph& graph;
+  } cases[] = {{"tree-hld", cycle},
+               {"tree-recursive", cycle},
+               {"path-hierarchy", cycle},
+               {"path-hierarchy", shuffled_path}};
+  Rng fresh(kTestSeed);
+  const double first_draw = fresh.Laplace(1.0);
+  for (const auto& c : cases) {
+    ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                         ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+    CountingHook hook;
+    ctx.SetDurabilityHook(&hook);
+    Result<std::unique_ptr<DistanceOracle>> refused =
+        OracleRegistry::Global().Create(
+            c.mechanism, c.graph,
+            EdgeWeights(static_cast<size_t>(c.graph.num_edges()), 1.0), ctx);
+    ASSERT_FALSE(refused.ok()) << c.mechanism;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << c.mechanism << ": " << refused.status().ToString();
+    EXPECT_EQ(hook.intents, 0u) << c.mechanism;
+    EXPECT_EQ(ctx.accountant().num_releases(), 0) << c.mechanism;
+    EXPECT_EQ(ctx.rng()->Laplace(1.0), first_draw) << c.mechanism;
+  }
+}
+
 TEST(OracleRegistryTest, AllSevenMechanismFamiliesRegistered) {
   const OracleRegistry& registry = OracleRegistry::Global();
   for (const char* name :

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 
 #include "common/status.h"
 #include "core/distance_oracle.h"
+#include "dp/release_context.h"
 
 // Asserts that a Status (or the .status() of a Result) is OK.
 #define ASSERT_OK(expr)                                 \
@@ -48,6 +50,26 @@ namespace dpsp {
 /// Fixed seed used across the suite; tests that need multiple independent
 /// streams derive child seeds from it.
 inline constexpr uint64_t kTestSeed = 0x5ea1f00d2016ULL;
+
+/// Counts the ledger's write-ahead records: install one on a context to
+/// see whether a release logged its intent.
+class CountingHook : public ReleaseContext::DurabilityHook {
+ public:
+  Result<uint64_t> LogIntent(const std::string&, const PrivacyLoss&) override {
+    return ++intents;
+  }
+  Status LogCommit(uint64_t) override { return Status::Ok(); }
+  uint64_t intents = 0;
+};
+
+/// Views over saved sections, as the snapshot reader hands them to
+/// restore.
+inline std::vector<ReleasedSectionView> Views(
+    const std::vector<ReleasedSection>& sections) {
+  std::vector<ReleasedSectionView> views;
+  for (const ReleasedSection& s : sections) views.push_back({s.label, s.bytes});
+  return views;
+}
 
 /// Checks a batch kernel's lookahead boundaries: DistanceInto over the
 /// first k of `pairs`, for batches shorter than, equal to and longer than
