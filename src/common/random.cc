@@ -1,19 +1,34 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
+#include "common/parallel.h"
 #include "common/status.h"
 
 namespace dpsp {
 
-double Rng::Uniform() {
-  // Map to (0,1): never returns exactly 0 or 1, which keeps log() finite in
-  // the inverse-CDF samplers below.
-  uint64_t bits = engine_();
-  double u = (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
-  return u;
+namespace {
+
+// Maps one engine word to (0,1): never exactly 0 or 1, which keeps log()
+// finite in the inverse-CDF samplers below.
+double UniformFromWord(uint64_t word) {
+  return (static_cast<double>(word >> 11) + 0.5) * 0x1.0p-53;
 }
+
+// The inverse-CDF transform of one engine word to Lap(scale), shared by
+// Laplace and FillLaplace: u uniform in (-1/2, 1/2),
+// X = -b * sgn(u) * ln(1 - 2|u|).
+double LaplaceFromWord(uint64_t word, double scale) {
+  double u = UniformFromWord(word) - 0.5;
+  double sign = (u >= 0.0) ? 1.0 : -1.0;
+  return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
+}
+
+}  // namespace
+
+double Rng::Uniform() { return UniformFromWord(engine_()); }
 
 double Rng::Uniform(double lo, double hi) {
   DPSP_CHECK_MSG(hi >= lo, "Uniform(lo, hi) requires hi >= lo");
@@ -33,10 +48,27 @@ bool Rng::Bernoulli(double p) {
 
 double Rng::Laplace(double scale) {
   DPSP_CHECK_MSG(scale > 0.0, "Laplace scale must be positive");
-  // Inverse CDF: u uniform in (-1/2, 1/2), X = -b * sgn(u) * ln(1 - 2|u|).
-  double u = Uniform() - 0.5;
-  double sign = (u >= 0.0) ? 1.0 : -1.0;
-  return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
+  return LaplaceFromWord(engine_(), scale);
+}
+
+void Rng::FillLaplace(double scale, std::span<double> out) {
+  DPSP_CHECK_MSG(scale > 0.0, "Laplace scale must be positive");
+  // The words go into `out` itself (as bit patterns, no arithmetic), in
+  // stream order; each slot is then transformed in place.
+  for (double& slot : out) slot = std::bit_cast<double>(engine_());
+  auto transform = [scale, out](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = LaplaceFromWord(std::bit_cast<uint64_t>(out[i]), scale);
+    }
+  };
+  // ParallelFor would run a fill of fewer than two grains as one inline
+  // chunk too; calling the transform directly spares tree-hld's many
+  // short chains its bookkeeping.
+  if (out.size() < 2 * kLaplaceFillGrain) {
+    transform(0, out.size());
+  } else {
+    ParallelFor(out.size(), 0, transform, kLaplaceFillGrain);
+  }
 }
 
 double Rng::Exponential(double rate) {

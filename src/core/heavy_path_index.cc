@@ -47,35 +47,40 @@ Result<std::shared_ptr<const HeavyPathIndex>> HeavyPathIndex::Share(
 
 Result<std::unique_ptr<HeavyPathIndex>> HeavyPathIndex::Build(
     const Graph& graph, VertexId root) {
-  DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
+  DPSP_ASSIGN_OR_RETURN(TreeOrientation tree, OrientTree(graph, root));
   auto index = std::unique_ptr<HeavyPathIndex>(new HeavyPathIndex(graph));
-  const int n = tree.num_vertices();
+  const int n = graph.num_vertices();
   index->chain_of_.assign(static_cast<size_t>(n), -1);
   index->pos_in_chain_.assign(static_cast<size_t>(n), 0);
 
-  // Heavy child of each vertex: the child with the largest subtree.
+  // Subtree sizes and heavy children (the child with the largest
+  // subtree), children first: reverse BFS order reaches a vertex after
+  // its whole subtree, and siblings last-discovered first, so `>=` leaves
+  // a tie with the earliest sibling in adjacency order.
+  std::vector<int> size(static_cast<size_t>(n), 1);
   std::vector<VertexId> heavy(static_cast<size_t>(n), -1);
-  for (VertexId v = 0; v < n; ++v) {
-    int best = 0;
-    for (VertexId c : tree.children(v)) {
-      if (tree.subtree_size(c) > best) {
-        best = tree.subtree_size(c);
-        heavy[static_cast<size_t>(v)] = c;
-      }
-    }
+  for (auto it = tree.order.rbegin(); it != tree.order.rend(); ++it) {
+    const VertexId v = *it;
+    const VertexId p = tree.parent[static_cast<size_t>(v)];
+    if (p == -1) continue;
+    size[static_cast<size_t>(p)] += size[static_cast<size_t>(v)];
+    VertexId& h = heavy[static_cast<size_t>(p)];
+    const int v_size = size[static_cast<size_t>(v)];
+    if (h == -1 || v_size >= size[static_cast<size_t>(h)]) h = v;
   }
 
   // Assign chains in BFS order (parents first), counting each chain's
-  // members into chain_member_offset_[c + 1].
+  // members into chain_member_offset_[c + 1]. A head hangs one below its
+  // parent, whose depth its own chain already gives.
   std::vector<uint32_t>& offset = index->chain_member_offset_;
   offset.push_back(0);
-  for (VertexId v : tree.bfs_order()) {
-    VertexId p = tree.parent(v);
+  for (VertexId v : tree.order) {
+    VertexId p = tree.parent[static_cast<size_t>(v)];
     if (p == -1 || heavy[static_cast<size_t>(p)] != v) {
       index->chain_of_[static_cast<size_t>(v)] =
           static_cast<int>(offset.size()) - 1;
       index->pos_in_chain_[static_cast<size_t>(v)] = 0;
-      index->head_depth_.push_back(tree.depth(v));
+      index->head_depth_.push_back(p == -1 ? 0 : index->Depth(p) + 1);
       index->head_parent_.push_back(p);
       offset.push_back(1);
     } else {
@@ -95,7 +100,7 @@ Result<std::unique_ptr<HeavyPathIndex>> HeavyPathIndex::Build(
   for (VertexId v = 0; v < n; ++v) {
     const uint32_t i = index->MemberOf(v);
     index->chain_member_list_[i] = v;
-    index->member_edge_[i] = tree.parent_edge(v);
+    index->member_edge_[i] = tree.parent_edge[static_cast<size_t>(v)];
   }
 
   // Every chain's level table over its heavy edges, its blocks following

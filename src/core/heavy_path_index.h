@@ -4,6 +4,12 @@
 // private, so the index is post-processing of public data, built without
 // noise, and any number of releases over one topology may share it at no
 // privacy cost. HeavyPathIndex::Share hands out one index per topology.
+//
+// A cold build decomposes straight from one orientation pass over the
+// graph's CSR (OrientTree, the pass RootedTree::FromGraph also runs), with
+// no RootedTree: subtree sizes and heavy children come children-first off
+// the reversed BFS order, and each chain head's depth from the index's own
+// depth of its parent.
 
 #ifndef DPSP_CORE_HEAVY_PATH_INDEX_H_
 #define DPSP_CORE_HEAVY_PATH_INDEX_H_
@@ -92,7 +98,10 @@ class HeavyPathIndex {
  private:
   explicit HeavyPathIndex(const Graph& graph) : graph_(graph) {}
 
-  // Decomposes `graph` at `root`; what Share builds on a miss.
+  // Decomposes `graph` at `root`; what Share builds on a miss. A vertex's
+  // heavy child is its child of largest subtree, a tie going to the
+  // earliest in adjacency order, and chains are numbered in BFS order of
+  // their heads.
   static Result<std::unique_ptr<HeavyPathIndex>> Build(const Graph& graph,
                                                        VertexId root);
 

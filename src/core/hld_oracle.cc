@@ -167,6 +167,10 @@ Status HldTreeOracle::ApplyWeightUpdates(
 }
 
 void HldTreeOracle::RecomputeAscentCosts(int c) {
+  // A climb crosses off a chain only while the other endpoint's chain head
+  // is no deeper, and the root chain's head is the one vertex at depth 0:
+  // no climb crosses off chain 0, so its members keep no cache.
+  if (c == 0) return;
   const uint32_t begin = index_->member_offset(c);
   const uint32_t end = index_->member_offset(c + 1);
   const std::span<const uint32_t> levels = index_->ChainLevels(c);

@@ -149,7 +149,7 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
                            VertexId v) const;
 
   // Rebuilds the ascent caches of chain `c` from its (possibly redrawn)
-  // released blocks.
+  // released blocks; the root chain has none.
   void RecomputeAscentCosts(int c);
 
   // The public skeleton, determined by the topology and shared: chains,
@@ -177,7 +177,8 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   // Ascent hot-path cache, pure post-processing of the release: the noisy
   // cost of climbing from v off the top of its chain (the chain-prefix
   // block sum plus the light edge), after which the climb lands on the
-  // index's head_parent of v's chain.
+  // index's head_parent of v's chain. 0 on the root chain, which no climb
+  // crosses off.
   AlignedVector<double> ascent_cost_;
 };
 

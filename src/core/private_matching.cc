@@ -8,8 +8,35 @@
 #include "core/released_state.h"
 #include "dp/laplace_mechanism.h"
 #include "graph/all_pairs.h"
+#include "graph/connectivity.h"
 
 namespace dpsp {
+
+namespace {
+
+// The weight-free preconditions of the release: a perfect matching needs
+// an undirected graph whose every connected component has even size.
+Status CheckMatchable(const Graph& graph) {
+  if (graph.directed()) {
+    return Status::InvalidArgument("matching requires an undirected graph");
+  }
+  if (graph.num_vertices() % 2 != 0) {
+    return Status::InvalidArgument(
+        "odd vertex count has no perfect matching");
+  }
+  const ConnectedComponents components = FindConnectedComponents(graph);
+  std::vector<int> size(static_cast<size_t>(components.num_components), 0);
+  for (int c : components.component) ++size[static_cast<size_t>(c)];
+  for (int s : size) {
+    if (s % 2 != 0) {
+      return Status::InvalidArgument(
+          "a connected component has odd size; no perfect matching");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Result<PrivateMatchingResult> PrivateMatching(const Graph& graph,
                                               const EdgeWeights& w,
@@ -44,6 +71,9 @@ MatchingDistanceOracle::FromRelease(const Graph& graph,
 
 Result<std::unique_ptr<MatchingDistanceOracle>> MatchingDistanceOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
+  // The topology check runs before the metered build, so a refused
+  // topology logs no intent and draws nothing.
+  DPSP_RETURN_IF_ERROR(CheckMatchable(graph));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<MatchingDistanceOracle>> {

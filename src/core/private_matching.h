@@ -56,7 +56,10 @@ class MatchingDistanceOracle final : public DistanceOracle {
   static constexpr const char* kName = "private-matching";
 
   /// Builds through the release pipeline: draws one release of
-  /// ctx.params() from the accountant and records telemetry.
+  /// ctx.params() from the accountant and records telemetry. A graph that
+  /// is directed or has an odd vertex count or an odd-size connected
+  /// component is refused with InvalidArgument before the budget check,
+  /// the WAL intent and any draw.
   static Result<std::unique_ptr<MatchingDistanceOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 

@@ -6,9 +6,30 @@
 #include "common/table.h"
 #include "core/released_state.h"
 #include "dp/laplace_mechanism.h"
+#include "graph/connectivity.h"
 #include "graph/spanning_tree.h"
 
 namespace dpsp {
+
+namespace {
+
+// The weight-free preconditions of the release: only a non-empty,
+// connected undirected graph has a spanning tree.
+Status CheckSpannable(const Graph& graph) {
+  if (graph.directed()) {
+    return Status::InvalidArgument("spanning trees require undirected graphs");
+  }
+  if (graph.num_vertices() == 0) {
+    return Status::InvalidArgument("graph is empty");
+  }
+  if (!IsConnected(graph)) {
+    return Status::InvalidArgument(
+        "graph is not connected, so it has no spanning tree");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Result<PrivateMstResult> PrivateMst(const Graph& graph, const EdgeWeights& w,
                                     const PrivacyParams& params, Rng* rng) {
@@ -60,6 +81,9 @@ Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::FromRelease(
 
 Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
+  // The topology check runs before the metered build, so a refused
+  // topology logs no intent and draws nothing.
+  DPSP_RETURN_IF_ERROR(CheckSpannable(graph));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<MstDistanceOracle>> {

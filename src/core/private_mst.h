@@ -57,7 +57,9 @@ class MstDistanceOracle final : public DistanceOracle {
   static constexpr const char* kName = "private-mst";
 
   /// Builds through the release pipeline: draws one release of
-  /// ctx.params() from the accountant and records telemetry.
+  /// ctx.params() from the accountant and records telemetry. A graph that
+  /// is directed, empty or disconnected is refused with InvalidArgument
+  /// before the budget check, the WAL intent and any draw.
   static Result<std::unique_ptr<MstDistanceOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 

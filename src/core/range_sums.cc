@@ -50,6 +50,11 @@ void DrawBlocks(std::span<const double> values,
   for (size_t i = 0; i < values.size(); ++i) {
     (*prefix)[i + 1] = (*prefix)[i] + values[i];
   }
+  // The structure's slots are contiguous and (level, block) order is slot
+  // order, so one fill draws every block's noise in the order the blocks
+  // are summed; each sum is then added in front of its draw.
+  rng->FillLaplace(noise_scale, blocks.subspan(level_offset.front(),
+                                                NumBlocks(level_offset)));
   const int size = static_cast<int>(values.size());
   for (int l = 0; l < NumLevels(level_offset); ++l) {
     const int width = 1 << l;
@@ -59,9 +64,9 @@ void DrawBlocks(std::span<const double> values,
     for (int j = 0; j < count; ++j) {
       const int lo = j * width;
       const int hi = std::min(size, lo + width);
-      blocks[begin + static_cast<size_t>(j)] =
-          (*prefix)[static_cast<size_t>(hi)] -
-          (*prefix)[static_cast<size_t>(lo)] + rng->Laplace(noise_scale);
+      double& block = blocks[begin + static_cast<size_t>(j)];
+      block = (*prefix)[static_cast<size_t>(hi)] -
+              (*prefix)[static_cast<size_t>(lo)] + block;
     }
   }
 }

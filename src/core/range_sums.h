@@ -74,7 +74,10 @@ uint32_t AppendLevelOffsets(int size, uint32_t base,
 
 /// The release: writes into `blocks` every block's sum of `values` (a
 /// difference of running prefix sums) plus one Lap(noise_scale) draw, in
-/// (level, block) order. `prefix` is scratch space.
+/// (level, block) order. The draws come from one Rng::FillLaplace over the
+/// structure's slots, so their transform may run on ParallelFor workers;
+/// each slot is sum + draw, the value a Laplace call per block gives.
+/// `prefix` is scratch space.
 void DrawBlocks(std::span<const double> values,
                 std::span<const uint32_t> level_offset, double noise_scale,
                 Rng* rng, std::span<double> blocks,

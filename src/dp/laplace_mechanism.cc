@@ -18,9 +18,8 @@ Result<std::vector<double>> LaplaceMechanism(const std::vector<double>& values,
                                              Rng* rng) {
   DPSP_ASSIGN_OR_RETURN(double scale, LaplaceScale(sensitivity, params));
   std::vector<double> out(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    out[i] = values[i] + rng->Laplace(scale);
-  }
+  rng->FillLaplace(scale, out);
+  for (size_t i = 0; i < values.size(); ++i) out[i] = values[i] + out[i];
   return out;
 }
 

@@ -1,53 +1,69 @@
 #include "graph/tree.h"
 
-#include <queue>
 #include <utility>
 
 #include "graph/connectivity.h"
 
 namespace dpsp {
 
-Result<RootedTree> RootedTree::FromGraph(const Graph& graph, VertexId root) {
+Result<TreeOrientation> OrientTree(const Graph& graph, VertexId root) {
   if (graph.directed()) {
-    return Status::InvalidArgument("RootedTree requires an undirected graph");
+    return Status::InvalidArgument(
+        "a rooted tree requires an undirected graph");
   }
   if (!graph.HasVertex(root)) {
     return Status::InvalidArgument("root vertex out of range");
   }
-  int n = graph.num_vertices();
+  const int n = graph.num_vertices();
   if (graph.num_edges() != n - 1) {
     return Status::InvalidArgument(
         "graph is not a tree: edge count != V - 1");
   }
-
-  RootedTree tree;
-  tree.root_ = root;
-  tree.parent_.assign(static_cast<size_t>(n), -1);
-  tree.parent_edge_.assign(static_cast<size_t>(n), -1);
-  tree.depth_.assign(static_cast<size_t>(n), 0);
-  tree.subtree_size_.assign(static_cast<size_t>(n), 1);
-
-  std::vector<bool> seen(static_cast<size_t>(n), false);
-  seen[static_cast<size_t>(root)] = true;
-  std::queue<VertexId> queue;
-  queue.push(root);
-  tree.bfs_order_.reserve(static_cast<size_t>(n));
-  while (!queue.empty()) {
-    VertexId u = queue.front();
-    queue.pop();
-    tree.bfs_order_.push_back(u);
-    for (const AdjacencyEntry& adj : graph.Neighbors(u)) {
-      if (seen[static_cast<size_t>(adj.to)]) continue;
-      seen[static_cast<size_t>(adj.to)] = true;
-      tree.parent_[static_cast<size_t>(adj.to)] = u;
-      tree.parent_edge_[static_cast<size_t>(adj.to)] = adj.edge;
-      tree.depth_[static_cast<size_t>(adj.to)] =
-          tree.depth_[static_cast<size_t>(u)] + 1;
-      queue.push(adj.to);
+  TreeOrientation tree;
+  tree.parent.assign(static_cast<size_t>(n), -1);
+  tree.parent_edge.assign(static_cast<size_t>(n), -1);
+  tree.order.reserve(static_cast<size_t>(n));
+  tree.order.push_back(root);
+  const uint32_t* offset = graph.AdjacencyOffsets().data();
+  const VertexId* head = graph.AdjacencyHeads().data();
+  const EdgeId* edge = graph.AdjacencyEdges().data();
+  for (size_t next = 0; next < tree.order.size(); ++next) {
+    const VertexId u = tree.order[next];
+    const EdgeId arrived = tree.parent_edge[static_cast<size_t>(u)];
+    const uint32_t end = offset[static_cast<size_t>(u) + 1];
+    for (uint32_t i = offset[static_cast<size_t>(u)]; i < end; ++i) {
+      if (edge[i] == arrived) continue;
+      const VertexId v = head[i];
+      if (v == root || tree.parent[static_cast<size_t>(v)] != -1) {
+        return Status::InvalidArgument("graph is not a tree: it has a cycle");
+      }
+      tree.parent[static_cast<size_t>(v)] = u;
+      tree.parent_edge[static_cast<size_t>(v)] = edge[i];
+      tree.order.push_back(v);
     }
   }
-  if (static_cast<int>(tree.bfs_order_.size()) != n) {
+  if (static_cast<int>(tree.order.size()) != n) {
     return Status::InvalidArgument("graph is not a tree: not connected");
+  }
+  return tree;
+}
+
+Result<RootedTree> RootedTree::FromGraph(const Graph& graph, VertexId root) {
+  DPSP_ASSIGN_OR_RETURN(TreeOrientation orientation, OrientTree(graph, root));
+  const int n = graph.num_vertices();
+  RootedTree tree;
+  tree.root_ = root;
+  tree.parent_ = std::move(orientation.parent);
+  tree.parent_edge_ = std::move(orientation.parent_edge);
+  tree.bfs_order_ = std::move(orientation.order);
+  tree.depth_.assign(static_cast<size_t>(n), 0);
+  tree.subtree_size_.assign(static_cast<size_t>(n), 1);
+  for (VertexId v : tree.bfs_order_) {
+    VertexId p = tree.parent_[static_cast<size_t>(v)];
+    if (p != -1) {
+      tree.depth_[static_cast<size_t>(v)] =
+          tree.depth_[static_cast<size_t>(p)] + 1;
+    }
   }
   // Flat CSR child lists: count, prefix-sum, scatter. Appending in BFS
   // order reproduces the per-parent adjacency discovery order.

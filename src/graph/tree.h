@@ -17,12 +17,32 @@
 
 namespace dpsp {
 
+/// A tree graph's orientation at a root: its BFS order and each vertex's
+/// parent and parent edge.
+struct TreeOrientation {
+  /// Vertices in BFS order from the root (root first): parents before
+  /// children, and each vertex's children together, in adjacency order.
+  std::vector<VertexId> order;
+  /// Parent of each vertex (-1 at the root).
+  std::vector<VertexId> parent;
+  /// Edge to each vertex's parent (-1 at the root).
+  std::vector<EdgeId> parent_edge;
+};
+
+/// Orients `graph` at `root` in one BFS over its CSR arrays. The BFS order
+/// doubles as the queue, and each vertex skips only the edge it arrived
+/// by, so reaching a vertex already reached means a cycle (parallel edges
+/// included). Fails with InvalidArgument unless the graph is an undirected
+/// tree (exactly V-1 edges, no cycle, connected) and `root` one of its
+/// vertices. The pass RootedTree::FromGraph and HeavyPathIndex share.
+Result<TreeOrientation> OrientTree(const Graph& graph, VertexId root);
+
 /// A tree graph oriented away from a chosen root. Parent pointers, children
 /// lists, depths, BFS order, and subtree sizes are precomputed.
 class RootedTree {
  public:
-  /// Orients `graph` at `root`. Fails unless the graph is an undirected
-  /// tree (connected, exactly V-1 edges, no parallel edges forming cycles).
+  /// Orients `graph` at `root` (OrientTree) and derives the rest. Fails
+  /// unless the graph is an undirected tree.
   static Result<RootedTree> FromGraph(const Graph& graph, VertexId root);
 
   VertexId root() const { return root_; }

@@ -1,5 +1,6 @@
 #include "store/snapshot_delta.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/crc32c.h"
@@ -14,6 +15,35 @@ namespace {
 // re-ships a few identical bytes but saves the 16-byte per-range framing
 // and keeps patch tables short when an epoch dirties adjacent blocks.
 constexpr size_t kCoalesceGapBytes = 32;
+
+static_assert(std::endian::native == std::endian::little,
+              "FirstDifference reads the lowest-addressed byte as the "
+              "lowest-order byte of a word");
+
+uint64_t LoadWord(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+// The first index in [i, n) where a and b differ, or n. Equal stretches
+// are skipped a 64-byte chunk, then a word, at a time.
+size_t FirstDifference(const uint8_t* a, const uint8_t* b, size_t i,
+                       size_t n) {
+  for (; n - i >= 64; i += 64) {
+    uint64_t diff = 0;
+    for (size_t k = 0; k < 64; k += 8) {
+      diff |= LoadWord(a + i + k) ^ LoadWord(b + i + k);
+    }
+    if (diff != 0) break;
+  }
+  for (; n - i >= 8; i += 8) {
+    const uint64_t diff = LoadWord(a + i) ^ LoadWord(b + i);
+    if (diff != 0) return i + static_cast<size_t>(std::countr_zero(diff)) / 8;
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
 
 }  // namespace
 
@@ -41,19 +71,16 @@ Result<std::vector<SectionPatch>> ComputeSectionDelta(
     const uint8_t* b = new_section.bytes.data();
     const size_t n = new_section.bytes.size();
     SectionPatch patch;
-    size_t i = 0;
+    size_t i = FirstDifference(a, b, 0, n);
     while (i < n) {
-      if (a[i] == b[i]) {
-        ++i;
-        continue;
-      }
-      // A changed run starts here; extend it across equal gaps shorter
-      // than the coalescing threshold.
+      // A changed run starts here; extend it to every later difference
+      // that follows the previous one within the coalescing threshold.
       const size_t start = i;
       size_t last_diff = i;
-      while (i < n && i - last_diff <= kCoalesceGapBytes) {
-        if (a[i] != b[i]) last_diff = i;
-        ++i;
+      for (;;) {
+        i = FirstDifference(a, b, last_diff + 1, n);
+        if (i == n || i - last_diff > kCoalesceGapBytes) break;
+        last_diff = i;
       }
       SectionRange range;
       range.offset = start;

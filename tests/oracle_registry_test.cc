@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "core/baselines.h"
 #include "dp/release_context.h"
@@ -181,9 +182,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(OracleRegistryTest, RefusedTopologyLogsNoIntentAndDrawsNothing) {
-  // Each tree or path family checks its public topology before the budget
-  // check and the WAL intent, so a release over a graph of the wrong shape
-  // leaves no intent for recovery to count as spent, and draws nothing.
+  // Each tree, path, spanning-tree or matching family checks its public
+  // topology before the budget check and the WAL intent, so a release
+  // over a graph of the wrong shape leaves no intent for recovery to count
+  // as spent, and draws nothing.
   ASSERT_OK_AND_ASSIGN(
       Graph cycle,
       Graph::Create(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}));
@@ -192,13 +194,26 @@ TEST(OracleRegistryTest, RefusedTopologyLogsNoIntentAndDrawsNothing) {
   ASSERT_OK_AND_ASSIGN(
       Graph shuffled_path,
       Graph::Create(6, {{0, 2}, {2, 1}, {1, 3}, {3, 5}, {5, 4}}));
+  // No spanning tree: two components.
+  ASSERT_OK_AND_ASSIGN(Graph disconnected,
+                       Graph::Create(4, {{0, 1}, {2, 3}}));
+  // No perfect matching: an odd vertex count, and an even one split into
+  // two odd-size components.
+  ASSERT_OK_AND_ASSIGN(Graph odd_triangle,
+                       Graph::Create(3, {{0, 1}, {1, 2}, {2, 0}}));
+  ASSERT_OK_AND_ASSIGN(
+      Graph odd_components,
+      Graph::Create(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}}));
   const struct {
     const char* mechanism;
     const Graph& graph;
   } cases[] = {{"tree-hld", cycle},
                {"tree-recursive", cycle},
                {"path-hierarchy", cycle},
-               {"path-hierarchy", shuffled_path}};
+               {"path-hierarchy", shuffled_path},
+               {"private-mst", disconnected},
+               {"private-matching", odd_triangle},
+               {"private-matching", odd_components}};
   Rng fresh(kTestSeed);
   const double first_draw = fresh.Laplace(1.0);
   for (const auto& c : cases) {
@@ -210,12 +225,14 @@ TEST(OracleRegistryTest, RefusedTopologyLogsNoIntentAndDrawsNothing) {
         OracleRegistry::Global().Create(
             c.mechanism, c.graph,
             EdgeWeights(static_cast<size_t>(c.graph.num_edges()), 1.0), ctx);
-    ASSERT_FALSE(refused.ok()) << c.mechanism;
+    const std::string label =
+        std::string(c.mechanism) + " over " + c.graph.ToString();
+    ASSERT_FALSE(refused.ok()) << label;
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
-        << c.mechanism << ": " << refused.status().ToString();
-    EXPECT_EQ(hook.intents, 0u) << c.mechanism;
-    EXPECT_EQ(ctx.accountant().num_releases(), 0) << c.mechanism;
-    EXPECT_EQ(ctx.rng()->Laplace(1.0), first_draw) << c.mechanism;
+        << label << ": " << refused.status().ToString();
+    EXPECT_EQ(hook.intents, 0u) << label;
+    EXPECT_EQ(ctx.accountant().num_releases(), 0) << label;
+    EXPECT_EQ(ctx.rng()->Laplace(1.0), first_draw) << label;
   }
 }
 

@@ -1,6 +1,9 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +98,26 @@ TEST(RngTest, LaplaceSymmetric) {
   int n = 100000;
   for (int i = 0; i < n; ++i) positive += rng.Laplace(1.0) > 0.0 ? 1 : 0;
   EXPECT_NEAR(positive / static_cast<double>(n), 0.5, 0.01);
+}
+
+TEST(RngTest, FillLaplaceEqualsSuccessiveLaplaceCalls) {
+  // Bit for bit, and leaving the stream where the calls leave it: for no,
+  // one and seven values, and on both sides of the size from which the
+  // transform runs on more than one worker.
+  const size_t floor = 2 * Rng::kLaplaceFillGrain;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, floor - 1, floor,
+                   4 * floor + 3}) {
+    Rng bulk(kTestSeed + n);
+    Rng single(kTestSeed + n);
+    std::vector<double> filled(n);
+    bulk.FillLaplace(2.5, filled);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(filled[i]),
+                std::bit_cast<uint64_t>(single.Laplace(2.5)))
+          << n << " values, value " << i;
+    }
+    EXPECT_EQ(bulk.NextSeed(), single.NextSeed()) << n << " values";
+  }
 }
 
 TEST(RngTest, ExponentialMeanMatchesRate) {

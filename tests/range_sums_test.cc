@@ -87,6 +87,46 @@ TEST(RangeSumsTest, BlockCountIsLinear) {
   EXPECT_LT(sums.num_blocks(), 2 * 100 + sums.num_levels());
 }
 
+TEST(RangeSumsTest, ReleaseIsEachBlockSumPlusOneLaplaceCallInOrder) {
+  // The release draws its noise in one bulk fill; each block must still be
+  // its sum plus the draw one Laplace call per block, in (level, block)
+  // order, would give, with the stream left where those calls leave it.
+  // A structure over kLaplaceFillGrain values has 2 * kLaplaceFillGrain - 1
+  // blocks, one short of the count from which the fill's transform runs on
+  // more than one worker, and one more value passes it.
+  const int grain = static_cast<int>(Rng::kLaplaceFillGrain);
+  for (int size : {1, 1000, grain, grain + 1}) {
+    Rng value_rng(kTestSeed);
+    std::vector<double> values(static_cast<size_t>(size));
+    for (double& v : values) v = value_rng.Uniform(0.0, 10.0);
+    Rng rng(kTestSeed + 1);
+    NoisyDyadicRangeSums sums(values, 3.0, &rng);
+
+    Rng reference(kTestSeed + 1);
+    std::vector<double> prefix(values.size() + 1, 0.0);
+    for (size_t i = 0; i < values.size(); ++i) {
+      prefix[i + 1] = prefix[i] + values[i];
+    }
+    size_t slot = 0;
+    for (int l = 0; l < sums.num_levels(); ++l) {
+      const int width = 1 << l;
+      for (int lo = 0; lo < size; lo += width) {
+        const int hi = std::min(size, lo + width);
+        const double want = prefix[static_cast<size_t>(hi)] -
+                            prefix[static_cast<size_t>(lo)] +
+                            reference.Laplace(3.0);
+        ASSERT_LT(slot, sums.blocks().size());
+        ASSERT_EQ(std::bit_cast<uint64_t>(sums.blocks()[slot]),
+                  std::bit_cast<uint64_t>(want))
+            << "size " << size << " slot " << slot;
+        ++slot;
+      }
+    }
+    EXPECT_EQ(slot, sums.blocks().size()) << "size " << size;
+    EXPECT_EQ(rng.NextSeed(), reference.NextSeed()) << "size " << size;
+  }
+}
+
 // The greedy aligned decomposition the closed-form walk replaced, kept as
 // its reference: from lo, take the largest block that starts at lo (2^level
 // divides lo), fits in [lo, hi) and exists, read straight from blocks().

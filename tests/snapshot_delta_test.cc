@@ -1,13 +1,17 @@
 // Tests for the byte-range section-delta codec the replication tier
-// ships update epochs with: diff/apply round trips, gap coalescing,
-// shape-change refusal (the full-chunk fallback signal), bounds checking
-// against hostile patches, and post-apply CRC verification.
+// ships update epochs with: diff/apply round trips, gap coalescing (and
+// the word-at-a-time scan against the byte loop it replaced), shape-change
+// refusal (the full-chunk fallback signal), bounds checking against
+// hostile patches, and post-apply CRC verification.
 
 #include "store/snapshot_delta.h"
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -24,6 +28,77 @@ ReleasedSection MakeSection(const std::string& label,
   section.label = label;
   section.bytes = std::move(bytes);
   return section;
+}
+
+// The byte-at-a-time scan ComputeSectionDelta used before it skipped
+// equal stretches a word or a 64-byte chunk at a time, kept as the
+// reference its ranges must equal: a changed run extends across equal gaps
+// of up to 32 bytes.
+std::vector<SectionRange> ByteLoopRanges(const std::vector<uint8_t>& before,
+                                         const std::vector<uint8_t>& after) {
+  std::vector<SectionRange> ranges;
+  const size_t n = after.size();
+  size_t i = 0;
+  while (i < n) {
+    if (before[i] == after[i]) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    size_t last_diff = i;
+    while (i < n && i - last_diff <= 32) {
+      if (before[i] != after[i]) last_diff = i;
+      ++i;
+    }
+    SectionRange range;
+    range.offset = start;
+    range.bytes.assign(after.begin() + static_cast<std::ptrdiff_t>(start),
+                       after.begin() + static_cast<std::ptrdiff_t>(last_diff) +
+                           1);
+    ranges.push_back(std::move(range));
+  }
+  return ranges;
+}
+
+TEST(SnapshotDeltaTest, RangesEqualTheByteLoop) {
+  // Sections of every length up to a few chunks, edited in clusters whose
+  // gaps straddle the coalescing threshold and the word and chunk sizes.
+  constexpr size_t kGaps[] = {1, 2, 7, 8, 9, 31, 32, 33, 34, 63, 64, 65, 130};
+  Rng rng(kTestSeed);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 300));
+    std::vector<uint8_t> before(n);
+    for (uint8_t& b : before) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+    std::vector<uint8_t> after = before;
+    size_t pos = static_cast<size_t>(rng.UniformInt(0, 70));
+    for (int e = static_cast<int>(rng.UniformInt(0, 10)); e > 0 && pos < n;
+         --e) {
+      after[pos] ^= static_cast<uint8_t>(rng.UniformInt(1, 255));
+      pos += kGaps[static_cast<size_t>(
+          rng.UniformInt(0, std::size(kGaps) - 1))];
+    }
+    if (n > 0 && rng.Bernoulli(0.2)) after[n - 1] ^= 0x5a;
+
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<SectionPatch> patches,
+        ComputeSectionDelta(std::vector{MakeSection("s", before)},
+                            std::vector{MakeSection("s", after)}));
+    const std::vector<SectionRange> want = ByteLoopRanges(before, after);
+    if (want.empty()) {
+      EXPECT_TRUE(patches.empty()) << "trial " << trial;
+      continue;
+    }
+    ASSERT_EQ(patches.size(), 1u) << "trial " << trial;
+    EXPECT_EQ(patches[0].section_bytes, n);
+    EXPECT_EQ(patches[0].post_crc32c, Crc32c(after.data(), n));
+    ASSERT_EQ(patches[0].ranges.size(), want.size()) << "trial " << trial;
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(patches[0].ranges[r].offset, want[r].offset)
+          << "trial " << trial << " range " << r;
+      EXPECT_EQ(patches[0].ranges[r].bytes, want[r].bytes)
+          << "trial " << trial << " range " << r;
+    }
+  }
 }
 
 TEST(SnapshotDeltaTest, IdenticalImagesProduceAnEmptyDelta) {
