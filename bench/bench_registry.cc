@@ -7,62 +7,30 @@
 //
 // Three sections:
 //  R1  registry sweep (V=256): build/batch/error per mechanism.
-//  R2  one shared context serving several releases (the deployment view).
-//  R3  serving throughput at scale (V=131072): steady-state DistanceBatch
-//      vs the sharded BatchExecutor for the sub-quadratic mechanisms, and
-//      bounded-weight build-time scaling with the multi-source Dijkstra
-//      thread count.
+//  R2  one shared context serving several releases (the deployment view),
+//      and the same ledger composed under every accounting policy (R2b).
 //  R4  incremental update epochs vs full rebuild (tree-hld, random tree
 //      V=65536): wall clock and charged epsilon at 1% / 5% / 25% dirty
 //      fractions — the continual-release economics in one table.
-//  R5  hardware-limit hot path: forced-scalar vs AVX2 DistanceInto
-//      throughput (same release, same pairs — the dispatch is the only
-//      variable) at V=16384 and V=131072.
+// Serving speed is perfbench's to measure (perfbench/README.md).
 //
 // Usage: bench_registry [out.csv] [out.json]
 //   out.csv   the R1 rows as CSV
-//   out.json  machine-readable R1 + R3 + R5 numbers (ops/sec per
-//             mechanism, the build-scaling runs, and the scalar/AVX2
-//             series).
+//   out.json  machine-readable R1, R2b and R4 numbers.
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cpu.h"
 #include "core/baselines.h"
-#include "core/bounded_weight.h"
 #include "core/hld_oracle.h"
 #include "core/tree_distance.h"
 #include "graph/all_pairs.h"
 #include "graph/generators.h"
-#include "serve/batch_executor.h"
 
 namespace dpsp {
 namespace {
-
-struct ThroughputRow {
-  std::string mechanism;
-  double build_ms = 0.0;
-  BatchTiming batch;    // parallel DistanceBatch
-  BatchTiming sharded;  // BatchExecutor, contiguous shards
-};
-
-struct ScalingRun {
-  int threads = 0;
-  double build_ms = 0.0;
-};
-
-/// One R5 row: the same release served under forced-scalar dispatch and
-/// the ambient (AVX2 when available) dispatch.
-struct SimdRun {
-  std::string mechanism;
-  int v = 0;
-  BatchTiming scalar;  // ScopedForceScalar DistanceBatch
-  BatchTiming simd;    // ambient-dispatch DistanceBatch
-};
 
 /// One accounting policy's certified total for the R2b ledger.
 struct PolicyTotal {
@@ -140,13 +108,9 @@ struct UpdateEpochRun {
 };
 
 void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
-               const std::vector<SweepRowStats>& sweep, int big_v,
-               size_t big_queries, const std::vector<ThroughputRow>& rows,
-               int scaling_v, int scaling_k,
-               const std::vector<ScalingRun>& scaling,
+               const std::vector<SweepRowStats>& sweep,
                const std::vector<AccountingSweep>& accounting,
-               int update_v, const std::vector<UpdateEpochRun>& updates,
-               size_t simd_queries, const std::vector<SimdRun>& simd) {
+               int update_v, const std::vector<UpdateEpochRun>& updates) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "could not write JSON to %s\n", path);
@@ -166,32 +130,6 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                  r.mechanism.c_str(), r.ok ? "true" : "false", r.build_ms,
                  r.batch.best_ms, r.batch.ns_per_query, r.batch.ops_per_sec,
                  i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"throughput\": {\"graph\": \"path\", \"V\": %d, "
-               "\"queries\": %zu, \"mechanisms\": [\n",
-               big_v, big_queries);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ThroughputRow& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"build_ms\": %.2f, "
-        "\"batch_ns_per_query\": %.2f, \"batch_ops_per_sec\": %.0f, "
-        "\"sharded_ns_per_query\": %.2f, \"sharded_ops_per_sec\": %.0f}%s\n",
-        r.mechanism.c_str(), r.build_ms, r.batch.ns_per_query,
-        r.batch.ops_per_sec, r.sharded.ns_per_query, r.sharded.ops_per_sec,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"bounded_weight_build_scaling\": {\"graph\": \"grid\", "
-               "\"V\": %d, \"k\": %d, \"runs\": [\n",
-               scaling_v, scaling_k);
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    std::fprintf(f, "    {\"threads\": %d, \"build_ms\": %.2f}%s\n",
-                 scaling[i].threads, scaling[i].build_ms,
-                 i + 1 < scaling.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
   // R2b: each ledger's certified total under every accounting policy plus
@@ -246,25 +184,6 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                  u.update_ms > 0.0 ? u.rebuild_ms / u.update_ms : 0.0,
                  u.charged_eps, u.full_eps, u.deltas_per_sec,
                  i + 1 < updates.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  // R5: the dispatch A/B (one release, forced-scalar vs ambient).
-  std::fprintf(f,
-               "  \"simd\": {\"dispatch\": \"%s\", \"queries\": %zu, "
-               "\"runs\": [\n",
-               SimdDispatchDescription(), simd_queries);
-  for (size_t i = 0; i < simd.size(); ++i) {
-    const SimdRun& r = simd[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"V\": %d, "
-                 "\"scalar_ops_per_sec\": %.0f, \"avx2_ops_per_sec\": %.0f, "
-                 "\"speedup\": %.3f}%s\n",
-                 r.mechanism.c_str(), r.v, r.scalar.ops_per_sec,
-                 r.simd.ops_per_sec,
-                 r.scalar.ops_per_sec > 0.0
-                     ? r.simd.ops_per_sec / r.scalar.ops_per_sec
-                     : 0.0,
-                 i + 1 < simd.size() ? "," : "");
   }
   std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
@@ -343,83 +262,6 @@ void Run(const char* csv_path, const char* json_path) {
     row.Add(a.best_policy);
   }
   accounting_table.Print();
-
-  // R3a: serving throughput at scale, restricted to the sub-quadratic
-  // mechanisms (the dense-matrix baselines would need V^2 memory here).
-  const int big_n = 131072;
-  const int big_queries = 200000;
-  Graph big = OrDie(MakePathGraph(big_n));
-  EdgeWeights big_w = MakeUniformWeights(big, 0.1, 0.9, &rng);
-  std::vector<VertexPair> big_pairs = SamplePairs(big_n, big_queries, &rng);
-  BatchExecutor executor;  // contiguous shards, one per worker
-
-  Table throughput(
-      "R3: serving throughput, path V=131072, 200k queries "
-      "(steady state, warmup excluded)",
-      {"mechanism", "build_ms", "batch ns/q", "batch Mops/s",
-       "sharded ns/q", "sharded Mops/s"});
-  std::vector<ThroughputRow> rows;
-  for (const char* name :
-       {"tree-recursive", "tree-hld", "path-hierarchy", "bounded-weight",
-        "private-mst"}) {
-    ReleaseContext big_ctx = OrDie(ReleaseContext::Create(
-        PrivacyParams{1.0, 0.0, 1.0}, rng.NextSeed()));
-    WallTimer build_timer;
-    auto oracle =
-        OrDie(OracleRegistry::Global().Create(name, big, big_w, big_ctx));
-    ThroughputRow& row = rows.emplace_back();
-    row.mechanism = name;
-    row.build_ms = build_timer.Ms();
-    row.batch = TimeDistanceBatch(*oracle, big_pairs);
-    row.sharded = TimeBatchRunner(big_pairs.size(), 1, 3, [&] {
-      return OrDie(executor.Execute(*oracle, big_pairs)).front();
-    });
-    throughput.Row()
-        .Add(name)
-        .Add(row.build_ms, 2)
-        .Add(row.batch.ns_per_query, 2)
-        .Add(row.batch.ops_per_sec / 1e6, 2)
-        .Add(row.sharded.ns_per_query, 2)
-        .Add(row.sharded.ops_per_sec / 1e6, 2);
-  }
-  throughput.Print();
-
-  // R3b: bounded-weight build-time scaling with the multi-source Dijkstra
-  // thread count (the Z-center distance computation dominates the build).
-  const int grid_side = 120;
-  const int scaling_k = 30;
-  Graph grid = OrDie(MakeGridGraph(grid_side, grid_side));
-  EdgeWeights grid_w = MakeUniformWeights(grid, 0.1, 1.0, &rng);
-  BoundedWeightOptions bw;
-  bw.k = scaling_k;
-  std::vector<ScalingRun> scaling;
-  Table scaling_table(
-      "R3b: bounded-weight build vs threads (grid 120x120, k=30)",
-      {"threads", "build_ms", "speedup"});
-  int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<int> thread_counts;
-  for (int threads : {1, 2, hw}) {
-    if (std::find(thread_counts.begin(), thread_counts.end(), threads) ==
-        thread_counts.end()) {
-      thread_counts.push_back(threads);  // dedupe on small machines
-    }
-  }
-  for (int threads : thread_counts) {
-    bw.build_threads = threads;
-    ReleaseContext noise_ctx = OrDie(
-        ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kBenchNoiseSeed));
-    WallTimer timer;
-    OrDie(BoundedWeightOracle::Build(grid, grid_w, noise_ctx, bw));
-    ScalingRun run;
-    run.threads = threads;
-    run.build_ms = timer.Ms();
-    scaling.push_back(run);
-    scaling_table.Row()
-        .Add(threads)
-        .Add(run.build_ms, 2)
-        .Add(scaling.front().build_ms / run.build_ms, 2);
-  }
-  scaling_table.Print();
 
   // R4: incremental update epochs vs full rebuild. A random tree (not a
   // path) so the heavy-light decomposition has many chains of varying
@@ -517,62 +359,15 @@ void Run(const char* csv_path, const char* json_path) {
              /*edge_hi=*/caterpillar.num_edges() - 7, leaf_fractions);
   update_table.Print();
 
-  // R5: hardware-limit hot path. One release per (mechanism, V); the
-  // scalar and AVX2 legs run the identical DistanceBatch on it (results
-  // are bit-identical — tests/simd_conformance_test.cc — so the dispatch
-  // is the only variable). The dispatch is printed with the table.
-  const size_t simd_queries = 200000;
-  std::vector<SimdRun> simd_runs;
-  Table simd_table(
-      StrFormat("R5: scalar vs AVX2 serving (path graph, 200k queries; "
-                "dispatch=%s)",
-                SimdDispatchDescription()),
-      {"mechanism", "V", "scalar Mops/s", "avx2 Mops/s", "avx2/scalar"});
-  for (int simd_v : {16384, 131072}) {
-    Graph simd_g = OrDie(MakePathGraph(simd_v));
-    EdgeWeights simd_w = MakeUniformWeights(simd_g, 0.1, 0.9, &rng);
-    std::vector<VertexPair> simd_pairs =
-        SamplePairs(simd_v, static_cast<int>(simd_queries), &rng);
-    for (const char* name :
-         {"tree-recursive", "tree-hld", "bounded-weight"}) {
-      ReleaseContext simd_ctx = OrDie(ReleaseContext::Create(
-          PrivacyParams{1.0, 0.0, 1.0}, rng.NextSeed()));
-      auto oracle = OrDie(
-          OracleRegistry::Global().Create(name, simd_g, simd_w, simd_ctx));
-      SimdRun& run = simd_runs.emplace_back();
-      run.mechanism = name;
-      run.v = simd_v;
-      {
-        ScopedForceScalar force(true);
-        run.scalar = TimeDistanceBatch(*oracle, simd_pairs);
-      }
-      run.simd = TimeDistanceBatch(*oracle, simd_pairs);
-      if (run.scalar.front != run.simd.front) {
-        std::abort();  // dispatch must never change results
-      }
-      simd_table.Row()
-          .Add(name)
-          .Add(simd_v)
-          .Add(run.scalar.ops_per_sec / 1e6, 2)
-          .Add(run.simd.ops_per_sec / 1e6, 2)
-          .Add(run.simd.ops_per_sec / run.scalar.ops_per_sec, 2);
-    }
-  }
-  simd_table.Print();
-
   if (json_path != nullptr) {
-    WriteJson(json_path, n, pairs.size(), sweep_stats, big_n,
-              big_pairs.size(), rows, grid_side * grid_side, scaling_k,
-              scaling, accounting, update_v, updates, simd_queries,
-              simd_runs);
+    WriteJson(json_path, n, pairs.size(), sweep_stats, accounting, update_v,
+              updates);
   }
 
   std::puts(
       "\nShape check: every mechanism builds once through the shared "
-      "pipeline and the\nbatched path answers at memory speed; the sharded "
-      "executor matches DistanceBatch\nbit-for-bit while spreading shards "
-      "across workers. Bounded-weight build time\ndrops as the Z-center "
-      "Dijkstra fan-out widens (R3b).");
+      "pipeline, the budget\nstops the third release before it draws "
+      "noise, and an update epoch costs a\nfraction of a rebuild (R4).");
 }
 
 }  // namespace

@@ -1,16 +1,13 @@
 // Experiment E2 (Theorem 4.2): all-pairs distances on trees via the LCA
 // combination of the single-source release. Reports max/mean/p95 error over
-// all pairs against the O(log^2.5 V log(1/gamma))/eps bound, sweeps the
-// tree mechanisms through the registry, and measures the batched query
-// path against per-pair Distance loops.
+// all pairs against the O(log^2.5 V log(1/gamma))/eps bound, and sweeps the
+// tree mechanisms through the registry (E2b).
 
 #include <string>
 
 #include "bench_util.h"
-#include "core/hld_oracle.h"
 #include "core/tree_distance.h"
 #include "graph/generators.h"
-#include "serve/batch_executor.h"
 
 namespace dpsp {
 namespace {
@@ -81,149 +78,13 @@ void Run() {
     ablation.Print();
   }
 
-  // E2c: batched queries vs per-pair loops. `lifting_ms` is the
-  // pre-refactor query path — a per-pair loop that re-derives every LCA by
-  // binary lifting (O(log V) per query); `loop_ms` calls the refactored
-  // Distance() (O(1) Euler-tour LCA) one pair at a time; `batch_ms` is one
-  // DistanceBatch call, which validates once, skips the per-query
-  // Result/virtual-dispatch overhead, and splits across worker threads on
-  // multicore machines. All three produce the same results vector; best of
-  // three interleaved runs each.
-  Table timing("E2c: per-pair loops vs DistanceBatch (random tree, eps=1)",
-               {"V", "mechanism", "queries", "lifting_ms", "loop_ms",
-                "batch_ms", "batch_vs_loop", "batch_vs_lifting"});
-  for (int n : {1024, 4096}) {
-    Graph g = OrDie(MakeRandomTree(n, &rng));
-    EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &rng);
-    std::vector<VertexPair> pairs = SamplePairs(n, 400000, &rng);
-    RootedTree rooted = OrDie(RootedTree::FromGraph(g, 0));
-    LcaIndex lifting(rooted);
-
-    for (const char* name :
-         {TreeAllPairsOracle::kName, HldTreeOracle::kName}) {
-      ReleaseContext ctx =
-          OrDie(ReleaseContext::Create(params, rng.NextSeed()));
-      auto oracle =
-          OrDie(OracleRegistry::Global().Create(name, g, w, ctx));
-      // The seed-style lifting loop is reproducible from the released
-      // estimates for the recursion oracle only (the HLD ascent is
-      // internal); its row reuses the recursion release.
-      const TreeAllPairsOracle* recursion =
-          dynamic_cast<const TreeAllPairsOracle*>(oracle.get());
-
-      double lifting_ms = 1e300;
-      double loop_ms = 1e300;
-      double batch_ms = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        double rewalk_front = 0.0;
-        if (recursion != nullptr) {
-          const auto& est = recursion->release().estimates;
-          WallTimer lifting_timer;
-          std::vector<double> rewalk(pairs.size());
-          for (size_t i = 0; i < pairs.size(); ++i) {
-            VertexId z = lifting.Lca(pairs[i].first, pairs[i].second);
-            rewalk[i] = est[static_cast<size_t>(pairs[i].first)] +
-                        est[static_cast<size_t>(pairs[i].second)] -
-                        2.0 * est[static_cast<size_t>(z)];
-          }
-          lifting_ms = std::min(lifting_ms, lifting_timer.Ms());
-          rewalk_front = rewalk[0];
-        }
-
-        WallTimer loop_timer;
-        std::vector<double> serial(pairs.size());
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          serial[i] = OrDie(oracle->Distance(pairs[i].first,
-                                             pairs[i].second));
-        }
-        loop_ms = std::min(loop_ms, loop_timer.Ms());
-
-        WallTimer batch_timer;
-        std::vector<double> batch = OrDie(oracle->DistanceBatch(pairs));
-        batch_ms = std::min(batch_ms, batch_timer.Ms());
-        // Keep the work honest: all strategies must agree (and the reads
-        // stop the compiler eliding the timed stores).
-        if (batch[0] != serial[0]) std::abort();
-        if (recursion != nullptr && rewalk_front != serial[0]) std::abort();
-      }
-
-      timing.Row().Add(n).Add(name).Add(static_cast<int64_t>(pairs.size()));
-      if (recursion != nullptr) {
-        timing.Add(lifting_ms, 4);
-      } else {
-        timing.Add("-");
-      }
-      timing.Add(loop_ms, 4).Add(batch_ms, 4).Add(loop_ms / batch_ms, 3);
-      if (recursion != nullptr) {
-        timing.Add(lifting_ms / batch_ms, 3);
-      } else {
-        timing.Add("-");
-      }
-    }
-  }
-  timing.Print();
-
-  // E2d: serving throughput at scale — the cache-flat layouts plus the
-  // sharded executor on a tree two orders of magnitude larger than E2c.
-  // Steady state: warmup run excluded, best of three (first-touch page
-  // faults would otherwise be billed to whichever strategy ran first).
-  Table big_timing(
-      "E2d: batched serving at scale (random tree, V=131072, 400k queries, "
-      "eps=1)",
-      {"mechanism", "loop ns/q", "batch ns/q", "sharded ns/q",
-       "batch Mops/s", "sharded Mops/s"});
-  {
-    const int big_n = 131072;
-    Graph g = OrDie(MakeRandomTree(big_n, &rng));
-    EdgeWeights w = MakeUniformWeights(g, 0.0, 10.0, &rng);
-    std::vector<VertexPair> pairs = SamplePairs(big_n, 400000, &rng);
-    BatchExecutor executor;  // contiguous shards, one per worker
-
-    for (const char* name :
-         {TreeAllPairsOracle::kName, HldTreeOracle::kName}) {
-      ReleaseContext ctx =
-          OrDie(ReleaseContext::Create(params, rng.NextSeed()));
-      auto oracle =
-          OrDie(OracleRegistry::Global().Create(name, g, w, ctx));
-
-      BatchTiming loop = TimeBatchRunner(pairs.size(), 1, 3, [&] {
-        double front = 0.0;
-        for (size_t i = 0; i < pairs.size(); ++i) {
-          double d = OrDie(oracle->Distance(pairs[i].first,
-                                            pairs[i].second));
-          if (i == 0) front = d;
-        }
-        return front;
-      });
-      BatchTiming batch = TimeDistanceBatch(*oracle, pairs);
-      BatchTiming sharded = TimeBatchRunner(pairs.size(), 1, 3, [&] {
-        return OrDie(executor.Execute(*oracle, pairs)).front();
-      });
-      if (loop.front != batch.front || batch.front != sharded.front) {
-        std::abort();  // all strategies must agree
-      }
-      big_timing.Row()
-          .Add(name)
-          .Add(loop.ns_per_query, 2)
-          .Add(batch.ns_per_query, 2)
-          .Add(sharded.ns_per_query, 2)
-          .Add(batch.ops_per_sec / 1e6, 2)
-          .Add(sharded.ops_per_sec / 1e6, 2);
-    }
-  }
-  big_timing.Print();
-
   std::puts(
       "\nShape check: max|err| is polylog in V and below the Theorem 4.2 "
       "bound;\nthe per-query noise never scales with V as the baselines "
       "do (see bench_baselines).\nE2b: both tree mechanisms are polylog; "
       "the HLD oracle's chain-adaptive noise\nscale wins on shallow random "
       "trees, while the Figure-1 recursion holds the\nbetter worst-case "
-      "bound (deep path-like trees).\nE2c: DistanceBatch beats the "
-      "per-pair Distance loop on both tree oracles\n(and the pre-refactor "
-      "binary-lifting loop by a wide margin — the shared\nEuler-tour LCA "
-      "precompute is in effect); chunks parallelize further on\nmulticore "
-      "machines.");
+      "bound (deep path-like trees).");
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -84,8 +83,8 @@ inline std::vector<std::pair<VertexId, VertexId>> SamplePairs(int n, int count,
 
 /// Steady-state batch timing. The first (warmup) runs are excluded so
 /// first-touch page faults, lazy allocation, and cold caches do not skew
-/// batch-vs-loop comparisons; the reported number is the best of `reps`
-/// timed runs, in per-query nanoseconds.
+/// the sweep's timings; the reported number is the best of `reps` timed
+/// runs, in per-query nanoseconds.
 struct BatchTiming {
   double best_ms = 0.0;       // best timed run, milliseconds
   double ns_per_query = 0.0;  // best_ms scaled to one query
@@ -115,29 +114,6 @@ inline BatchTiming TimeDistanceBatch(const DistanceOracle& oracle,
       timing.best_ms * 1e6 / static_cast<double>(pairs.size());
   timing.ops_per_sec =
       static_cast<double>(pairs.size()) / (timing.best_ms * 1e-3);
-  return timing;
-}
-
-/// Same steady-state protocol for an arbitrary batch runner (e.g. the
-/// sharded BatchExecutor or a serial reference loop).
-inline BatchTiming TimeBatchRunner(
-    size_t num_queries, int warmup, int reps,
-    const std::function<double()>& run_batch_returning_front) {
-  BatchTiming timing;
-  if (num_queries == 0) return timing;
-  for (int i = 0; i < warmup; ++i) {
-    timing.front = run_batch_returning_front();
-  }
-  timing.best_ms = 1e300;
-  for (int i = 0; i < reps; ++i) {
-    WallTimer timer;
-    timing.front = run_batch_returning_front();
-    timing.best_ms = std::min(timing.best_ms, timer.Ms());
-  }
-  timing.ns_per_query =
-      timing.best_ms * 1e6 / static_cast<double>(num_queries);
-  timing.ops_per_sec =
-      static_cast<double>(num_queries) / (timing.best_ms * 1e-3);
   return timing;
 }
 

@@ -1,63 +1,25 @@
-// Runtime CPU feature detection and the SIMD kernel dispatch switch.
+// What the serving benchmark (perfbench/) reads about the query kernels.
 //
-// The fused DistanceInto kernels come in two flavours: the portable scalar
-// loops (always compiled, the reference semantics) and AVX2 batch kernels
-// (compiled only when the toolchain supports -mavx2, selected only when
-// the running CPU reports AVX2). Dispatch is a per-call branch on
-// SimdKernelsEnabled(), so one binary serves every x86-64 machine and the
-// scalar path stays exercised everywhere else.
-//
-// The two paths are bit-identical by construction (same IEEE operation
-// order, gathers replacing scalar loads); tests/simd_conformance_test.cc
-// enforces that invariant across every registry oracle. To pin the scalar
-// path at runtime — sanitizer legs, A/B benches, debugging — set the
-// DPSP_FORCE_SCALAR environment variable (any value but "0") or use
-// SetForceScalarKernels / ScopedForceScalar.
+// Every DistanceInto kernel is one portable scalar loop; there is no
+// vector dispatch. Both names below stay only because perfbench/ calls
+// them, and go once its benchmark change drops the `simd_dispatch` field
+// and the `core.ns_per_pair_scalar` metric.
 
 #ifndef DPSP_COMMON_CPU_H_
 #define DPSP_COMMON_CPU_H_
 
 namespace dpsp {
 
-/// True iff the running CPU reports AVX2 (cached CPUID probe). False on
-/// non-x86 builds.
-bool CpuHasAvx2();
+/// The kernel dispatch perfbench records as `simd_dispatch`: always
+/// "scalar". Kept until perfbench stops recording it.
+inline const char* SimdDispatchDescription() { return "scalar"; }
 
-/// True iff the AVX2 kernels were compiled into this binary.
-bool SimdKernelsCompiled();
-
-/// True iff scalar kernels are forced: DPSP_FORCE_SCALAR is set in the
-/// environment (any value but "0") or SetForceScalarKernels(true) was
-/// called. The programmatic override wins over the environment.
-bool ForceScalarKernels();
-
-/// Programmatic override of the force-scalar switch (tests, benches).
-void SetForceScalarKernels(bool force);
-
-/// Clears the programmatic override, restoring the environment setting.
-void ClearForceScalarKernels();
-
-/// The dispatch decision every vector-capable kernel makes: AVX2 compiled
-/// in, reported by the CPU, and not forced off.
-bool SimdKernelsEnabled();
-
-/// Human-readable dispatch state for benches and logs: "avx2",
-/// "scalar (forced)", "scalar (cpu lacks avx2)", or
-/// "scalar (not compiled)".
-const char* SimdDispatchDescription();
-
-/// RAII force-scalar scope for the conformance tests: forces (or
-/// unforces) scalar kernels for its lifetime, then restores the previous
-/// state.
+/// Does nothing: the kernels are already scalar, so perfbench's
+/// `core.ns_per_pair_scalar` times the same loop as `core.ns_per_pair`.
+/// Kept until perfbench drops that metric.
 class ScopedForceScalar {
  public:
-  explicit ScopedForceScalar(bool force);
-  ~ScopedForceScalar();
-  ScopedForceScalar(const ScopedForceScalar&) = delete;
-  ScopedForceScalar& operator=(const ScopedForceScalar&) = delete;
-
- private:
-  int previous_;  // -1 = no override was active
+  explicit ScopedForceScalar(bool) {}
 };
 
 }  // namespace dpsp

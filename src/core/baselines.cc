@@ -201,6 +201,9 @@ Result<double> PerPairLaplaceNoiseScale(int num_pairs,
 
 Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
+  // Checked before the metered build, so refused weights log no intent
+  // and draw nothing.
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   const int n = graph.num_vertices();
   const int num_pairs = std::max(1, n * (n - 1) / 2);
   return ctx.MeteredBuild(
@@ -241,10 +244,12 @@ Result<std::unique_ptr<DistanceOracle>> MakePerPairLaplaceOracle(
 
 Result<std::unique_ptr<DistanceOracle>> MakeSyntheticGraphOracle(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
+  // Checked before the metered build, so refused weights log no intent
+  // and draw nothing.
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   return ctx.MeteredBuild(
       kSyntheticGraphOracleName,
       [&]() -> Result<std::unique_ptr<DistanceOracle>> {
-        DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
         // Releasing the entire weight vector is a sensitivity-1 query
         // (identity).
         DPSP_ASSIGN_OR_RETURN(

@@ -33,6 +33,25 @@ int AutoCoveringRadius(int num_vertices, double max_weight,
 
 namespace {
 
+// Weights finite and in [0, max_weight] (up to 1e-12), with max_weight
+// positive: the public checks both builders run before the release is
+// metered, so a refusal draws no noise and logs no intent.
+Status CheckBoundedWeights(const Graph& graph, const EdgeWeights& w,
+                           double max_weight) {
+  if (!(max_weight > 0.0)) {
+    return Status::InvalidArgument("max_weight must be positive");
+  }
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (w[i] > max_weight + 1e-12) {
+      return Status::InvalidArgument(
+          StrFormat("edge %zu weight %g exceeds max_weight %g", i, w[i],
+                    max_weight));
+    }
+  }
+  return Status::Ok();
+}
+
 // Meters one bounded-weight release through ctx.MeteredBuild. A Gaussian
 // release spends its natural zCDP rate rho = eps^2 / (4 ln(1.25/delta)) —
 // sensitivity-free, so the budget check runs BEFORE the covering (and the
@@ -71,12 +90,10 @@ Result<std::unique_ptr<BoundedWeightOracle>> MeteredRelease(
 Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     const BoundedWeightOptions& options) {
-  // AutoCoveringRadius needs a vertex and a positive bound, and no graph
+  // AutoCoveringRadius needs a positive bound and a vertex, and no graph
   // without a vertex has a covering. Refused before the release is
   // metered, so a refusal draws no noise and logs no intent.
-  if (!(options.max_weight > 0.0)) {
-    return Status::InvalidArgument("max_weight must be positive");
-  }
+  DPSP_RETURN_IF_ERROR(CheckBoundedWeights(graph, w, options.max_weight));
   if (graph.num_vertices() == 0) {
     return Status::InvalidArgument("graph is empty");
   }
@@ -101,6 +118,7 @@ BoundedWeightOracle::BuildWithCovering(const Graph& graph,
                                        const EdgeWeights& w, Covering covering,
                                        ReleaseContext& ctx,
                                        const BoundedWeightOptions& options) {
+  DPSP_RETURN_IF_ERROR(CheckBoundedWeights(graph, w, options.max_weight));
   return MeteredRelease(ctx, options, [&] {
     return Release(graph, w, std::move(covering), ctx, options);
   });
@@ -110,17 +128,6 @@ Result<std::unique_ptr<BoundedWeightOracle>> BoundedWeightOracle::Release(
     const Graph& graph, const EdgeWeights& w, Covering covering,
     ReleaseContext& ctx, const BoundedWeightOptions& options) {
   const PrivacyParams& params = ctx.params();
-  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
-  if (!(options.max_weight > 0.0)) {
-    return Status::InvalidArgument("max_weight must be positive");
-  }
-  for (size_t i = 0; i < w.size(); ++i) {
-    if (w[i] > options.max_weight + 1e-12) {
-      return Status::InvalidArgument(
-          StrFormat("edge %zu weight %g exceeds max_weight %g", i, w[i],
-                    options.max_weight));
-    }
-  }
   DPSP_RETURN_IF_ERROR(ValidateCovering(graph, covering));
 
   auto oracle = std::unique_ptr<BoundedWeightOracle>(new BoundedWeightOracle());

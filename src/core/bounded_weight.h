@@ -72,15 +72,17 @@ class BoundedWeightOracle final : public DistanceOracle {
   /// `options` (Theorem 4.3's radius for ctx.params() when k == 0) and
   /// releases the noisy Z-to-Z distance table, drawing one release from
   /// the accountant and recording telemetry. Requires a connected
-  /// undirected graph and weights in [0, max_weight]. An empty graph or a
-  /// max_weight that is not positive is refused before the ledger is
-  /// touched.
+  /// undirected graph and finite weights in [0, max_weight]. An empty
+  /// graph, a max_weight that is not positive, or weights outside that
+  /// range are refused before the ledger is touched.
   static Result<std::unique_ptr<BoundedWeightOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       const BoundedWeightOptions& options = {});
 
   /// Same, with a caller-supplied covering (e.g. GridCovering for
-  /// Theorem 4.7); `options.k` and `options.strategy` are unused.
+  /// Theorem 4.7); `options.k` and `options.strategy` are unused. The
+  /// weights are checked before the ledger is touched, the covering
+  /// after.
   static Result<std::unique_ptr<BoundedWeightOracle>> BuildWithCovering(
       const Graph& graph, const EdgeWeights& w, Covering covering,
       ReleaseContext& ctx, const BoundedWeightOptions& options = {});
@@ -121,7 +123,8 @@ class BoundedWeightOracle final : public DistanceOracle {
   BoundedWeightOracle() = default;
 
   // The table release over `covering` with noise drawn from ctx.rng():
-  // the body both builders run inside ReleaseContext::MeteredBuild.
+  // the body both builders run inside ReleaseContext::MeteredBuild, after
+  // they have checked the weights against options.max_weight.
   static Result<std::unique_ptr<BoundedWeightOracle>> Release(
       const Graph& graph, const EdgeWeights& w, Covering covering,
       ReleaseContext& ctx, const BoundedWeightOptions& options);

@@ -26,12 +26,12 @@ HldTreeOracle::HldTreeOracle(std::shared_ptr<const HeavyPathIndex> index,
 Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     VertexId root) {
-  // The topology check runs before the metered build, so a refused
-  // topology logs no intent and draws nothing.
+  // The topology and weight checks run before the metered build, so a
+  // refused input logs no intent and draws nothing.
   DPSP_ASSIGN_OR_RETURN(std::shared_ptr<const HeavyPathIndex> index,
                         HeavyPathIndex::Share(graph, root == -1 ? 0 : root));
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   auto release = [&]() -> Result<std::unique_ptr<HldTreeOracle>> {
-    DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
     auto oracle = std::unique_ptr<HldTreeOracle>(new HldTreeOracle(index, w));
     DPSP_ASSIGN_OR_RETURN(
         double scale,

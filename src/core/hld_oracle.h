@@ -62,8 +62,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   /// be an undirected tree with non-negative weights; `root` = -1 picks
   /// vertex 0. The heavy-path skeleton is HeavyPathIndex::Share's, so a
   /// release over a graph that shares another live release's storage and
-  /// root shares its skeleton. A graph that is not a tree is refused
-  /// before the budget check, the WAL intent and any draw.
+  /// root shares its skeleton. A graph that is not a tree, or weights
+  /// that are negative or not finite, are refused before the budget
+  /// check, the WAL intent and any draw.
   static Result<std::unique_ptr<HldTreeOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       VertexId root = -1);

@@ -31,13 +31,13 @@ Status ValidatePathShape(const Graph& graph) {
 
 Result<std::unique_ptr<PathGraphOracle>> PathGraphOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
-  // The shape check runs before the metered build, so a refused topology
-  // logs no intent and draws nothing.
+  // The shape and weight checks run before the metered build, so a
+  // refused input logs no intent and draws nothing.
   DPSP_RETURN_IF_ERROR(ValidatePathShape(graph));
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<PathGraphOracle>> {
-        DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
         // Every edge lies in exactly one block per level, so the joint
         // release has sensitivity #levels. A single vertex has no edges
         // and no levels.

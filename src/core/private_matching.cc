@@ -71,9 +71,11 @@ MatchingDistanceOracle::FromRelease(const Graph& graph,
 
 Result<std::unique_ptr<MatchingDistanceOracle>> MatchingDistanceOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
-  // The topology check runs before the metered build, so a refused
-  // topology logs no intent and draws nothing.
+  // The topology and weight checks run before the metered build, so a
+  // refused input logs no intent and draws nothing. Negative weights are
+  // allowed: a minimum-weight matching is defined for any real weights.
   DPSP_RETURN_IF_ERROR(CheckMatchable(graph));
+  DPSP_RETURN_IF_ERROR(graph.ValidateWeights(w));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<MatchingDistanceOracle>> {

@@ -58,8 +58,9 @@ class MatchingDistanceOracle final : public DistanceOracle {
   /// Builds through the release pipeline: draws one release of
   /// ctx.params() from the accountant and records telemetry. A graph that
   /// is directed or has an odd vertex count or an odd-size connected
-  /// component is refused with InvalidArgument before the budget check,
-  /// the WAL intent and any draw.
+  /// component, or weights that are not finite, are refused with
+  /// InvalidArgument before the budget check, the WAL intent and any draw.
+  /// Negative weights are accepted.
   static Result<std::unique_ptr<MatchingDistanceOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
 

@@ -81,9 +81,11 @@ Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::FromRelease(
 
 Result<std::unique_ptr<MstDistanceOracle>> MstDistanceOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx) {
-  // The topology check runs before the metered build, so a refused
-  // topology logs no intent and draws nothing.
+  // The topology and weight checks run before the metered build, so a
+  // refused input logs no intent and draws nothing. Negative weights are
+  // allowed: a spanning tree is defined for any real weights.
   DPSP_RETURN_IF_ERROR(CheckSpannable(graph));
+  DPSP_RETURN_IF_ERROR(graph.ValidateWeights(w));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<MstDistanceOracle>> {

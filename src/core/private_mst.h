@@ -58,14 +58,11 @@ class MstDistanceOracle final : public DistanceOracle {
 
   /// Builds through the release pipeline: draws one release of
   /// ctx.params() from the accountant and records telemetry. A graph that
-  /// is directed, empty or disconnected is refused with InvalidArgument
-  /// before the budget check, the WAL intent and any draw.
+  /// is directed, empty or disconnected, or weights that are not finite,
+  /// are refused with InvalidArgument before the budget check, the WAL
+  /// intent and any draw. Negative weights are accepted.
   static Result<std::unique_ptr<MstDistanceOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx);
-
-  // Not copyable/movable: lca_ holds an interior pointer to tree_.
-  MstDistanceOracle(const MstDistanceOracle&) = delete;
-  MstDistanceOracle& operator=(const MstDistanceOracle&) = delete;
 
   /// Path length u -> v in the released tree (noisy weights; may be
   /// negative since the release permits negative noisy edges). O(1) via

@@ -2,10 +2,8 @@
 
 #include <cmath>
 
-#include "common/cpu.h"
 #include "common/table.h"
 #include "core/released_state.h"
-#include "core/simd_kernels.h"
 #include "dp/laplace_mechanism.h"
 #include "graph/tree_partition.h"
 
@@ -137,14 +135,14 @@ Result<std::unique_ptr<TreeAllPairsOracle>> TreeAllPairsOracle::Build(
     const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
     VertexId root) {
   if (root == -1) root = 0;
-  // The topology check runs before the metered build, so a refused
-  // topology logs no intent and draws nothing; the release and the oracle
-  // share the one orientation.
+  // The topology and weight checks run before the metered build, so a
+  // refused input logs no intent and draws nothing; the release and the
+  // oracle share the one orientation.
   DPSP_ASSIGN_OR_RETURN(RootedTree tree, RootedTree::FromGraph(graph, root));
+  DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
   return ctx.MeteredBuild(
       kName,
       [&]() -> Result<std::unique_ptr<TreeAllPairsOracle>> {
-        DPSP_RETURN_IF_ERROR(graph.ValidateNonNegativeWeights(w));
         DPSP_ASSIGN_OR_RETURN(
             TreeSingleSourceRelease release,
             ReleaseOnTree(tree, w, ctx.params(), ctx.rng()));
@@ -215,17 +213,6 @@ Status TreeAllPairsOracle::DistanceInto(std::span<const VertexPair> pairs,
   // O(1) LCA lookup — no per-query Result or virtual dispatch.
   const unsigned n = static_cast<unsigned>(tree_.num_vertices());
   const double* est = release_.estimates.data();
-#if defined(DPSP_HAVE_AVX2)
-  if (SimdKernelsEnabled() && pairs.size() >= 8 && lca_.SimdCompatible()) {
-    static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
-                  "kernels reinterpret VertexPair as two packed int32s");
-    int bad = simd::TreeCombineAvx2(
-        lca_.Flat(), est, reinterpret_cast<const int32_t*>(pairs.data()),
-        static_cast<int>(pairs.size()), out);
-    if (bad < 0) return Status::Ok();
-    return Status::InvalidArgument("vertex out of range");
-  }
-#endif
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [u, v] = pairs[i];
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {

@@ -34,7 +34,7 @@ namespace dpsp {
 struct TreeSingleSourceRelease {
   VertexId root = 0;
   /// estimate[v] ~ dw(root, v); estimate[root] == 0 exactly. Cache-line
-  /// aligned: this is the flat buffer the batch kernels gather from.
+  /// aligned: the batch kernel reads three entries of it per pair.
   AlignedVector<double> estimates;
   /// Laplace scale used for each released value.
   double noise_scale = 0.0;
@@ -66,16 +66,13 @@ class TreeAllPairsOracle final : public DistanceOracle {
 
   /// Builds the oracle through the release pipeline: draws one release of
   /// ctx.params() from the accountant and records telemetry. `root` = -1
-  /// picks vertex 0. The tree is oriented once, before the budget check,
-  /// the WAL intent and any draw, so a graph that is not a tree spends
-  /// nothing; the release and the oracle share that orientation.
+  /// picks vertex 0. The tree is oriented once, and the weights checked
+  /// (finite, non-negative), before the budget check, the WAL intent and
+  /// any draw, so a refused input spends nothing; the release and the
+  /// oracle share that orientation.
   static Result<std::unique_ptr<TreeAllPairsOracle>> Build(
       const Graph& graph, const EdgeWeights& w, ReleaseContext& ctx,
       VertexId root = -1);
-
-  // Not copyable/movable: lca_ holds an interior pointer to tree_.
-  TreeAllPairsOracle(const TreeAllPairsOracle&) = delete;
-  TreeAllPairsOracle& operator=(const TreeAllPairsOracle&) = delete;
 
   Result<double> Distance(VertexId u, VertexId v) const override;
   /// Fused serial kernel: three flat-array reads around an O(1) Euler-tour

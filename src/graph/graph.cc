@@ -1,5 +1,8 @@
 #include "graph/graph.h"
 
+#include <cmath>
+#include <limits>
+
 #include "common/table.h"
 
 namespace dpsp {
@@ -67,24 +70,34 @@ VertexId Graph::OtherEndpoint(EdgeId e, VertexId from) const {
   return ep.u == from ? ep.v : ep.u;
 }
 
-Status Graph::ValidateWeights(const EdgeWeights& w) const {
-  if (static_cast<int>(w.size()) != num_edges()) {
+namespace {
+
+// One pass over `w`: OK iff it has `num_edges` entries, each finite and at
+// least `lowest`.
+Status CheckWeights(const EdgeWeights& w, int num_edges, double lowest) {
+  if (static_cast<int>(w.size()) != num_edges) {
     return Status::InvalidArgument(
         StrFormat("weight vector has %zu entries, graph has %d edges",
-                  w.size(), num_edges()));
+                  w.size(), num_edges));
+  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (w[i] >= lowest && w[i] <= kMax) continue;  // false for NaN too
+    return Status::InvalidArgument(
+        StrFormat("weight of edge %zu is %s (%g)", i,
+                  std::isfinite(w[i]) ? "negative" : "not finite", w[i]));
   }
   return Status::Ok();
 }
 
+}  // namespace
+
+Status Graph::ValidateWeights(const EdgeWeights& w) const {
+  return CheckWeights(w, num_edges(), -std::numeric_limits<double>::max());
+}
+
 Status Graph::ValidateNonNegativeWeights(const EdgeWeights& w) const {
-  DPSP_RETURN_IF_ERROR(ValidateWeights(w));
-  for (size_t i = 0; i < w.size(); ++i) {
-    if (w[i] < 0.0) {
-      return Status::InvalidArgument(
-          StrFormat("weight of edge %zu is negative (%g)", i, w[i]));
-    }
-  }
-  return Status::Ok();
+  return CheckWeights(w, num_edges(), 0.0);
 }
 
 std::string Graph::ToString() const {

@@ -156,10 +156,12 @@ class Graph {
     return storage_ == other.storage_;
   }
 
-  /// OK iff `w` has exactly one entry per edge.
+  /// OK iff `w` has exactly one entry per edge and every entry is finite
+  /// (no NaN, no infinity).
   Status ValidateWeights(const EdgeWeights& w) const;
 
-  /// OK iff `w` matches the edge count and every entry is non-negative.
+  /// OK iff ValidateWeights(w) is and every entry is non-negative. One
+  /// pass over `w`.
   Status ValidateNonNegativeWeights(const EdgeWeights& w) const;
 
   /// Short human-readable description ("Graph(V=5, E=7, undirected)").

@@ -108,54 +108,8 @@ std::vector<double> RootedTree::RootDistances(const EdgeWeights& w) const {
   return dist;
 }
 
-LcaIndex::LcaIndex(const RootedTree& tree) : tree_(&tree) {
-  int n = tree.num_vertices();
-  while ((1 << log_) < n) ++log_;
-  up_.assign(static_cast<size_t>(log_ + 1),
-             std::vector<VertexId>(static_cast<size_t>(n), -1));
-  for (VertexId v = 0; v < n; ++v) up_[0][static_cast<size_t>(v)] = tree.parent(v);
-  for (int k = 1; k <= log_; ++k) {
-    for (VertexId v = 0; v < n; ++v) {
-      VertexId mid = up_[static_cast<size_t>(k - 1)][static_cast<size_t>(v)];
-      up_[static_cast<size_t>(k)][static_cast<size_t>(v)] =
-          mid == -1 ? -1
-                    : up_[static_cast<size_t>(k - 1)][static_cast<size_t>(mid)];
-    }
-  }
-}
-
-VertexId LcaIndex::Ancestor(VertexId v, int steps) const {
-  for (int k = 0; k <= log_ && v != -1; ++k) {
-    if (steps & (1 << k)) v = up_[static_cast<size_t>(k)][static_cast<size_t>(v)];
-  }
-  return v;
-}
-
-VertexId LcaIndex::Lca(VertexId u, VertexId v) const {
-  DPSP_CHECK_MSG(u >= 0 && u < tree_->num_vertices() && v >= 0 &&
-                     v < tree_->num_vertices(),
-                 "LCA query out of range");
-  if (tree_->depth(u) < tree_->depth(v)) std::swap(u, v);
-  u = Ancestor(u, tree_->depth(u) - tree_->depth(v));
-  if (u == v) return u;
-  for (int k = log_; k >= 0; --k) {
-    VertexId au = up_[static_cast<size_t>(k)][static_cast<size_t>(u)];
-    VertexId av = up_[static_cast<size_t>(k)][static_cast<size_t>(v)];
-    if (au != av) {
-      u = au;
-      v = av;
-    }
-  }
-  return tree_->parent(u);
-}
-
-int LcaIndex::HopDistance(VertexId u, VertexId v) const {
-  VertexId z = Lca(u, v);
-  return tree_->depth(u) + tree_->depth(v) - 2 * tree_->depth(z);
-}
-
 EulerTourLca::EulerTourLca(const RootedTree& tree)
-    : tree_(&tree), n_(tree.num_vertices()) {
+    : n_(tree.num_vertices()) {
   int n = n_;
   // The tour records a vertex on entry and again after each child returns,
   // so consecutive tour entries differ by one tree edge. Only the level-0
@@ -220,11 +174,6 @@ VertexId EulerTourLca::Lca(VertexId u, VertexId v) const {
   DPSP_CHECK_MSG(u >= 0 && u < n_ && v >= 0 && v < n_,
                  "LCA query out of range");
   return LcaUnchecked(u, v);
-}
-
-int EulerTourLca::HopDistance(VertexId u, VertexId v) const {
-  VertexId z = Lca(u, v);
-  return tree_->depth(u) + tree_->depth(v) - 2 * tree_->depth(z);
 }
 
 bool IsTree(const Graph& graph) {

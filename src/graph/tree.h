@@ -1,6 +1,6 @@
 // Rooted-tree utilities: orientation of an undirected tree graph at a root,
-// subtree sizes, depths, and lowest common ancestors via binary lifting.
-// These back the tree-distance algorithms of Section 4.1.
+// subtree sizes, depths, and constant-time lowest common ancestors over an
+// Euler tour. These back the tree-distance algorithms of Section 4.1.
 
 #ifndef DPSP_GRAPH_TREE_H_
 #define DPSP_GRAPH_TREE_H_
@@ -96,27 +96,6 @@ class RootedTree {
   std::vector<VertexId> bfs_order_;
 };
 
-/// Lowest-common-ancestor queries in O(log V) after O(V log V) setup
-/// (binary lifting over the parent pointers).
-class LcaIndex {
- public:
-  explicit LcaIndex(const RootedTree& tree);
-
-  /// The lowest common ancestor of u and v.
-  VertexId Lca(VertexId u, VertexId v) const;
-
-  /// Hop distance between u and v through their LCA.
-  int HopDistance(VertexId u, VertexId v) const;
-
- private:
-  VertexId Ancestor(VertexId v, int steps) const;
-
-  const RootedTree* tree_;
-  int log_ = 1;
-  // up_[k][v]: the 2^k-th ancestor of v (-1 past the root).
-  std::vector<std::vector<VertexId>> up_;
-};
-
 /// Constant-time lowest-common-ancestor queries via an Euler tour and a
 /// sparse table (range-minimum over tour depths). O(V log V) setup memory
 /// and time, O(1) per query — the structure the batched tree oracles share
@@ -147,35 +126,10 @@ class EulerTourLca {
     return static_cast<VertexId>(key & 0xffffffffu);
   }
 
-  /// Hop distance between u and v through their LCA. O(1).
-  int HopDistance(VertexId u, VertexId v) const;
-
   /// Length of the Euler tour (2V - 1).
   int tour_size() const { return tour_len_; }
 
-  /// Raw pointers into the packed structure, for the batch SIMD kernels:
-  /// everything LcaUnchecked touches, with no indirection through `this`.
-  struct FlatView {
-    const uint32_t* first_visit;
-    const uint8_t* log2_floor;
-    const uint64_t* table;
-    unsigned stride_shift;
-    int num_vertices;
-  };
-  FlatView Flat() const {
-    return {first_visit_.data(), log2_floor_.data(), table_.data(),
-            stride_shift_, n_};
-  }
-
-  /// True iff every table index fits an int32 — the precondition for the
-  /// AVX2 gather path (32-bit gather indices). Holds for every V the
-  /// oracles accept; false only past ~2^26 vertices.
-  bool SimdCompatible() const {
-    return table_.size() < (static_cast<size_t>(1) << 31);
-  }
-
  private:
-  const RootedTree* tree_;
   int n_ = 0;         // cached vertex count (query hot path)
   int tour_len_ = 0;  // Euler tour length (2V - 1)
   unsigned stride_shift_ = 0;          // row stride = 1 << stride_shift_
@@ -183,7 +137,7 @@ class EulerTourLca {
   AlignedVector<uint8_t> log2_floor_;    // precomputed floor(log2(i))
   // Row-major sparse table: table_[(k << stride_shift_) + i] packs
   // (depth << 32) | vertex for the min-depth vertex in tour[i .. i + 2^k).
-  // Cache-line aligned: the gather path reads 4 cells per lane-group.
+  // Cache-line aligned like the graph CSR arrays.
   AlignedVector<uint64_t> table_;
 };
 

@@ -199,9 +199,10 @@ TEST(BoundedWeightOracleTest, GaussianRequiresApproxDp) {
 }
 
 TEST(BoundedWeightOracleTest, BadInputsAreRefusedBeforeTheLedgerMoves) {
-  // Inside the metered build each would reach AutoCoveringRadius's check,
-  // which aborts the process. Each must be a typed error that draws no
-  // noise, logs no intent and charges nothing.
+  // Inside the metered build the first three would reach
+  // AutoCoveringRadius's check, which aborts the process, and the last
+  // would log an intent. Each must be a typed error that draws no noise,
+  // logs no intent and charges nothing.
   ASSERT_OK_AND_ASSIGN(Graph path, MakePathGraph(8));
   ASSERT_OK_AND_ASSIGN(Graph empty, Graph::Create(0, {}));
   BoundedWeightOptions zero_bound;
@@ -212,9 +213,11 @@ TEST(BoundedWeightOracleTest, BadInputsAreRefusedBeforeTheLedgerMoves) {
     const char* name;
     const Graph& graph;
     BoundedWeightOptions options;
-  } cases[] = {{"max_weight = 0", path, zero_bound},
-               {"max_weight = NaN", path, nan_bound},
-               {"0 vertices, default options", empty, {}}};
+    double weight;
+  } cases[] = {{"max_weight = 0", path, zero_bound, 0.0},
+               {"max_weight = NaN", path, nan_bound, 0.0},
+               {"0 vertices, default options", empty, {}, 0.0},
+               {"weights above max_weight = 1", path, {}, 1.5}};
   Rng fresh(kTestSeed);
   const double first_draw = fresh.Laplace(1.0);
   for (const auto& c : cases) {
@@ -224,7 +227,8 @@ TEST(BoundedWeightOracleTest, BadInputsAreRefusedBeforeTheLedgerMoves) {
     ctx.SetDurabilityHook(&hook);
     Result<std::unique_ptr<BoundedWeightOracle>> refused =
         BoundedWeightOracle::Build(
-            c.graph, EdgeWeights(static_cast<size_t>(c.graph.num_edges()), 0.0),
+            c.graph,
+            EdgeWeights(static_cast<size_t>(c.graph.num_edges()), c.weight),
             ctx, c.options);
     ASSERT_FALSE(refused.ok()) << c.name;
     EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << c.name;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -89,6 +90,14 @@ TEST(GraphTest, ValidateWeights) {
   EXPECT_FALSE(g.ValidateNonNegativeWeights({-0.1, 5.0}).ok());
   // Negative weights are fine for the unsigned validator's counterpart.
   EXPECT_OK(g.ValidateWeights({-3.0, 5.0}));
+  // Neither accepts an entry that is not finite.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    EXPECT_EQ(g.ValidateWeights({1.0, bad}).code(),
+              StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(g.ValidateNonNegativeWeights({bad, 1.0}).code(),
+              StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(GraphTest, ToStringMentionsCounts) {

@@ -19,7 +19,6 @@
 #include "dp/accountant.h"
 #include "dp/composition.h"
 #include "graph/generators.h"
-#include "graph/io.h"
 #include "test_util.h"
 
 namespace dpsp {
@@ -142,44 +141,6 @@ TEST(IntegrationTest, AttackDefenseCycle) {
   // (1 - small margin)); and always above the alpha bound.
   EXPECT_GT(strong_report.mean_hamming, 0.3 * n);
   EXPECT_GE(strong_report.mean_object_error, strong_report.alpha * 0.7);
-}
-
-TEST(IntegrationTest, PersistedTopologyAndReleasedWeightsRoundTrip) {
-  // A deployment persists the public topology and the *released* (already
-  // private) weights; a separate process reloads both and answers path
-  // queries identically.
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(RoadNetwork network,
-                       MakeSyntheticRoadNetwork(6, 6, 0.2, &rng));
-  EdgeWeights traffic = MakeCongestionWeights(network, 2, 2.0, &rng);
-  PrivateShortestPathOptions options;
-  options.params = PrivacyParams{1.0, 0.0, 1.0};
-  ASSERT_OK_AND_ASSIGN(
-      PrivateShortestPaths release,
-      PrivateShortestPaths::Release(network.graph, traffic, options, &rng));
-
-  std::string topo_text = SerializeGraph(network.graph);
-  std::string weights_text = SerializeWeights(release.released_weights());
-
-  ASSERT_OK_AND_ASSIGN(Graph reloaded_graph, DeserializeGraph(topo_text));
-  ASSERT_OK_AND_ASSIGN(EdgeWeights reloaded_weights,
-                       DeserializeWeights(weights_text));
-  ASSERT_OK_AND_ASSIGN(ShortestPathTree reloaded_tree,
-                       Dijkstra(reloaded_graph, reloaded_weights, 0));
-  ASSERT_OK_AND_ASSIGN(ShortestPathTree original_tree, release.PathTree(0));
-  for (VertexId v = 0; v < reloaded_graph.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(reloaded_tree.distance[static_cast<size_t>(v)],
-                     original_tree.distance[static_cast<size_t>(v)]);
-  }
-
-  // And the released route renders for humans.
-  ASSERT_OK_AND_ASSIGN(std::vector<EdgeId> route, release.Path(0, 35));
-  DotOptions dot_options;
-  dot_options.highlight = route;
-  ASSERT_OK_AND_ASSIGN(std::string dot,
-                       ToDot(network.graph, release.released_weights(),
-                             dot_options));
-  EXPECT_NE(dot.find("color=red"), std::string::npos);
 }
 
 TEST(IntegrationTest, ReleasedPathsOutliveTheGraphTheyRouteOver) {

@@ -11,9 +11,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/baselines.h"
+#include "core/private_matching.h"
+#include "core/private_mst.h"
 #include "dp/release_context.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -25,6 +30,14 @@ namespace {
 // family at once: it is a path, hence a tree, hence connected, and it has
 // a perfect matching (edges 0-1, 2-3, ...) the DP solver handles.
 constexpr int kNumVertices = 16;
+
+// The declared loss type picks compatible params: a zCDP-metered
+// (Gaussian-calibrated) mechanism needs approximate params with eps < 1;
+// everything else runs at the pure default.
+PrivacyParams ParamsFor(const OracleSpec& spec) {
+  return spec.loss == LossKind::kZcdp ? PrivacyParams{0.5, 1e-6, 1.0}
+                                      : PrivacyParams{1.0, 0.0, 1.0};
+}
 
 class RegistryConformanceTest : public ::testing::TestWithParam<std::string> {
  protected:
@@ -42,13 +55,7 @@ TEST_P(RegistryConformanceTest, BuildsAndSatisfiesOracleContract) {
   const std::string& name = GetParam();
   const OracleSpec* spec = OracleRegistry::Global().Find(name);
   ASSERT_NE(spec, nullptr);
-
-  // The declared loss type picks compatible params: a zCDP-metered
-  // (Gaussian-calibrated) mechanism needs approximate params with
-  // eps < 1; everything else runs at the pure default.
-  PrivacyParams params = spec->loss == LossKind::kZcdp
-                             ? PrivacyParams{0.5, 1e-6, 1.0}
-                             : PrivacyParams{1.0, 0.0, 1.0};
+  const PrivacyParams params = ParamsFor(*spec);
   ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
                        ReleaseContext::Create(params, kTestSeed));
   ASSERT_OK_AND_ASSIGN(
@@ -134,9 +141,7 @@ TEST_P(RegistryConformanceTest, RefusedReleaseDrawsNoNoise) {
   const OracleSpec* spec = OracleRegistry::Global().Find(name);
   ASSERT_NE(spec, nullptr);
   if (!spec->consumes_budget) GTEST_SKIP() << name << " charges nothing";
-  PrivacyParams params = spec->loss == LossKind::kZcdp
-                             ? PrivacyParams{0.5, 1e-6, 1.0}
-                             : PrivacyParams{1.0, 0.0, 1.0};
+  const PrivacyParams params = ParamsFor(*spec);
   ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
                        ReleaseContext::Create(params, kTestSeed));
   // Spend the whole budget without drawing noise, the way WAL recovery
@@ -167,6 +172,45 @@ TEST_P(RegistryConformanceTest, RefusedReleaseDrawsNoNoise) {
       ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
           << name << " d(" << u << ", " << v << ")";
     }
+  }
+}
+
+TEST_P(RegistryConformanceTest, RefusedWeightsLogNoIntentAndDrawNothing) {
+  // Every family checks its weights before the budget check and the WAL
+  // intent, so weights it refuses leave no intent for recovery to count as
+  // spent, and draw nothing. MST and matching take any finite weights; the
+  // other families refuse a negative one too.
+  const std::string& name = GetParam();
+  const OracleSpec* spec = OracleRegistry::Global().Find(name);
+  ASSERT_NE(spec, nullptr);
+  auto with = [this](double value) {
+    EdgeWeights w = weights_;
+    w[w.size() / 2] = value;
+    return w;
+  };
+  std::vector<std::pair<std::string, EdgeWeights>> cases = {
+      {"NaN", with(std::numeric_limits<double>::quiet_NaN())},
+      {"+inf", with(std::numeric_limits<double>::infinity())},
+      {"one entry short", EdgeWeights(weights_.begin(), weights_.end() - 1)}};
+  if (name != MstDistanceOracle::kName &&
+      name != MatchingDistanceOracle::kName) {
+    cases.emplace_back("-1", with(-1.0));
+  }
+  Rng fresh(kTestSeed);
+  const double first_draw = fresh.Laplace(1.0);
+  for (const auto& [label, w] : cases) {
+    ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                         ReleaseContext::Create(ParamsFor(*spec), kTestSeed));
+    CountingHook hook;
+    ctx.SetDurabilityHook(&hook);
+    Result<std::unique_ptr<DistanceOracle>> refused =
+        OracleRegistry::Global().Create(name, *graph_, w, ctx);
+    EXPECT_FALSE(refused.ok()) << name << " granted weights with " << label;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << name << ", " << label << ": " << refused.status().ToString();
+    EXPECT_EQ(hook.intents, 0u) << name << ", " << label;
+    EXPECT_EQ(ctx.accountant().num_releases(), 0) << name << ", " << label;
+    EXPECT_EQ(ctx.rng()->Laplace(1.0), first_draw) << name << ", " << label;
   }
 }
 

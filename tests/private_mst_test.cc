@@ -74,6 +74,25 @@ TEST(PrivateMstTest, DisconnectedFails) {
   EXPECT_FALSE(PrivateMst(g, {1.0, 1.0}, params, &rng).ok());
 }
 
+TEST(MstDistanceOracleTest, BatchLookaheadBoundaries) {
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  Rng& rng = *ctx.rng();
+  const int n = 200;
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(10, 20));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle, MstDistanceOracle::Build(g, w, ctx));
+  std::vector<VertexPair> pairs;
+  for (int i = 0; i < 20; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
+  }
+  ExpectBatchesMatchPerPairDistance(*oracle, pairs);
+  for (VertexId bad : {-1, n}) {
+    ExpectOutOfRangeRejectedAnywhere(*oracle, pairs, bad);
+  }
+}
+
 TEST(MstLowerBoundTest, TheoremB1Values) {
   // For small eps, delta: alpha -> 0.5 (V-1); at eps = 0, delta = 0 it is
   // exactly (V-1)/2.

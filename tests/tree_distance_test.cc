@@ -202,6 +202,25 @@ TEST(TreeAllPairsTest, SymmetricAndZeroOnDiagonal) {
   }
 }
 
+TEST(TreeAllPairsTest, BatchLookaheadBoundaries) {
+  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
+                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
+  Rng& rng = *ctx.rng();
+  const int n = 500;
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.0, 5.0, &rng);
+  ASSERT_OK_AND_ASSIGN(auto oracle, TreeAllPairsOracle::Build(g, w, ctx));
+  std::vector<VertexPair> pairs;
+  for (int i = 0; i < 20; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
+  }
+  ExpectBatchesMatchPerPairDistance(*oracle, pairs);
+  for (VertexId bad : {-1, n}) {
+    ExpectOutOfRangeRejectedAnywhere(*oracle, pairs, bad);
+  }
+}
+
 TEST(TreeAllPairsTest, ScalingKnobShrinksError) {
   // With rho = 0.01 the noise scale is 100x smaller than rho = 1.
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(64));

@@ -83,7 +83,8 @@ TEST(RootedTreeTest, RootDistancesMatchDijkstra) {
   }
 }
 
-// Naive LCA by walking parents, for cross-checking.
+// Naive LCA by walking parents: the reference EulerTourLca is checked
+// against.
 VertexId NaiveLca(const RootedTree& tree, VertexId u, VertexId v) {
   while (tree.depth(u) > tree.depth(v)) u = tree.parent(u);
   while (tree.depth(v) > tree.depth(u)) v = tree.parent(v);
@@ -94,57 +95,60 @@ VertexId NaiveLca(const RootedTree& tree, VertexId u, VertexId v) {
   return u;
 }
 
+// EulerTourLca over `g` rooted at `root` answers `trials` random pairs as
+// NaiveLca does, through both the checked and the unchecked lookup.
+void ExpectLcaMatchesNaive(const Graph& g, VertexId root, int trials,
+                           Rng* rng) {
+  const int n = g.num_vertices();
+  ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, root));
+  EulerTourLca lca(tree);
+  EXPECT_EQ(lca.tour_size(), 2 * n - 1);
+  for (int trial = 0; trial < trials; ++trial) {
+    VertexId u = static_cast<VertexId>(rng->UniformInt(0, n - 1));
+    VertexId v = static_cast<VertexId>(rng->UniformInt(0, n - 1));
+    VertexId want = NaiveLca(tree, u, v);
+    ASSERT_EQ(lca.Lca(u, v), want)
+        << "n=" << n << " root=" << root << " u=" << u << " v=" << v;
+    ASSERT_EQ(lca.LcaUnchecked(u, v), want)
+        << "n=" << n << " root=" << root << " u=" << u << " v=" << v;
+  }
+}
+
 class LcaPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LcaPropertyTest, MatchesNaiveOnRandomTrees) {
-  Rng rng(kTestSeed + static_cast<uint64_t>(GetParam()));
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(GetParam(), &rng));
-  ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, 0));
-  LcaIndex lca(tree);
-  for (int trial = 0; trial < 300; ++trial) {
-    VertexId u = static_cast<VertexId>(rng.UniformInt(0, GetParam() - 1));
-    VertexId v = static_cast<VertexId>(rng.UniformInt(0, GetParam() - 1));
-    EXPECT_EQ(lca.Lca(u, v), NaiveLca(tree, u, v));
+  const int n = GetParam();
+  Rng rng(kTestSeed + static_cast<uint64_t>(n));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
+  for (VertexId root : {0, n / 2, n - 1}) {
+    ExpectLcaMatchesNaive(g, root, 300, &rng);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LcaPropertyTest,
                          ::testing::Values(2, 3, 10, 33, 64, 129));
 
-TEST(LcaIndexTest, HopDistanceMatchesBfs) {
+TEST(EulerTourLcaTest, MatchesNaiveFromEveryRoot) {
   Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(60, &rng));
-  ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, 0));
-  LcaIndex lca(tree);
-  ASSERT_OK_AND_ASSIGN(std::vector<int> hops, HopDistances(g, 13));
-  for (VertexId v = 0; v < 60; ++v) {
-    EXPECT_EQ(lca.HopDistance(13, v), hops[static_cast<size_t>(v)]);
-  }
-}
-
-TEST(LcaIndexTest, LcaOfVertexWithItself) {
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeBalancedTree(15, 2));
-  ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, 0));
-  LcaIndex lca(tree);
-  EXPECT_EQ(lca.Lca(7, 7), 7);
-  EXPECT_EQ(lca.Lca(0, 9), 0);
-}
-
-TEST(EulerTourLcaTest, MatchesBinaryLiftingOnRandomTrees) {
-  Rng rng(kTestSeed);
-  for (int n : {2, 3, 17, 64, 200}) {
+  for (int n : {2, 3, 17, 64}) {
     ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(n, &rng));
-    ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, 0));
-    LcaIndex lifting(tree);
-    EulerTourLca euler(tree);
-    EXPECT_EQ(euler.tour_size(), 2 * n - 1);
-    for (int trial = 0; trial < 200; ++trial) {
-      VertexId u = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-      VertexId v = static_cast<VertexId>(rng.UniformInt(0, n - 1));
-      EXPECT_EQ(euler.Lca(u, v), lifting.Lca(u, v))
-          << "n=" << n << " u=" << u << " v=" << v;
-      EXPECT_EQ(euler.HopDistance(u, v), lifting.HopDistance(u, v));
+    for (VertexId root = 0; root < n; ++root) {
+      ExpectLcaMatchesNaive(g, root, 50, &rng);
     }
+  }
+  ASSERT_OK_AND_ASSIGN(Graph star, MakeStarGraph(9));
+  ExpectLcaMatchesNaive(star, 0, 100, &rng);
+  ExpectLcaMatchesNaive(star, 8, 100, &rng);
+}
+
+TEST(EulerTourLcaTest, MatchesNaiveOnALargeRandomTree) {
+  // 2^17 vertices: a tour of 2^18 - 1 entries, so the sparse table has 18
+  // levels and its longest ranges span most of the tour.
+  constexpr int kBigV = 1 << 17;
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(kBigV, &rng));
+  for (VertexId root : {0, kBigV / 3, kBigV - 1}) {
+    ExpectLcaMatchesNaive(g, root, 5000, &rng);
   }
 }
 
@@ -154,14 +158,19 @@ TEST(EulerTourLcaTest, SingleVertexAndSelfQueries) {
   EulerTourLca euler(tree);
   EXPECT_EQ(euler.tour_size(), 1);
   EXPECT_EQ(euler.Lca(0, 0), 0);
-  EXPECT_EQ(euler.HopDistance(0, 0), 0);
 
   ASSERT_OK_AND_ASSIGN(Graph path, MakePathGraph(5));
   ASSERT_OK_AND_ASSIGN(RootedTree rooted, RootedTree::FromGraph(path, 2));
   EulerTourLca lca(rooted);
   for (VertexId v = 0; v < 5; ++v) EXPECT_EQ(lca.Lca(v, v), v);
   EXPECT_EQ(lca.Lca(0, 4), 2);
-  EXPECT_EQ(lca.HopDistance(0, 4), 4);
+  EXPECT_EQ(lca.Lca(3, 4), 3);
+
+  ASSERT_OK_AND_ASSIGN(Graph balanced, MakeBalancedTree(15, 2));
+  ASSERT_OK_AND_ASSIGN(RootedTree at_root, RootedTree::FromGraph(balanced, 0));
+  EulerTourLca balanced_lca(at_root);
+  EXPECT_EQ(balanced_lca.Lca(7, 7), 7);
+  EXPECT_EQ(balanced_lca.Lca(0, 9), 0);
 }
 
 TEST(IsTreeTest, Classification) {
